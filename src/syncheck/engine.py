@@ -54,6 +54,8 @@ class Engine:
         self._occ: dict = {}  # rank -> list[MessageOccurrence]
         self._cursor: dict = {}  # rank -> int
         self._closed: dict = {}  # rank -> bool
+        self._open = 0  # ranks not yet closed; drain() reads it on every event
+        self._total = 0  # occurrences loaded or appended
         self._table: dict = {}  # signature -> _Matcher
         self._queue: deque = deque()
         self._queued: set = set()
@@ -78,7 +80,7 @@ class Engine:
 
     @property
     def message_count(self) -> int:
-        return sum(len(lst) for lst in self._occ.values())
+        return self._total
 
     def ranks(self) -> list:
         return sorted(self._occ)
@@ -108,8 +110,10 @@ class Engine:
             if seq.rank in self._occ:
                 raise EngineError(f"duplicate rank {seq.rank}")
             self._occ[seq.rank] = list(seq.occurrences)
+            self._total += len(seq.occurrences)
             self._cursor[seq.rank] = 0
             self._closed[seq.rank] = seq.closed
+            self._open += not seq.closed
         ranks = [s.rank for s in model.sequences if s.occurrences]
         if order is not None:
             order = list(order)
@@ -128,6 +132,7 @@ class Engine:
             lst = self._occ[rank] = []
             self._cursor[rank] = 0
             self._closed[rank] = False
+            self._open += 1
         if self._closed[rank]:
             raise EngineError(f"append to closed sequence {rank}")
         occurrences = list(occurrences)
@@ -137,6 +142,7 @@ class Engine:
                     raise EngineError("strict engine requires envelope-bearing occurrences")
         was_idle = self._cursor[rank] == len(lst) and rank not in self._queued
         lst.extend(occurrences)
+        self._total += len(occurrences)
         if was_idle and occurrences:
             self._queue.append(rank)
             self._queued.add(rank)
@@ -149,6 +155,7 @@ class Engine:
         if self._closed[rank]:
             raise EngineError(f"sequence {rank} already closed")
         self._closed[rank] = True
+        self._open -= 1
 
     # -- execution ----------------------------------------------------------
 
@@ -252,9 +259,9 @@ class Engine:
         result = self._run(-1)
         if result is not _QUEUE_EMPTY:
             return result  # halted with a verdict
-        if not all(self._closed.values()):
+        if self._open:
             return None
-        if all(self._cursor[r] == len(lst) for r, lst in self._occ.items()):
+        if 2 * self.matched_pairs == self._total:  # every occurrence matched
             self._verdict = NoDeadlock()
         else:
             self._verdict = Deadlock(self._report())

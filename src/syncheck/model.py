@@ -46,7 +46,6 @@ class MessageOccurrence(NamedTuple):
     signature: int
     role: Role = Role.UNSPECIFIED
     envelope: Optional[Envelope] = None
-    source_location: Optional[str] = None
 
 
 @dataclass

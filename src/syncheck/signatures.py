@@ -1,9 +1,8 @@
 """Signature space: dense unique integers for message envelopes or characters.
 
-Strict-mode envelopes are keyed through a multi-level table
-(communicator -> source -> destination -> tag); abstract-mode characters
-through a flat dict.  Both give expected constant time per call and the
-k-th distinct key receives value k-1.
+Strict-mode envelopes and abstract-mode characters are each keyed through a
+flat dict.  Both give expected constant time per call and the k-th distinct
+key receives value k-1.
 """
 from __future__ import annotations
 
@@ -14,8 +13,7 @@ from .model import Envelope, check_envelope
 
 class SignatureSpace:
     def __init__(self) -> None:
-        # communicator -> source -> destination -> tag -> signature
-        self._envelopes: dict = {}
+        self._envelopes: dict = {}  # Envelope -> signature
         self._chars: dict = {}
         self._reverse: list = []  # signature -> Envelope | str
 
@@ -23,15 +21,31 @@ class SignatureSpace:
         return len(self._reverse)
 
     def signature_for(self, env: Envelope) -> int:
-        """Create-or-retrieve the signature of an envelope."""
-        check_envelope(env)
-        by_src = self._envelopes.setdefault(env.communicator, {})
-        by_dst = by_src.setdefault(env.source, {})
-        by_tag = by_dst.setdefault(env.destination, {})
-        sig = by_tag.get(env.tag)
+        """Create-or-retrieve the signature of an envelope.
+
+        Every call validates the envelope, also when an equal one is
+        already interned; plain nonnegative ints between distinct endpoints
+        pass the quick test, anything else gets the full check.
+        """
+        plain = type(env) is Envelope
+        if plain:
+            tag, src, dst, comm = env
+            plain = (
+                type(tag) is int
+                and type(src) is int
+                and type(dst) is int
+                and type(comm) is int
+                and tag >= 0
+                and src >= 0
+                and dst >= 0
+                and comm >= 0
+                and src != dst
+            )
+        if not plain:
+            check_envelope(env)
+        sig = self._envelopes.get(env)
         if sig is None:
-            sig = len(self._reverse)
-            by_tag[env.tag] = sig
+            sig = self._envelopes[env] = len(self._reverse)
             self._reverse.append(env)
         return sig
 

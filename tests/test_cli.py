@@ -96,6 +96,14 @@ class TestCheck:
         assert code == 1
         assert "BadInteger" in err
 
+    def test_non_decimal_digit_is_parse_error(self, tmp_path):
+        path = tmp_path / "m.dsl"
+        path.write_text("process \u00b2 {}", encoding="utf-8")
+        code, out, err = run_cli(["check", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"{path}: 1:9: BadInteger: ")
+
     def test_usage_error_exit_1(self):
         code, _, err = run_cli(["check", "--format", "yaml", "x"])
         assert code == 1

@@ -14,8 +14,10 @@ from syncheck import (
     Illegal,
     MessageOccurrence,
     Mode,
+    Model,
     NoDeadlock,
     Role,
+    Sequence,
     check,
     check_with_engine,
     parse_dsl,
@@ -206,6 +208,18 @@ class TestStreaming:
         assert isinstance(engine.drain(), NoDeadlock)
         with pytest.raises(EngineError):
             engine.append(0, [occ(space, "b")])
+
+    def test_loaded_open_sequence_defers_verdict_until_closed(self):
+        space = abstract_model("").space
+        a = occ(space, "a")
+        model = Model([Sequence(0, [a]), Sequence(1, [a], closed=False)], Mode.ABSTRACT, space)
+        engine = Engine(Mode.ABSTRACT)
+        engine.load(model)
+        assert engine.drain() is None
+        assert engine.matched_pairs == 1
+        assert engine.drain() is None
+        engine.close(1)
+        assert isinstance(engine.drain(), NoDeadlock)
 
     def test_load_twice_fails(self):
         engine = Engine(Mode.ABSTRACT)
