@@ -2,10 +2,10 @@
 
 Each ready sequence's head is examined once: the signature's matcher either
 already holds a pending head from the other member sequence (match both,
-advance both cursors) or records this head as pending.  Matchers remember
-at most two member ranks forever; a third distinct rank is a legality
-violation.  Total steps are bounded by the number of occurrences examined,
-so a batch check is linear in the message count.
+advance both cursors) or records this head as pending.  A `Legality` fed
+at load and append decides legality, so no third member rank is matched.
+Total steps are bounded by the number of occurrences examined, so a batch
+check is linear in the message count.
 """
 from __future__ import annotations
 
@@ -14,17 +14,14 @@ from enum import Enum
 from typing import Iterable, Optional, Union
 
 from .model import (
-    BlockedEntry,
     Deadlock,
-    DeadlockReport,
     Illegal,
-    IllegalReason,
+    Legality,
     MessageOccurrence,
     Mode,
     Model,
     NoDeadlock,
-    Role,
-    validate_static,
+    deadlock_report,
 )
 
 Verdict = Union[NoDeadlock, Deadlock, Illegal]
@@ -39,14 +36,6 @@ class StepOutcome(Enum):
     QUEUE_EMPTY = "queue-empty"
 
 
-# Per-signature matcher record, kept as a bare list for speed in the hot
-# loop: [member ranks (<= 2), pending rank, pending position, matched count].
-MEMBERS, PENDING_RANK, PENDING_POS, MATCHED = range(4)
-
-
-_QUEUE_EMPTY = object()  # internal _run result
-
-
 class Engine:
     def __init__(self, mode: Mode = Mode.ABSTRACT):
         self.mode = mode
@@ -56,7 +45,8 @@ class Engine:
         self._closed: dict = {}  # rank -> bool
         self._open = 0  # ranks not yet closed; drain() reads it on every event
         self._total = 0  # occurrences loaded or appended
-        self._table: dict = {}  # signature -> _Matcher
+        self._table: dict = {}  # signature -> pending rank, or None
+        self._legality = Legality(mode)
         self._queue: deque = deque()
         self._queued: set = set()
         self.steps = 0
@@ -110,6 +100,7 @@ class Engine:
             if seq.rank in self._occ:
                 raise EngineError(f"duplicate rank {seq.rank}")
             self._occ[seq.rank] = list(seq.occurrences)
+            self._legality.add(seq.rank, 0, seq.occurrences)
             self._total += len(seq.occurrences)
             self._cursor[seq.rank] = 0
             self._closed[seq.rank] = seq.closed
@@ -136,10 +127,7 @@ class Engine:
         if self._closed[rank]:
             raise EngineError(f"append to closed sequence {rank}")
         occurrences = list(occurrences)
-        if self.mode is Mode.STRICT:
-            for occ in occurrences:
-                if occ.envelope is None:
-                    raise EngineError("strict engine requires envelope-bearing occurrences")
+        self._legality.add(rank, len(lst), occurrences)
         was_idle = self._cursor[rank] == len(lst) and rank not in self._queued
         lst.extend(occurrences)
         self._total += len(occurrences)
@@ -159,81 +147,38 @@ class Engine:
 
     # -- execution ----------------------------------------------------------
 
-    def _run(self, limit: int):
-        """Process up to `limit` ready heads (-1 = until the queue empties).
-
-        Returns _QUEUE_EMPTY, a halting Verdict, or None when the limit was
-        reached with the queue still nonempty.
-        """
+    def _run(self, limit: int) -> None:
+        """Process up to `limit` ready heads (-1 = until the queue empties)."""
         queue = self._queue
         queued = self._queued
         occ_map = self._occ
         cur_map = self._cursor
         table = self._table
-        strict = self.mode is Mode.STRICT
-        send, recv = Role.SEND, Role.RECV
         steps = self.steps
         matched = self.matched_pairs
         done = 0
         try:
-            while queue:
-                if done == limit:
-                    return None
+            while queue and done != limit:
                 done += 1
                 rank = queue.popleft()
                 queued.discard(rank)
                 pos = cur_map[rank]
-                occ = occ_map[rank][pos]
-                sig = occ[0]  # MessageOccurrence.signature
+                sig = occ_map[rank][pos][0]  # MessageOccurrence.signature
                 steps += 1
-
-                if strict:
-                    role = occ[1]
-                    env = occ[2]
-                    if role is send and rank != env[1]:
-                        return self._halt_illegal(
-                            sig, (rank,),
-                            f"send at rank {rank} pos {pos} but envelope source is {env.source}",
-                        )
-                    if role is recv and rank != env[2]:
-                        return self._halt_illegal(
-                            sig, (rank,),
-                            f"recv at rank {rank} pos {pos} but envelope destination is {env.destination}",
-                        )
-
-                matcher = table.get(sig)
-                if matcher is None:
-                    matcher = table[sig] = [[rank], None, None, 0]
-                    members = matcher[0]
-                else:
-                    members = matcher[0]
-                    if rank not in members:
-                        if len(members) == 2:
-                            return self._halt_illegal(
-                                sig,
-                                tuple(sorted(members + [rank])),
-                                f"signature appears in more than two sequences: {sorted(members + [rank])}",
-                            )
-                        members.append(rank)
-
-                other = matcher[1]
-                if other is not None and other != rank:
-                    cur_map[other] += 1
-                    cur_map[rank] = pos + 1
-                    matcher[1] = None
-                    matcher[2] = None
-                    matcher[3] += 1
-                    matched += 1
-                    # re-enqueue in ascending rank order for reproducible runs
-                    first, second = (other, rank) if other < rank else (rank, other)
-                    for nxt in (first, second):
-                        if cur_map[nxt] < len(occ_map[nxt]) and nxt not in queued:
-                            queue.append(nxt)
-                            queued.add(nxt)
-                else:
-                    matcher[1] = rank
-                    matcher[2] = pos
-            return _QUEUE_EMPTY
+                other = table.get(sig)
+                if other is None:  # a queued rank is never the pending one
+                    table[sig] = rank
+                    continue
+                cur_map[other] += 1
+                cur_map[rank] = pos + 1
+                table[sig] = None
+                matched += 1
+                # re-enqueue in ascending rank order for reproducible runs
+                first, second = (other, rank) if other < rank else (rank, other)
+                for nxt in (first, second):
+                    if cur_map[nxt] < len(occ_map[nxt]) and nxt not in queued:
+                        queue.append(nxt)
+                        queued.add(nxt)
         finally:
             self.steps = steps
             self.matched_pairs = matched
@@ -241,58 +186,40 @@ class Engine:
     def step(self) -> Union[StepOutcome, Verdict]:
         if self.finished:
             raise EngineError("step on a finished engine")
+        reason = self._legality.violation
+        if reason is not None:
+            self._verdict = Illegal(reason)
+            return self._verdict
         if not self._queue:
             return StepOutcome.QUEUE_EMPTY
-        result = self._run(1)
-        if result is None or result is _QUEUE_EMPTY:
-            return StepOutcome.PROGRESSED  # exactly one head was processed
-        return result
+        self._run(1)
+        return StepOutcome.PROGRESSED
 
     def drain(self) -> Optional[Verdict]:
         """Run steps until the queue empties or a verdict halts the engine.
 
         Returns None while some sequence is still open (streaming continues);
-        otherwise the final verdict.
+        otherwise the final verdict.  Legality is judged before matching, so
+        an illegal model halts without taking a step once all is closed.
         """
         if self.finished:
             return self._verdict
-        result = self._run(-1)
-        if result is not _QUEUE_EMPTY:
-            return result  # halted with a verdict
+        reason = self._legality.violation if self._open else self._legality.finish()
+        if reason is not None:
+            self._verdict = Illegal(reason)
+            return self._verdict
+        self._run(-1)
         if self._open:
             return None
         if 2 * self.matched_pairs == self._total:  # every occurrence matched
             self._verdict = NoDeadlock()
         else:
-            self._verdict = Deadlock(self._report())
+            self._verdict = Deadlock(deadlock_report(self._occ, self._cursor))
         return self._verdict
-
-    def _halt_illegal(self, sig: int, ranks: tuple, message: str) -> Verdict:
-        self._verdict = Illegal(IllegalReason(signature=sig, ranks=ranks, message=message))
-        return self._verdict
-
-    def _report(self) -> DeadlockReport:
-        blocked = []
-        total = 0
-        residual = 0
-        for rank in sorted(self._occ):
-            lst = self._occ[rank]
-            cur = self._cursor[rank]
-            total += len(lst)
-            residual += len(lst) - cur
-            if cur < len(lst):
-                occ = lst[cur]
-                blocked.append(BlockedEntry(rank, cur, occ.signature, occ.envelope))
-        return DeadlockReport(
-            blocked=tuple(blocked),
-            matched_pairs=self.matched_pairs,
-            residual=residual,
-            message_count=total,
-        )
 
 
 def check(model: Model, order: Optional[Iterable[int]] = None) -> Verdict:
-    """One-shot batch check: static validation, then load and drain."""
+    """One-shot batch check: load and drain."""
     return check_with_engine(model, order=order)[0]
 
 
@@ -302,9 +229,6 @@ def check_with_engine(model: Model, order: Optional[Iterable[int]] = None):
     for seq in model.sequences:
         if not seq.closed:
             raise EngineError("batch check requires all sequences closed")
-    reason = validate_static(model)
-    if reason is not None:
-        return Illegal(reason), engine
     engine.load(model, order=order)
     verdict = engine.drain()
     assert verdict is not None

@@ -50,26 +50,14 @@ class MessageOccurrence(NamedTuple):
 
 @dataclass
 class Sequence:
-    """One process's ordered occurrences with a consumption cursor.
-
-    Consumption is a cursor advance, never a physical deletion, so blocked
-    positions stay reportable.
-    """
+    """One process's ordered occurrences; `closed` once no more can follow."""
 
     rank: int
     occurrences: list  # list[MessageOccurrence]
-    cursor: int = 0
     closed: bool = True
 
     def __len__(self) -> int:
         return len(self.occurrences)
-
-    @property
-    def exhausted(self) -> bool:
-        return self.cursor >= len(self.occurrences)
-
-    def head(self) -> MessageOccurrence:
-        return self.occurrences[self.cursor]
 
 
 @dataclass
@@ -140,71 +128,118 @@ class Illegal:
 # Verdict = NoDeadlock | Deadlock | Illegal
 
 
-def validate_static(model: Model) -> Optional[IllegalReason]:
-    """Static legality check: every signature in exactly two distinct sequences.
+class Legality:
+    """The legality rules, checked as occurrences arrive.
 
-    Returns None when the model is legal, an IllegalReason otherwise.
-    Occurrence-count imbalance between the two sequences is legal here; it
-    surfaces as a deadlock at matching time.  In strict mode the two
-    containing ranks must be the envelope endpoints and each occurrence's
-    role must sit on its own side.
+    Every signature occurs in exactly two distinct sequences.  In strict
+    mode every occurrence also carries an envelope, a send sits at its
+    envelope's source and a recv at its destination, and every member rank
+    of a signature is an endpoint of the envelope it was first seen with.
+    Occurrence-count imbalance between the two sequences is legal; it
+    surfaces as a deadlock at matching time.
+
+    `add` records each occurrence's rank in O(1) and reports a violation as
+    soon as the occurrences seen show one.  A signature with fewer than two
+    member ranks can only be judged by `finish`, once every sequence is
+    closed.  The first violation found is kept.
     """
-    strict = model.mode is Mode.STRICT
-    send, recv = Role.SEND, Role.RECV
-    seen: dict = {}  # signature -> list of distinct ranks (kept tiny; scan is hot)
-    for seq in model.sequences:
-        rank = seq.rank
-        for pos, occ in enumerate(seq.occurrences):
-            sig = occ[0]
-            ranks = seen.get(sig)
-            if ranks is None:
-                seen[sig] = [rank]
-            elif rank not in ranks:
-                ranks.append(rank)
-            if strict:
-                env = occ[2]
+
+    def __init__(self, mode: Mode):
+        self.strict = mode is Mode.STRICT
+        self.violation: Optional[IllegalReason] = None
+        self._members: dict = {}  # signature -> distinct member ranks (at most 2)
+        self._lonely = 0  # signatures with one member rank so far
+        self._first_envelope: dict = {}  # signature -> envelope it was first seen with (strict)
+
+    def add(self, rank: int, start: int, occurrences) -> Optional[IllegalReason]:
+        """Record `occurrences`, the positions from `start` on of sequence `rank`."""
+        if self.violation is None:
+            self.violation = self._add(rank, start, occurrences)
+        return self.violation
+
+    def _add(self, rank: int, start: int, occurrences) -> Optional[IllegalReason]:
+        strict = self.strict
+        if strict:
+            send, recv = Role.SEND, Role.RECV
+            first_envelope = self._first_envelope
+            for pos, (sig, role, env) in enumerate(occurrences, start):
                 if env is None:
-                    return IllegalReason(
-                        signature=sig,
-                        ranks=(rank,),
-                        message=f"strict-mode occurrence at rank {rank} pos {pos} has no envelope",
-                    )
-                if occ[1] is send and rank != env[1]:
-                    return IllegalReason(
-                        signature=sig,
-                        ranks=(rank,),
-                        message=f"send at rank {rank} pos {pos} but envelope source is {env.source}",
-                    )
-                if occ[1] is recv and rank != env[2]:
-                    return IllegalReason(
-                        signature=sig,
-                        ranks=(rank,),
-                        message=f"recv at rank {rank} pos {pos} but envelope destination is {env.destination}",
-                    )
-
-    for sig in sorted(seen):
-        ranks = seen[sig]
-        if len(ranks) != 2:
-            return IllegalReason(
-                signature=sig,
-                ranks=tuple(sorted(ranks)),
-                message=f"signature {sig} occurs in {len(ranks)} sequences, expected exactly 2",
-            )
-
-    if strict:
-        for sig, rank_list in seen.items():
-            ranks = set(rank_list)
-            env = model.space.envelope_of(sig) if model.space is not None else None
-            if env is not None and ranks != {env.source, env.destination}:
-                return IllegalReason(
-                    signature=sig,
-                    ranks=tuple(sorted(ranks)),
-                    message=(
-                        f"signature {sig} occurs in sequences {sorted(ranks)} "
+                    message = f"strict-mode occurrence at rank {rank} pos {pos} has no envelope"
+                    return IllegalReason(sig, (rank,), message)
+                if role is send and rank != env[1]:
+                    message = f"send at rank {rank} pos {pos} but envelope source is {env.source}"
+                    return IllegalReason(sig, (rank,), message)
+                if role is recv and rank != env[2]:
+                    message = f"recv at rank {rank} pos {pos} but envelope destination is {env.destination}"
+                    return IllegalReason(sig, (rank,), message)
+                if sig not in first_envelope:
+                    first_envelope[sig] = env
+        # membership changes at most twice per signature, so look at each
+        # distinct signature once, in order of first appearance
+        members = self._members
+        for sig in dict.fromkeys([occ[0] for occ in occurrences]):
+            ranks = members.get(sig)
+            if ranks is None:
+                ranks = members[sig] = []
+            elif rank in ranks:
+                continue
+            if len(ranks) == 2:
+                ranks = sorted(ranks + [rank])
+                message = f"signature {sig} occurs in 3 sequences, expected exactly 2"
+                return IllegalReason(sig, tuple(ranks), message)
+            if strict:
+                env = first_envelope[sig]
+                if rank != env.source and rank != env.destination:
+                    ranks = sorted(ranks + [rank])
+                    message = (
+                        f"signature {sig} occurs in sequences {ranks} "
                         f"but its envelope endpoints are {sorted((env.source, env.destination))}"
-                    ),
-                )
-    return None
+                    )
+                    return IllegalReason(sig, tuple(ranks), message)
+            ranks.append(rank)
+            self._lonely += 1 if len(ranks) == 1 else -1
+        return None
+
+    def finish(self) -> Optional[IllegalReason]:
+        """Judge the model as complete: every signature must have two members."""
+        if self.violation is None and self._lonely:
+            sig = min(sig for sig, ranks in self._members.items() if len(ranks) < 2)
+            ranks = tuple(self._members[sig])
+            message = f"signature {sig} occurs in {len(ranks)} sequences, expected exactly 2"
+            self.violation = IllegalReason(sig, ranks, message)
+        return self.violation
+
+
+def validate_static(model: Model) -> Optional[IllegalReason]:
+    """The model's first legality violation, or None when it is legal."""
+    legality = Legality(model.mode)
+    for seq in model.sequences:
+        legality.add(seq.rank, 0, seq.occurrences)
+    return legality.finish()
+
+
+def deadlock_report(occurrences_by_rank: dict, cursors_by_rank: dict) -> DeadlockReport:
+    """The report of sequences stopped at the given cursors.
+
+    Every occurrence before a cursor was consumed in a rendezvous; the
+    occurrence at a cursor, if any, is a blocked head.
+    """
+    blocked = []
+    total = consumed = 0
+    for rank in sorted(occurrences_by_rank):
+        occurrences = occurrences_by_rank[rank]
+        cur = cursors_by_rank[rank]
+        total += len(occurrences)
+        consumed += cur
+        if cur < len(occurrences):
+            occ = occurrences[cur]
+            blocked.append(BlockedEntry(rank, cur, occ.signature, occ.envelope))
+    return DeadlockReport(
+        blocked=tuple(blocked),
+        matched_pairs=consumed // 2,
+        residual=total - consumed,
+        message_count=total,
+    )
 
 
 def abstracted(model: Model) -> Model:
@@ -213,7 +248,6 @@ def abstracted(model: Model) -> Model:
         Sequence(
             rank=s.rank,
             occurrences=[MessageOccurrence(o.signature) for o in s.occurrences],
-            cursor=0,
             closed=s.closed,
         )
         for s in model.sequences

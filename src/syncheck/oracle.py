@@ -12,15 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
-from .model import (
-    BlockedEntry,
-    Deadlock,
-    DeadlockReport,
-    Illegal,
-    Model,
-    NoDeadlock,
-    validate_static,
-)
+from .model import Deadlock, Illegal, Model, NoDeadlock, deadlock_report, validate_static
 
 Verdict = Union[NoDeadlock, Deadlock, Illegal]
 
@@ -90,26 +82,11 @@ def simulate_exhaustive(model: Model, cap: int = 10**6) -> SimulationResult:
         verdict: Verdict = NoDeadlock()
     else:
         assert stuck_terminal is not None
-        verdict = Deadlock(_report_from_cursors(model, list(stuck_terminal)))
+        occurrences = {seq.rank: seq.occurrences for seq in seqs}
+        cursors = {seq.rank: cur for seq, cur in zip(seqs, stuck_terminal)}
+        verdict = Deadlock(deadlock_report(occurrences, cursors))
     confluent = not (success_terminal and stuck_terminal is not None)
     return SimulationResult(verdict, confluent, len(visited))
-
-
-def _report_from_cursors(model: Model, cursors: List[int]) -> DeadlockReport:
-    blocked = []
-    consumed = 0
-    for seq, cur in sorted(zip(model.sequences, cursors), key=lambda p: p[0].rank):
-        consumed += cur
-        if cur < len(seq.occurrences):
-            occ = seq.occurrences[cur]
-            blocked.append(BlockedEntry(seq.rank, cur, occ.signature, occ.envelope))
-    total = model.message_count
-    return DeadlockReport(
-        blocked=tuple(blocked),
-        matched_pairs=consumed // 2,
-        residual=total - consumed,
-        message_count=total,
-    )
 
 
 @dataclass(frozen=True)
@@ -194,22 +171,16 @@ def cycle_check(model: Model) -> CycleCheckResult:
         return CycleCheckResult(NoDeadlock(), None, ())
 
     # deadlock: derive per-sequence cursors (removals form a per-sequence prefix)
-    blocked = []
-    total = model.message_count
-    for seq in sorted(model.sequences, key=lambda s: s.rank):
+    occurrences = {}
+    cursors = {}
+    for seq in model.sequences:
         chain = elems_by_seq[seq.rank]
         cur = 0
         while cur < len(chain) and removed[chain[cur]]:
             cur += 1
-        if cur < len(chain):
-            occ = seq.occurrences[cur]
-            blocked.append(BlockedEntry(seq.rank, cur, occ.signature, occ.envelope))
-    report = DeadlockReport(
-        blocked=tuple(blocked),
-        matched_pairs=matched,
-        residual=total - 2 * matched,
-        message_count=total,
-    )
+        occurrences[seq.rank] = seq.occurrences
+        cursors[seq.rank] = cur
+    report = deadlock_report(occurrences, cursors)
     witness = _find_cycle(n_nodes, succ, removed)
     witness_nodes = tuple(nodes[i] for i in witness) if witness else None
     return CycleCheckResult(Deadlock(report), witness_nodes, tuple(sorted(unpaired)))

@@ -40,11 +40,19 @@ class ParseError(Exception):
         super().__init__(f"{line}:{column}: {category}: {message}")
 
 
-_DSL_START_RE = re.compile(r"\s*process(?!\S)")
+# The line breaks of str.splitlines; a comment ends at any of them.
+_BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
+_LINE_BREAK_RE = re.compile(rf"\r\n|[{_BREAKS}]")
+# Whitespace and comments.  The lookahead keeps backtracking from ending a
+# comment early and reading the rest of its line as code.
+_SKIP = rf"\s*(?:#[^{_BREAKS}]*(?![^{_BREAKS}])\s*)*"
+# `process` after whitespace and comments, unless an `#abstract` header leads.
+_DSL_START_RE = re.compile(rf"(?!\s*#abstract){_SKIP}process(?!\S)")
 
 
 def detect_format(text: str) -> Mode:
-    """DSL iff the first nonblank token is ``process``; abstract otherwise."""
+    """DSL iff the first token after whitespace and comments is ``process``
+    and no ``#abstract`` header leads; abstract otherwise."""
     return Mode.STRICT if _DSL_START_RE.match(text) else Mode.ABSTRACT
 
 
@@ -92,12 +100,6 @@ def parse_abstract(text: str) -> Model:
     return Model(sequences=sequences, mode=Mode.ABSTRACT, space=space)
 
 
-# The line breaks of str.splitlines; a comment ends at any of them.
-_BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
-_LINE_BREAK_RE = re.compile(rf"\r\n|[{_BREAKS}]")
-# Whitespace and comments.  The lookahead keeps backtracking from ending a
-# comment early and reading the rest of its line as code.
-_SKIP = rf"\s*(?:#[^{_BREAKS}]*(?![^{_BREAKS}])\s*)*"
 # A keyword ends where an identifier would: `sendx` is one token, not `send`.
 _HEADER_RE = re.compile(rf"{_SKIP}process(?!\w){_SKIP}(\d+){_SKIP}\{{")
 _STATEMENT_RE = re.compile(
@@ -124,7 +126,10 @@ def parse_dsl(text: str) -> Model:
             if _END_RE.match(text, pos):
                 return Model(sequences=sequences, mode=Mode.STRICT, space=space)
             _Rescan(text, pos).raise_header_error(used_ranks)
-        rank = int(m[1])
+        try:
+            rank = int(m[1])
+        except ValueError:  # too many digits for int(); the re-scan names it
+            _Rescan(text, pos).raise_header_error(used_ranks)
         if rank in used_ranks:
             raise _duplicate_process(text, m.start(1), rank)
         used_ranks.add(rank)
@@ -136,17 +141,19 @@ def parse_dsl(text: str) -> Model:
             if m is None:
                 break
             is_send, tag, peer, comm = m.groups()
-            peer = int(peer)
+            try:
+                tag, peer, comm = int(tag), int(peer), int(comm) if comm else 0
+            except ValueError:  # too many digits for int(); the re-scan names it
+                _Rescan(text, pos).raise_statement_error()
             if peer == rank:
                 where = "send to" if is_send else "recv from"
                 message = f"process {rank} cannot {where} itself"
                 raise ParseError(*_position(text, m.start(3)), message, "SelfMessage")
-            comm = int(comm) if comm else 0
             if is_send:
-                env = Envelope(int(tag), rank, peer, comm)
+                env = Envelope(tag, rank, peer, comm)
                 append(MessageOccurrence(signature_for(env), send, env))
             else:
-                env = Envelope(int(tag), peer, rank, comm)
+                env = Envelope(tag, peer, rank, comm)
                 append(MessageOccurrence(signature_for(env), recv, env))
             pos = m.end()
         m = close(text, pos)
@@ -211,8 +218,12 @@ class _Rescan:
         tok = self.tok
         if tok is None or not tok.isdecimal():
             raise self.error(f"expected {what} (nonnegative integer), found {tok!r}", "BadInteger")
+        try:
+            value = int(tok)
+        except ValueError:  # more digits than int() converts
+            raise self.error(f"{what} has too many digits ({len(tok)})", "BadInteger") from None
         self.take()
-        return int(tok)
+        return value
 
     def raise_header_error(self, used_ranks: set) -> NoReturn:
         self.expect("process")

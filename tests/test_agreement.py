@@ -1,0 +1,173 @@
+"""`check` and `stream` agree on every model, illegal ones included.
+
+Random abstract models, most made illegal on purpose, are streamed as
+random append/close interleavings, once through `Engine` and once through
+`syncheck stream`, and compared with a batch `check` of the whole model.
+"""
+import io
+import json
+import random
+
+import pytest
+
+from support import classify, model_from_tuples, random_legal_abstract
+from syncheck import Engine, Illegal, Mode, check
+from syncheck.cli import main
+
+
+def run_cli(args, stdin_text=""):
+    out, err = io.StringIO(), io.StringIO()
+    code = main(args, stdin=io.StringIO(stdin_text), stdout=out, stderr=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+def random_rows(rng: random.Random) -> list:
+    """Per-rank character lists of a random abstract model.
+
+    A third are legal; the others have a character copied into a third (or
+    fourth) sequence, a character in one sequence only, or both.
+    """
+    model = random_legal_abstract(rng)
+    label = model.space.label_of
+    rows = [[label(o.signature) for o in seq.occurrences] for seq in model.sequences]
+    kind = rng.choice(("legal", "legal", "third", "fourth", "lonely", "mixed"))
+
+    def insert(ch):
+        candidates = [row for row in rows if ch not in row]
+        if not candidates or rng.random() < 0.2:
+            rows.append([])
+            candidates = [rows[-1]]
+        row = rng.choice(candidates)
+        row.insert(rng.randint(0, len(row)), ch)
+
+    if kind in ("third", "fourth", "mixed"):
+        ch = rng.choice([ch for row in rows for ch in row])
+        insert(ch)
+        if kind == "fourth":
+            insert(ch)
+    if kind in ("lonely", "mixed"):
+        insert("~")
+    return rows
+
+
+def violations(rows) -> dict:
+    """Character -> sorted member ranks, for each character not in exactly two rows."""
+    members: dict = {}
+    for rank, row in enumerate(rows):
+        for ch in row:
+            members.setdefault(ch, set()).add(rank)
+    return {ch: sorted(ranks) for ch, ranks in members.items() if len(ranks) != 2}
+
+
+def interleaving(rng: random.Random, rows) -> list:
+    """Events over the nonempty rows: (rank, start, end) appends the row's
+    slice, (rank, None, None) closes it.
+
+    Each row arrives in random chunks, in order; the ranks interleave at
+    random.  No rank closes before every rank has sent its first chunk,
+    since closing every known rank fixes the verdict.
+    """
+    pending = {}
+    for rank, row in enumerate(rows):
+        if row:
+            cuts = sorted(rng.sample(range(1, len(row)), rng.randint(0, len(row) - 1)))
+            bounds = [0] + cuts + [len(row)]
+            pending[rank] = [(rank, a, b) for a, b in zip(bounds, bounds[1:])] + [(rank, None, None)]
+    unopened = set(pending)
+    events = []
+    while pending:
+        rank = rng.choice(sorted(pending))
+        if pending[rank][0][1] is None and unopened:
+            rank = rng.choice(sorted(unopened))
+        events.append(pending[rank].pop(0))
+        unopened.discard(rank)
+        if not pending[rank]:
+            del pending[rank]
+    return events
+
+
+def _cases(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows = random_rows(rng)
+        yield rows, interleaving(rng, rows)
+
+
+def test_engine_stream_agrees_with_check():
+    illegal = single = 0
+    for rows, events in _cases(2024, 400):
+        model = model_from_tuples(rows)
+        batch = check(model)
+
+        engine = Engine(Mode.ABSTRACT)
+        for rank, start, end in events:
+            if start is None:
+                engine.close(rank)
+            else:
+                engine.append(rank, model.sequences[rank].occurrences[start:end])
+            if engine.drain() is not None:
+                break
+        streamed = engine.drain()
+
+        assert classify(streamed) == classify(batch), rows
+        bad = violations(rows)
+        assert isinstance(batch, Illegal) == bool(bad), rows
+        if not bad:
+            assert streamed == batch, rows
+            continue
+        illegal += 1
+        if len(bad) == 1:
+            single += 1
+            ((ch, ranks),) = bad.items()
+            assert model.space.label_of(streamed.reason.signature) == ch, rows
+            assert model.space.label_of(batch.reason.signature) == ch, rows
+            if len(ranks) <= 3:  # beyond three, each reports the first three it meets
+                assert streamed.reason.ranks == batch.reason.ranks == tuple(ranks), rows
+    assert illegal > 200 and single > 150
+
+
+def test_cli_stream_agrees_with_check(tmp_path):
+    path = tmp_path / "m.txt"
+    for rows, events in _cases(7, 150):
+        path.write_text("".join(f"P{rank}: {''.join(row)}\n" for rank, row in enumerate(rows)))
+        batch_code, batch_out, _ = run_cli(["check", str(path), "--format", "json"])
+        lines = [
+            f"close {rank}" if start is None else f"append {rank} {' '.join(rows[rank][start:end])}"
+            for rank, start, end in events
+        ]
+        code, out, err = run_cli(["stream", "--format", "json"], "\n".join(lines + ["end"]) + "\n")
+        assert code == batch_code, (rows, err)
+        batch, streamed = json.loads(batch_out), json.loads(out)
+        bad = violations(rows)
+        if not bad:
+            for report in (batch, streamed):
+                report["stats"].pop("steps")
+            assert streamed == batch, rows
+        elif len(bad) == 1:
+            ((ch, ranks),) = bad.items()
+            assert streamed["reason"]["signature"] == batch["reason"]["signature"] == ch, rows
+            if len(ranks) <= 3:
+                assert streamed["reason"]["processes"] == batch["reason"]["processes"] == ranks
+
+
+@pytest.mark.parametrize(
+    "rows, processes",
+    [
+        # the third `a` sits behind the blocked head `c`
+        (["ab", "ba", "cda", "dc"], [0, 1, 2]),
+        (["a"], [0]),
+    ],
+)
+def test_illegal_repros_agree(tmp_path, rows, processes):
+    path = tmp_path / "m.txt"
+    path.write_text("".join(f"P{rank}: {row}\n" for rank, row in enumerate(rows)))
+    batch_code, batch_out, _ = run_cli(["check", str(path), "--format", "json"])
+    events = [f"append {rank} {' '.join(row)}" for rank, row in enumerate(rows)]
+    events += [f"close {rank}" for rank in range(len(rows))] + ["end"]
+    code, out, _ = run_cli(["stream", "--format", "json"], "\n".join(events) + "\n")
+    assert code == batch_code == 3
+    batch, streamed = json.loads(batch_out), json.loads(out)
+    assert batch["verdict"] == streamed["verdict"] == "illegal"
+    assert batch["reason"] == streamed["reason"]
+    assert batch["reason"]["processes"] == processes
+    assert batch["stats"]["steps"] == 0

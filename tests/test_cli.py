@@ -66,6 +66,15 @@ class TestCheck:
         }
         assert report["blocked"][0]["signature"] == "1,0,2,0"
 
+    def test_dsl_with_leading_comment_autodetected(self, tmp_path):
+        path = tmp_path / "m.dsl"
+        path.write_text("# two ranks\nprocess 0 {send tag=1 to 1;}\nprocess 1 {recv tag=1 from 0;}\n")
+        code, out, _ = run_cli(["check", str(path), "--format", "json"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdict"] == "ok"
+        assert report["stats"]["messages"] == 2
+
     def test_forced_mode(self, tmp_path):
         # force abstract: 'process' etc. become character soup but still parse
         path = tmp_path / "m.txt"
@@ -136,9 +145,14 @@ class TestStream:
         assert "open" in err
 
     def test_append_after_close_exit_1(self):
-        code, _, err = run_cli(["stream"], "append 0 a\nclose 0\nappend 0 b\n")
+        # closing the only sequence fixes the verdict: `a` has one member
+        # rank, as `check` finds on `P0: a`
+        code, out, _ = run_cli(["stream"], "append 0 a\nclose 0\nappend 0 b\n")
+        assert code == 3
+        assert "[0]" in out
+        code, _, err = run_cli(["stream"], "append 0 a\nappend 1 a\nclose 0\nappend 0 b\n")
         assert code == 1
-        assert "stdin:3" in err
+        assert "stdin:4" in err
 
     def test_malformed_event_exit_1(self):
         code, _, err = run_cli(["stream"], "frobnicate 0 a\n")

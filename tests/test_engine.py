@@ -94,10 +94,13 @@ class TestStepSemantics:
         assert engine.step() is StepOutcome.QUEUE_EMPTY
 
     def test_third_registration_halts_illegal(self):
+        # the third member rank is seen at load, so the first step halts
         engine = Engine(Mode.ABSTRACT)
         engine.load(abstract_model("a", "a", "a"))
-        outcomes = [engine.step(), engine.step(), engine.step()]
-        assert isinstance(outcomes[-1], Illegal)
+        outcome = engine.step()
+        assert isinstance(outcome, Illegal)
+        assert outcome.reason.ranks == (0, 1, 2)
+        assert engine.steps == 0
         with pytest.raises(EngineError):
             engine.step()
 
@@ -111,20 +114,21 @@ class TestStepSemantics:
                     break
             drained = check(abstract_model(*strings))
             final = stepped.drain() if not stepped.finished else stepped.verdict
-            # batch check reports rule-2 violations via static validation, so
-            # illegal verdicts agree in class but word the reason differently
-            assert classify(final) == classify(drained)
-            if not isinstance(drained, Illegal):
-                assert final == drained
+            assert final == drained
 
     def test_matchers_hold_at_most_one_pending(self):
+        # the table maps a signature to its one pending rank (or None), and
+        # that rank is blocked on the signature; members live in Legality
         engine = Engine(Mode.ABSTRACT)
         engine.load(abstract_model("abc", "abc", "", ""))
         while engine.step() is StepOutcome.PROGRESSED:
-            pendings = [m[1] for m in engine._table.values() if m[1] is not None]
-            assert len(pendings) <= len(engine._table)
-            for matcher in engine._table.values():
-                assert len(matcher[0]) <= 2
+            for sig, pending in engine._table.items():
+                if pending is not None:
+                    head = engine._occ[pending][engine.cursor(pending)]
+                    assert head.signature == sig
+                    assert pending not in engine._queued
+            for ranks in engine._legality._members.values():
+                assert len(ranks) <= 2
 
 
 class TestStreaming:
@@ -228,9 +232,13 @@ class TestStreaming:
             engine.load(abstract_model("b", "b"))
 
     def test_strict_engine_rejects_bare_occurrences(self):
+        # as in a batch check, a strict occurrence without an envelope is illegal
         engine = Engine(Mode.STRICT)
-        with pytest.raises(EngineError, match="envelope"):
-            engine.append(0, [MessageOccurrence(0)])
+        engine.append(0, [MessageOccurrence(0)])
+        verdict = engine.drain()
+        assert isinstance(verdict, Illegal)
+        assert verdict.reason.ranks == (0,)
+        assert "no envelope" in verdict.reason.message
 
     def test_strict_role_mismatch_halts_illegal(self):
         engine = Engine(Mode.STRICT)

@@ -45,8 +45,11 @@ class TestSimulator:
         for _ in range(200):
             model = random_legal_abstract(rng, max_procs=4, max_events=6)
             sim = simulate_exhaustive(model)
-            assert classify(sim.verdict) == classify(check(model))
+            verdict = check(model)
+            assert classify(sim.verdict) == classify(verdict)
             assert sim.confluence_agreed
+            if isinstance(verdict, Deadlock):
+                assert sim.verdict.report == verdict.report
 
 
 class TestCycleCheck:

@@ -195,6 +195,13 @@ class TestDsl:
         ('process 0 { # c\x85\x1c\x1d\x1e send tag=1 to 0; }', ('SelfMessage', 5, 16, 'process 0 cannot send to itself')),
         ('process 0 { # c\x0b send tag=1 from 1; }', ('Syntax', 2, 13, "expected 'to', found 'from'")),
         ('process 0 {\r send tag=1 to 1;\r\n\rx }', ('Syntax', 4, 1, "expected 'send' or 'recv', found 'x'")),
+        # integers with more digits than int() converts (4300 by default)
+        ('process ' + '1' * 5000 + ' {}', ('BadInteger', 1, 9, 'process rank has too many digits (5000)')),
+        ('process 0 {}\nprocess\n' + '2' * 4301 + ' {}', ('BadInteger', 3, 1, 'process rank has too many digits (4301)')),
+        ('process 0 { send tag=' + '1' * 5000 + ' to 1; }', ('BadInteger', 1, 22, 'tag has too many digits (5000)')),
+        ('process 0 { send tag=1 to ' + '1' * 5000 + '; }', ('BadInteger', 1, 27, 'peer rank has too many digits (5000)')),
+        ('process 0 { recv tag=' + '1' * 5000 + ' from 0; }', ('BadInteger', 1, 22, 'tag has too many digits (5000)')),
+        ('process 0 { send tag=1 to 1 comm=' + '1' * 5000 + '; }', ('BadInteger', 1, 34, 'communicator has too many digits (5000)')),
         ],
     )
     def test_error_positions(self, text, expected):
@@ -225,9 +232,16 @@ class TestDetectionAndRoundTrip:
         assert detect_format("  \nprocess 0 {}") is Mode.STRICT
         assert detect_format("\x0c\r\nprocess\n0 {}") is Mode.STRICT
         assert detect_format("process{}") is Mode.ABSTRACT
+        assert detect_format("# two ranks\nprocess 0 {}") is Mode.STRICT
+        assert detect_format("  # a\n\t# b\x85process 0 {}") is Mode.STRICT
+        assert detect_format("#\nprocess 0 {}") is Mode.STRICT
 
     def test_detect_abstract(self):
         assert detect_format("#abstract\nab") is Mode.ABSTRACT
+        assert detect_format("#abstract\nprocess 0 {}") is Mode.ABSTRACT
+        assert detect_format("  #abstract\n# c\nprocess 0 {}") is Mode.ABSTRACT
+        assert detect_format("# c\nab\nba") is Mode.ABSTRACT
+        assert detect_format("# process 0 {}\nab") is Mode.ABSTRACT
         assert detect_format("ab\nbc") is Mode.ABSTRACT
         assert detect_format("") is Mode.ABSTRACT
 
