@@ -107,6 +107,10 @@ def _parse_stream_token(token: str, rank: int, space: SignatureSpace, mode: Mode
         parts = token.split(",")
         if len(parts) not in (3, 4):
             raise ValueError(f"expected tag,src,dst[,comm], got {token!r}")
+        # integers are runs of decimal digits, as in the DSL; int() alone
+        # would also take `+1`, `1_0` and `-0`
+        if not token.replace(",", "").isdecimal():
+            raise ValueError(f"expected decimal integers tag,src,dst[,comm], got {token!r}")
         tag, src, dst = (int(p) for p in parts[:3])
         comm = int(parts[3]) if len(parts) == 4 else 0
         env = Envelope(tag=tag, source=src, destination=dst, communicator=comm)
@@ -125,7 +129,6 @@ def cmd_stream(args, out, err, stdin) -> int:
     engine: Optional[Engine] = None
     mode = {"strict": Mode.STRICT, "abstract": Mode.ABSTRACT, "auto": None}[args.mode]
     verdict = None
-    saw_end = False
 
     for lineno, raw in enumerate(stdin, start=1):
         line = raw.strip()
@@ -135,10 +138,11 @@ def cmd_stream(args, out, err, stdin) -> int:
         kind = fields[0]
         try:
             if kind == "end":
-                saw_end = True
                 break
             if kind not in ("append", "close") or len(fields) < 2:
                 raise ValueError(f"unknown event {line!r}")
+            if not fields[1].isdecimal():
+                raise ValueError(f"expected a decimal rank, got {fields[1]!r}")
             rank = int(fields[1])
             if kind == "append":
                 if len(fields) < 3:
@@ -163,13 +167,9 @@ def cmd_stream(args, out, err, stdin) -> int:
     if engine is None:
         engine = Engine(mode or Mode.ABSTRACT)
         verdict = engine.drain()
-    if verdict is None:
-        if not saw_end:
-            verdict = engine.drain()
-        if verdict is None:
-            open_ranks = [r for r in engine.ranks() if not engine.is_closed(r)]
-            print(f"protocol error: stream ended with open sequences {open_ranks}", file=err)
-            return 1
+    if verdict is None:  # every event was drained, so some sequence is open
+        print(f"protocol error: stream ended with open sequences {engine.open_ranks()}", file=err)
+        return 1
     report = build_report(verdict, space, messages=engine.message_count, steps=engine.steps)
     _emit(report, args.format, out)
     return exit_code_for(report)

@@ -42,13 +42,13 @@ class Engine:
         # per-rank state kept as primitive maps; the matching loop is hot
         self._occ: dict = {}  # rank -> list[MessageOccurrence]
         self._cursor: dict = {}  # rank -> int
-        self._closed: dict = {}  # rank -> bool
-        self._open = 0  # ranks not yet closed; drain() reads it on every event
+        self._open: set = set()  # ranks not yet closed; drain() reads it on every event
         self._total = 0  # occurrences loaded or appended
         self._table: dict = {}  # signature -> pending rank, or None
         self._legality = Legality(mode)
+        # a rank joins the queue only when it gains a head while idle or right
+        # after its head matched, so no rank is queued twice or while pending
         self._queue: deque = deque()
-        self._queued: set = set()
         self.steps = 0
         self.matched_pairs = 0
         self._verdict: Optional[Verdict] = None
@@ -72,11 +72,8 @@ class Engine:
     def message_count(self) -> int:
         return self._total
 
-    def ranks(self) -> list:
-        return sorted(self._occ)
-
-    def is_closed(self, rank: int) -> bool:
-        return self._closed[rank]
+    def open_ranks(self) -> list:
+        return sorted(self._open)
 
     def cursor(self, rank: int) -> int:
         return self._cursor[rank]
@@ -99,20 +96,14 @@ class Engine:
         for seq in model.sequences:
             if seq.rank in self._occ:
                 raise EngineError(f"duplicate rank {seq.rank}")
-            self._occ[seq.rank] = list(seq.occurrences)
-            self._legality.add(seq.rank, 0, seq.occurrences)
-            self._total += len(seq.occurrences)
-            self._cursor[seq.rank] = 0
-            self._closed[seq.rank] = seq.closed
-            self._open += not seq.closed
-        ranks = [s.rank for s in model.sequences if s.occurrences]
+            self.append(seq.rank, seq.occurrences)
+            if seq.closed:
+                self.close(seq.rank)
         if order is not None:
             order = list(order)
-            if sorted(order) != sorted(ranks):
+            if sorted(order) != sorted(self._queue):  # the nonempty ranks
                 raise EngineError("order must be a permutation of the nonempty ranks")
-            ranks = order
-        self._queue.extend(ranks)
-        self._queued.update(ranks)
+            self._queue = deque(order)
 
     def append(self, rank: int, occurrences: Iterable[MessageOccurrence]) -> None:
         """Streaming append at a sequence tail; creates the sequence on first use."""
@@ -122,35 +113,30 @@ class Engine:
         if lst is None:
             lst = self._occ[rank] = []
             self._cursor[rank] = 0
-            self._closed[rank] = False
-            self._open += 1
-        if self._closed[rank]:
+            self._open.add(rank)
+        elif rank not in self._open:
             raise EngineError(f"append to closed sequence {rank}")
         occurrences = list(occurrences)
         self._legality.add(rank, len(lst), occurrences)
-        was_idle = self._cursor[rank] == len(lst) and rank not in self._queued
+        if self._cursor[rank] == len(lst) and occurrences:  # idle, so not queued
+            self._queue.append(rank)
         lst.extend(occurrences)
         self._total += len(occurrences)
-        if was_idle and occurrences:
-            self._queue.append(rank)
-            self._queued.add(rank)
 
     def close(self, rank: int) -> None:
         if self.finished:
             raise EngineError("close after finalization")
         if rank not in self._occ:
             raise EngineError(f"close of unknown rank {rank}")
-        if self._closed[rank]:
+        if rank not in self._open:
             raise EngineError(f"sequence {rank} already closed")
-        self._closed[rank] = True
-        self._open -= 1
+        self._open.remove(rank)
 
     # -- execution ----------------------------------------------------------
 
     def _run(self, limit: int) -> None:
         """Process up to `limit` ready heads (-1 = until the queue empties)."""
         queue = self._queue
-        queued = self._queued
         occ_map = self._occ
         cur_map = self._cursor
         table = self._table
@@ -161,7 +147,6 @@ class Engine:
             while queue and done != limit:
                 done += 1
                 rank = queue.popleft()
-                queued.discard(rank)
                 pos = cur_map[rank]
                 sig = occ_map[rank][pos][0]  # MessageOccurrence.signature
                 steps += 1
@@ -176,9 +161,8 @@ class Engine:
                 # re-enqueue in ascending rank order for reproducible runs
                 first, second = (other, rank) if other < rank else (rank, other)
                 for nxt in (first, second):
-                    if cur_map[nxt] < len(occ_map[nxt]) and nxt not in queued:
+                    if cur_map[nxt] < len(occ_map[nxt]):
                         queue.append(nxt)
-                        queued.add(nxt)
         finally:
             self.steps = steps
             self.matched_pairs = matched
@@ -226,10 +210,9 @@ def check(model: Model, order: Optional[Iterable[int]] = None) -> Verdict:
 def check_with_engine(model: Model, order: Optional[Iterable[int]] = None):
     """Like :func:`check` but also returns the engine for stats inspection."""
     engine = Engine(model.mode)
-    for seq in model.sequences:
-        if not seq.closed:
-            raise EngineError("batch check requires all sequences closed")
     engine.load(model, order=order)
+    if engine.open_ranks():
+        raise EngineError("batch check requires all sequences closed")
     verdict = engine.drain()
     assert verdict is not None
     return verdict, engine

@@ -68,3 +68,59 @@ def random_legal_abstract(rng: random.Random, max_procs: int = 5, max_events: in
             j = rng.randint(i, min(i + 2, len(lst) - 1))
             lst[i], lst[j] = lst[j], lst[i]
     return model_from_tuples(seqs)
+
+
+def random_rows(rng: random.Random) -> list:
+    """Per-rank character lists of a random abstract model.
+
+    A third are legal; the others have a character copied into a third (or
+    fourth) sequence, a character in one sequence only, or both.
+    """
+    model = random_legal_abstract(rng)
+    label = model.space.label_of
+    rows = [[label(o.signature) for o in seq.occurrences] for seq in model.sequences]
+    kind = rng.choice(("legal", "legal", "third", "fourth", "lonely", "mixed"))
+
+    def insert(ch):
+        candidates = [row for row in rows if ch not in row]
+        if not candidates or rng.random() < 0.2:
+            rows.append([])
+            candidates = [rows[-1]]
+        row = rng.choice(candidates)
+        row.insert(rng.randint(0, len(row)), ch)
+
+    if kind in ("third", "fourth", "mixed"):
+        ch = rng.choice([ch for row in rows for ch in row])
+        insert(ch)
+        if kind == "fourth":
+            insert(ch)
+    if kind in ("lonely", "mixed"):
+        insert("~")
+    return rows
+
+
+def interleaving(rng: random.Random, rows) -> list:
+    """Events over the nonempty rows: (rank, start, end) appends the row's
+    slice, (rank, None, None) closes it.
+
+    Each row arrives in random chunks, in order; the ranks interleave at
+    random.  No rank closes before every rank has sent its first chunk,
+    since closing every known rank fixes the verdict.
+    """
+    pending = {}
+    for rank, row in enumerate(rows):
+        if row:
+            cuts = sorted(rng.sample(range(1, len(row)), rng.randint(0, len(row) - 1)))
+            bounds = [0] + cuts + [len(row)]
+            pending[rank] = [(rank, a, b) for a, b in zip(bounds, bounds[1:])] + [(rank, None, None)]
+    unopened = set(pending)
+    events = []
+    while pending:
+        rank = rng.choice(sorted(pending))
+        if pending[rank][0][1] is None and unopened:
+            rank = rng.choice(sorted(unopened))
+        events.append(pending[rank].pop(0))
+        unopened.discard(rank)
+        if not pending[rank]:
+            del pending[rank]
+    return events

@@ -170,6 +170,24 @@ class TestStream:
         assert code == 1
         assert "neither" in err
 
+    @pytest.mark.parametrize(
+        "events, lineno",
+        [
+            # each stream is legal and ok with the integer spelled plainly
+            ("append 0 +1,0,1\nappend 1 1,0,1\n", 1),
+            ("append 0 10,0,1\nappend 1 1_0,0,1\n", 2),
+            ("append 0 1,0,1\nappend 1 1,-0,1\n", 2),
+            ("append 0 a\nappend +1 a\n", 2),
+            ("append 0 a\nappend 1_0 a\n", 2),
+        ],
+        ids=["tag-plus", "tag-underscore", "source-minus", "rank-plus", "rank-underscore"],
+    )
+    def test_non_decimal_integer_exit_1(self, events, lineno):
+        code, out, err = run_cli(["stream"], events + "close 0\nclose 1\nend\n")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"stdin:{lineno}: ")
+
     def test_illegal_detected_mid_stream(self):
         events = "append 0 a\nappend 1 a\nappend 2 a\nend\n"
         code, out, _ = run_cli(["stream"], events)

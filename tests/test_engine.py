@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import PAPER_DSL, abstract_model, classify, model_from_tuples, random_legal_abstract
+from support import (
+    PAPER_DSL,
+    abstract_model,
+    classify,
+    interleaving,
+    model_from_tuples,
+    random_legal_abstract,
+    random_rows,
+)
 from syncheck import (
     Deadlock,
     Engine,
@@ -126,7 +134,7 @@ class TestStepSemantics:
                 if pending is not None:
                     head = engine._occ[pending][engine.cursor(pending)]
                     assert head.signature == sig
-                    assert pending not in engine._queued
+                    assert pending not in engine._queue
             for ranks in engine._legality._members.values():
                 assert len(ranks) <= 2
 
@@ -305,6 +313,51 @@ class TestInvariants:
         model = abstract_model("a", "a")
         with pytest.raises(EngineError, match="permutation"):
             check(model, order=[0])
+
+    def test_queue_holds_distinct_ready_unpending_ranks(self):
+        # random models, most illegal, loaded or streamed in random chunks,
+        # with random step()/drain() calls between events
+        def assert_queue_ok(engine):
+            queue = list(engine._queue)
+            assert len(set(queue)) == len(queue)
+            pending = set(engine._table.values())
+            for rank in queue:
+                assert engine.cursor(rank) < len(engine._occ[rank])
+                assert rank not in pending
+
+        def step_or_drain(engine, rng):
+            for _ in range(rng.randint(0, 3)):
+                if engine.finished:
+                    return
+                if rng.random() < 0.7:
+                    engine.step()
+                else:
+                    engine.drain()
+                assert_queue_ok(engine)
+
+        rng = random.Random(4)
+        for _ in range(300):
+            rows = random_rows(rng)
+            model = model_from_tuples(rows)
+            engine = Engine(Mode.ABSTRACT)
+            assert_queue_ok(engine)
+            if rng.random() < 0.25:
+                order = [s.rank for s in model.sequences if s.occurrences]
+                rng.shuffle(order)
+                engine.load(model, order=order)
+                assert_queue_ok(engine)
+                while engine.step() is StepOutcome.PROGRESSED:
+                    assert_queue_ok(engine)
+                continue
+            for rank, start, end in interleaving(rng, rows):
+                if engine.finished:
+                    break
+                if start is None:
+                    engine.close(rank)
+                else:
+                    engine.append(rank, model.sequences[rank].occurrences[start:end])
+                assert_queue_ok(engine)
+                step_or_drain(engine, rng)
 
     def test_batch_stream_equivalence_randomized(self):
         rng = random.Random(77)
