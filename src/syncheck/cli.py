@@ -109,7 +109,7 @@ def _parse_stream_token(token: str, rank: int, space: SignatureSpace, mode: Mode
             raise ValueError(f"expected tag,src,dst[,comm], got {token!r}")
         # integers are runs of decimal digits, as in the DSL; int() alone
         # would also take `+1`, `1_0` and `-0`
-        if not token.replace(",", "").isdecimal():
+        if "" in parts or not token.replace(",", "").isdecimal():
             raise ValueError(f"expected decimal integers tag,src,dst[,comm], got {token!r}")
         tag, src, dst = (int(p) for p in parts[:3])
         comm = int(parts[3]) if len(parts) == 4 else 0

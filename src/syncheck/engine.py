@@ -1,16 +1,22 @@
 """Multi-queue matching engine, batch and streaming.
 
-Each ready sequence's head is examined once: the signature's matcher either
-already holds a pending head from the other member sequence (match both,
-advance both cursors) or records this head as pending.  A `Legality` fed
-at load and append decides legality, so no third member rank is matched.
-Total steps are bounded by the number of occurrences examined, so a batch
-check is linear in the message count.
+Each rank's signatures are kept in one `array('l')` column.  Each ready
+sequence's head is examined once: the signature's matcher either already
+holds a pending head from the other member sequence (match both, advance
+both cursors) or records this head as pending.  After a match, the run of
+equal signatures that follows in both sequences is forced, so it is
+consumed at once by slice compares; `steps` still counts two head
+examinations per matched pair.  A `Legality` fed at load and append decides
+legality, so no third member rank is matched.  Total steps are bounded by
+the number of occurrences examined, so a batch check is linear in the
+message count.
 """
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Optional, Union
 
 from .model import (
@@ -26,6 +32,34 @@ from .model import (
 
 Verdict = Union[NoDeadlock, Deadlock, Illegal]
 
+_signature = itemgetter(0)  # MessageOccurrence.signature
+
+
+def _common_run(a: array, i: int, b: array, j: int) -> int:
+    """Length of the longest common prefix of `a[i:]` and `b[j:]`.
+
+    Galloping: compare chunks of doubling size, then bisect inside the
+    first chunk that differs.  O(k + 1) work in C and O(log k) Python steps
+    for a common prefix of length k.
+    """
+    end = min(len(a) - i, len(b) - j)
+    lo, size = 0, 1
+    while lo < end:
+        hi = min(lo + size, end)
+        if a[i + lo:i + hi] != b[j + lo:j + hi]:
+            break
+        lo, size = hi, 2 * size
+    else:
+        return lo
+    # a[i:i+lo] == b[j:j+lo] and the first difference lies before hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if a[i + lo:i + mid] == b[j + lo:j + mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
 
 class EngineError(Exception):
     pass
@@ -40,7 +74,8 @@ class Engine:
     def __init__(self, mode: Mode = Mode.ABSTRACT):
         self.mode = mode
         # per-rank state kept as primitive maps; the matching loop is hot
-        self._occ: dict = {}  # rank -> list[MessageOccurrence]
+        self._occ: dict = {}  # rank -> list[MessageOccurrence], read by reports only
+        self._col: dict = {}  # rank -> array('l') of its signatures, read by _run
         self._cursor: dict = {}  # rank -> int
         self._open: set = set()  # ranks not yet closed; drain() reads it on every event
         self._total = 0  # occurrences loaded or appended
@@ -112,15 +147,23 @@ class Engine:
         lst = self._occ.get(rank)
         if lst is None:
             lst = self._occ[rank] = []
+            self._col[rank] = array("l")
             self._cursor[rank] = 0
             self._open.add(rank)
         elif rank not in self._open:
             raise EngineError(f"append to closed sequence {rank}")
+        col = self._col[rank]
         occurrences = list(occurrences)
-        self._legality.add(rank, len(lst), occurrences)
-        if self._cursor[rank] == len(lst) and occurrences:  # idle, so not queued
-            self._queue.append(rank)
+        start = len(col)
+        # one list of the new signatures fills the column and feeds Legality:
+        # array.fromlist converts it ~1.6x faster than extend() converts an
+        # iterator, and Legality keys its dict by the occurrences' own ints
+        signatures = list(map(_signature, occurrences))
+        col.fromlist(signatures)
         lst.extend(occurrences)
+        self._legality.add(rank, start, occurrences, signatures)
+        if self._cursor[rank] == start and occurrences:  # idle, so not queued
+            self._queue.append(rank)
         self._total += len(occurrences)
 
     def close(self, rank: int) -> None:
@@ -135,9 +178,10 @@ class Engine:
     # -- execution ----------------------------------------------------------
 
     def _run(self, limit: int) -> None:
-        """Process up to `limit` ready heads (-1 = until the queue empties)."""
+        """Process up to `limit` ready heads (-1 = until the queue empties),
+        each with the forced run that its match starts."""
         queue = self._queue
-        occ_map = self._occ
+        col_map = self._col
         cur_map = self._cursor
         table = self._table
         steps = self.steps
@@ -147,21 +191,39 @@ class Engine:
             while queue and done != limit:
                 done += 1
                 rank = queue.popleft()
+                col = col_map[rank]
                 pos = cur_map[rank]
-                sig = occ_map[rank][pos][0]  # MessageOccurrence.signature
+                sig = col[pos]
                 steps += 1
                 other = table.get(sig)
                 if other is None:  # a queued rank is never the pending one
                     table[sig] = rank
                     continue
-                cur_map[other] += 1
-                cur_map[rank] = pos + 1
                 table[sig] = None
                 matched += 1
+                pos += 1
+                other_col = col_map[other]
+                other_pos = cur_map[other] + 1
+                # Forced run.  Legality admits at most two member ranks per
+                # signature, and step()/drain() halt on a violation before
+                # matching, so equal next heads of `rank` and `other` can only
+                # match each other.  Neither rank is pending now, and the
+                # final cursors do not depend on match order, so the whole
+                # common run is matched here, counted as two steps per pair,
+                # its signatures entered in the table as if examined one by one.
+                if pos < len(col) and other_pos < len(other_col) and col[pos] == other_col[other_pos]:
+                    run = _common_run(col, pos, other_col, other_pos)
+                    table.update(dict.fromkeys(col[pos:pos + run]))
+                    pos += run
+                    other_pos += run
+                    matched += run
+                    steps += 2 * run
+                cur_map[rank] = pos
+                cur_map[other] = other_pos
                 # re-enqueue in ascending rank order for reproducible runs
                 first, second = (other, rank) if other < rank else (rank, other)
                 for nxt in (first, second):
-                    if cur_map[nxt] < len(occ_map[nxt]):
+                    if cur_map[nxt] < len(col_map[nxt]):
                         queue.append(nxt)
         finally:
             self.steps = steps

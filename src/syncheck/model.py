@@ -151,13 +151,16 @@ class Legality:
         self._lonely = 0  # signatures with one member rank so far
         self._first_envelope: dict = {}  # signature -> envelope it was first seen with (strict)
 
-    def add(self, rank: int, start: int, occurrences) -> Optional[IllegalReason]:
-        """Record `occurrences`, the positions from `start` on of sequence `rank`."""
+    def add(self, rank: int, start: int, occurrences, signatures) -> Optional[IllegalReason]:
+        """Record `occurrences`, the positions from `start` on of sequence `rank`.
+
+        `signatures` holds their signatures, in the same order.
+        """
         if self.violation is None:
-            self.violation = self._add(rank, start, occurrences)
+            self.violation = self._add(rank, start, occurrences, signatures)
         return self.violation
 
-    def _add(self, rank: int, start: int, occurrences) -> Optional[IllegalReason]:
+    def _add(self, rank: int, start: int, occurrences, signatures) -> Optional[IllegalReason]:
         strict = self.strict
         if strict:
             send, recv = Role.SEND, Role.RECV
@@ -177,7 +180,7 @@ class Legality:
         # membership changes at most twice per signature, so look at each
         # distinct signature once, in order of first appearance
         members = self._members
-        for sig in dict.fromkeys([occ[0] for occ in occurrences]):
+        for sig in dict.fromkeys(signatures):
             ranks = members.get(sig)
             if ranks is None:
                 ranks = members[sig] = []
@@ -214,7 +217,7 @@ def validate_static(model: Model) -> Optional[IllegalReason]:
     """The model's first legality violation, or None when it is legal."""
     legality = Legality(model.mode)
     for seq in model.sequences:
-        legality.add(seq.rank, 0, seq.occurrences)
+        legality.add(seq.rank, 0, seq.occurrences, [occ.signature for occ in seq.occurrences])
     return legality.finish()
 
 

@@ -65,6 +65,24 @@ def parse_model(text: str) -> Model:
 _RANKED_LINE_RE = re.compile(r"^P(\S*)\s*:\s*(.*)$")
 
 
+def _abstract_rank(rank_text: str, lineno: int) -> int:
+    """The rank of a `P<rank>:` line: a run of decimal digits, as in the DSL.
+
+    int() alone would also take `+1`, `1_0` and `-0`.
+    """
+    negative = rank_text[:1] == "-"
+    digits = rank_text[1:] if negative else rank_text
+    try:
+        rank = int(digits) if digits.isdecimal() else None
+    except ValueError:  # more digits than int() converts
+        rank = None
+    if rank is None or (negative and rank == 0):
+        raise ParseError(lineno, 2, f"bad process rank {rank_text!r}", "BadInteger")
+    if negative:
+        raise ParseError(lineno, 2, f"negative process rank {-rank}", "BadInteger")
+    return rank
+
+
 def parse_abstract(text: str) -> Model:
     space = SignatureSpace()
     sequences: List[Sequence] = []
@@ -80,12 +98,7 @@ def parse_abstract(text: str) -> Model:
         match = _RANKED_LINE_RE.match(line)
         if match:
             rank_text, body = match.groups()
-            try:
-                rank = int(rank_text)
-            except ValueError:
-                raise ParseError(lineno, 2, f"bad process rank {rank_text!r}", "BadInteger")
-            if rank < 0:
-                raise ParseError(lineno, 2, f"negative process rank {rank}", "BadInteger")
+            rank = _abstract_rank(rank_text, lineno)
         else:
             rank, body = auto_rank, line
             auto_rank += 1

@@ -171,22 +171,28 @@ class TestStream:
         assert "neither" in err
 
     @pytest.mark.parametrize(
-        "events, lineno",
+        "events, lineno, message",
         [
             # each stream is legal and ok with the integer spelled plainly
-            ("append 0 +1,0,1\nappend 1 1,0,1\n", 1),
-            ("append 0 10,0,1\nappend 1 1_0,0,1\n", 2),
-            ("append 0 1,0,1\nappend 1 1,-0,1\n", 2),
-            ("append 0 a\nappend +1 a\n", 2),
-            ("append 0 a\nappend 1_0 a\n", 2),
+            ("append 0 +1,0,1\nappend 1 1,0,1\n", 1, "expected decimal integers tag,src,dst[,comm], got '+1,0,1'"),
+            ("append 0 10,0,1\nappend 1 1_0,0,1\n", 2, "expected decimal integers tag,src,dst[,comm], got '1_0,0,1'"),
+            ("append 0 1,0,1\nappend 1 1,-0,1\n", 2, "expected decimal integers tag,src,dst[,comm], got '1,-0,1'"),
+            ("append 0 a\nappend +1 a\n", 2, "expected a decimal rank, got '+1'"),
+            ("append 0 a\nappend 1_0 a\n", 2, "expected a decimal rank, got '1_0'"),
+            ("append 0 1,0,1\nappend 1 1,,1\n", 2, "expected decimal integers tag,src,dst[,comm], got '1,,1'"),
+            ("append 0 ,0,1\nappend 1 1,0,1\n", 1, "expected decimal integers tag,src,dst[,comm], got ',0,1'"),
+            ("append 0 1,0,1,\nappend 1 1,0,1\n", 1, "expected decimal integers tag,src,dst[,comm], got '1,0,1,'"),
         ],
-        ids=["tag-plus", "tag-underscore", "source-minus", "rank-plus", "rank-underscore"],
+        ids=[
+            "tag-plus", "tag-underscore", "source-minus", "rank-plus", "rank-underscore",
+            "source-empty", "tag-empty", "comm-empty",
+        ],
     )
-    def test_non_decimal_integer_exit_1(self, events, lineno):
+    def test_non_decimal_integer_exit_1(self, events, lineno, message):
         code, out, err = run_cli(["stream"], events + "close 0\nclose 1\nend\n")
         assert code == 1
         assert out == ""
-        assert err.startswith(f"stdin:{lineno}: ")
+        assert err == f"stdin:{lineno}: {message}\n"
 
     def test_illegal_detected_mid_stream(self):
         events = "append 0 a\nappend 1 a\nappend 2 a\nend\n"

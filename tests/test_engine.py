@@ -1,5 +1,6 @@
 import itertools
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -26,11 +27,14 @@ from syncheck import (
     NoDeadlock,
     Role,
     Sequence,
+    SignatureSpace,
     check,
     check_with_engine,
+    cycle_check,
     parse_dsl,
 )
-from syncheck.engine import StepOutcome
+from syncheck.bench import GenSpec, generate
+from syncheck.engine import StepOutcome, _common_run
 
 
 def occ(space, ch):
@@ -324,6 +328,14 @@ class TestInvariants:
             for rank in queue:
                 assert engine.cursor(rank) < len(engine._occ[rank])
                 assert rank not in pending
+            # each matched pair took two head examinations, each pending rank one,
+            # whether the pair was matched alone or in a forced run
+            pending.discard(None)
+            assert engine.steps == 2 * engine.matched_pairs + len(pending)
+            # the table holds every signature examined: consumed or pending heads
+            examined = {o.signature for r, occs in engine._occ.items() for o in occs[:engine.cursor(r)]}
+            examined.update(engine._occ[r][engine.cursor(r)].signature for r in pending)
+            assert set(engine._table) == examined
 
         def step_or_drain(engine, rng):
             for _ in range(rng.randint(0, 3)):
@@ -388,6 +400,115 @@ class TestInvariants:
             assert classify(streamed) == classify(batch)
             if isinstance(batch, Deadlock):
                 assert streamed.report == batch.report
+
+
+def _naive_common_run(a, i, b, j):
+    k = 0
+    while i + k < len(a) and j + k < len(b) and a[i + k] == b[j + k]:
+        k += 1
+    return k
+
+
+class TestCommonRun:
+    def test_mismatch_at_each_galloping_boundary(self):
+        # chunks double from 1, so every offset up to 70 sits on, before or
+        # after a chunk or bisection boundary (1, 2, 3, 4, 5, 8, 9, 16, 17, ...)
+        rng = random.Random(8)
+        for k in range(70):
+            for i, j in [(0, 0), (3, 0), (0, 5), (7, 2)]:
+                run = array("l", rng.choices(range(4), k=k))
+                a = array("l", rng.choices(range(4), k=i)) + run + array("l", [1, 2, 3])
+                b = array("l", rng.choices(range(4), k=j)) + run + array("l", [4, 2, 3])
+                assert _common_run(a, i, b, j) == k
+                assert _common_run(b, j, a, i) == k
+
+    def test_run_reaching_a_tail(self):
+        for k in (1, 2, 3, 7, 8, 9, 100):
+            run = array("l", range(k))
+            longer = run + array("l", [5, 6])
+            for i, j in [(0, 0), (2, 1)]:
+                a = array("l", [9] * i) + run
+                b = array("l", [8] * j) + longer
+                assert _common_run(a, i, b, j) == k  # a's tail
+                assert _common_run(b, j, a, i) == k  # b's tail
+                assert _common_run(a, i, array("l", [8] * j) + run, j) == k  # both
+
+    def test_empty_remainder(self):
+        a, b = array("l", [1, 2]), array("l", [1, 2, 3])
+        assert _common_run(a, 2, b, 0) == 0
+        assert _common_run(b, 0, a, 2) == 0
+        assert _common_run(a, 2, b, 3) == 0
+        assert _common_run(array("l"), 0, array("l"), 0) == 0
+
+    def test_agrees_with_naive_scan(self):
+        rng = random.Random(19)
+        for _ in range(2000):
+            run = array("l", rng.choices(range(3), k=rng.choice([0, 1, rng.randint(0, 40), rng.randint(0, 300)])))
+            a = array("l", rng.choices(range(3), k=rng.randint(0, 6))) + run
+            b = array("l", rng.choices(range(3), k=rng.randint(0, 6))) + run
+            a += array("l", rng.choices(range(3), k=rng.randint(0, 4)))
+            b += array("l", rng.choices(range(3), k=rng.randint(0, 4)))
+            i, j = rng.randint(0, len(a)), rng.randint(0, len(b))
+            assert _common_run(a, i, b, j) == _naive_common_run(a, i, b, j)
+
+
+def _lockstep_model(rng):
+    """A `bench.generate` pairs or ring model, abstracted, with each rank
+    pair's signatures folded onto a few, then one local perturbation: two
+    adjacent occurrences of one rank swapped, or one dropped."""
+    if rng.random() < 0.5:
+        spec = GenSpec("pairs", 2 * rng.randint(1, 3), rng.randint(2, 40))
+    else:
+        spec = GenSpec("ring", rng.randint(3, 5), rng.randint(1, 10))
+    model = generate(spec)
+    members = {}
+    for seq in model.sequences:
+        for o in seq.occurrences:
+            members.setdefault(o.signature, set()).add(seq.rank)
+    # a folded signature keeps its rank pair, so the model stays legal
+    fold = rng.choice([1, 2, 3, None])
+    ordinal, label = {}, {}
+    for sig in sorted(members):
+        key = tuple(sorted(members[sig]))
+        ordinal[key] = ordinal.get(key, -1) + 1
+        label[sig] = (key, ordinal[key] % fold if fold else ordinal[key])
+    space = SignatureSpace()
+    rows = [
+        [MessageOccurrence(space.intern_character(str(label[o.signature]))) for o in seq.occurrences]
+        for seq in model.sequences
+    ]
+    row = rng.choice([row for row in rows if len(row) > 1])
+    pos = rng.randrange(len(row) - 1)
+    if rng.random() < 0.5:
+        row[pos], row[pos + 1] = row[pos + 1], row[pos]
+    else:
+        del row[pos]
+    return Model([Sequence(rank, row) for rank, row in enumerate(rows)], Mode.ABSTRACT, space)
+
+
+def test_lockstep_runs_agree_with_cycle_check_batch_and_streamed():
+    # streamed in random chunks, so runs are cut at sequence tails and
+    # resumed after later appends
+    rng = random.Random(13)
+    for _ in range(300):
+        model = _lockstep_model(rng)
+        verdict, engine = check_with_engine(model)
+        assert verdict == cycle_check(model).verdict
+        for _ in range(2):
+            streamed = Engine(Mode.ABSTRACT)
+            rows = [seq.occurrences for seq in model.sequences]
+            for rank, start, end in interleaving(rng, rows):
+                if start is None:
+                    streamed.close(rank)
+                else:
+                    streamed.append(rank, rows[rank][start:end])
+                if streamed.drain() is not None:
+                    break
+            assert streamed.verdict == verdict
+            if not isinstance(verdict, Illegal):  # an illegal stream halts where it is found
+                assert (streamed.steps, streamed.matched_pairs, streamed.table_size) == (
+                    engine.steps, engine.matched_pairs, engine.table_size,
+                )
 
 
 @settings(max_examples=150, deadline=None)

@@ -84,6 +84,13 @@ class TestAbstract:
         ('\tP: a', ('BadInteger', 1, 2, "bad process rank ''")),
         ('P0:a\n\nb', ('DuplicateProcess', 3, 1, 'process 0 defined twice')),
         ('#abstract\nab\n  # c\nP1: ba\u2028P1: c', ('DuplicateProcess', 5, 1, 'process 1 defined twice')),
+        # a rank is a run of decimal digits, as in the DSL; int() would take these
+        ('P+1: a', ('BadInteger', 1, 2, "bad process rank '+1'")),
+        ('P1_0: a', ('BadInteger', 1, 2, "bad process rank '1_0'")),
+        ('P-0: a', ('BadInteger', 1, 2, "bad process rank '-0'")),
+        ('P\u00b2: a', ('BadInteger', 1, 2, "bad process rank '\u00b2'")),
+        ('P-01: a', ('BadInteger', 1, 2, 'negative process rank -1')),
+        ('P' + '1' * 5000 + ': a', ('BadInteger', 1, 2, f"bad process rank {'1' * 5000!r}")),
         ],
     )
     def test_error_positions(self, text, expected):
