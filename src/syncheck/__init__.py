@@ -16,7 +16,6 @@ from .model import (
     NoDeadlock,
     Role,
     Sequence,
-    abstracted,
     validate_static,
 )
 from .oracle import (
@@ -52,7 +51,6 @@ __all__ = [
     "SimulationResult",
     "StepOutcome",
     "StateCapExceeded",
-    "abstracted",
     "check",
     "check_with_engine",
     "cycle_check",

@@ -12,7 +12,7 @@ from typing import List, Optional
 from . import bench as bench_mod
 from . import engine as engine_mod
 from .engine import Engine, EngineError
-from .model import Envelope, Illegal, MessageOccurrence, Mode, NoDeadlock, Role, validate_static
+from .model import Envelope, Illegal, Mode, NoDeadlock, validate_static
 from .oracle import StateCapExceeded, cycle_check, simulate_exhaustive
 from .parser import ParseError, parse_abstract, parse_dsl, parse_model, render_abstract, render_dsl
 from .report import build_report, exit_code_for, to_json, to_text
@@ -102,7 +102,17 @@ def cmd_check(args, out, err) -> int:
     return exit_code_for(report)
 
 
-def _parse_stream_token(token: str, rank: int, space: SignatureSpace, mode: Mode) -> MessageOccurrence:
+def _integers(digit_runs: list, fields: tuple) -> list:
+    """Runs of decimal digits as ints; one too long for int() is named, as in the DSL."""
+    try:
+        return list(map(int, digit_runs))
+    except ValueError:  # the digits are checked, so only too many of them fail
+        field, digits = next(fd for fd in zip(fields, digit_runs) if len(fd[1]) > sys.get_int_max_str_digits())
+        raise ValueError(f"{field} has too many digits ({len(digits)})") from None
+
+
+def _parse_stream_token(token: str, rank: int, space: SignatureSpace, mode: Mode) -> int:
+    """The signature of one token; a strict token's rank must be an endpoint of its envelope."""
     if mode is Mode.STRICT:
         parts = token.split(",")
         if len(parts) not in (3, 4):
@@ -111,17 +121,11 @@ def _parse_stream_token(token: str, rank: int, space: SignatureSpace, mode: Mode
         # would also take `+1`, `1_0` and `-0`
         if "" in parts or not token.replace(",", "").isdecimal():
             raise ValueError(f"expected decimal integers tag,src,dst[,comm], got {token!r}")
-        tag, src, dst = (int(p) for p in parts[:3])
-        comm = int(parts[3]) if len(parts) == 4 else 0
-        env = Envelope(tag=tag, source=src, destination=dst, communicator=comm)
-        if rank == env.source:
-            role = Role.SEND
-        elif rank == env.destination:
-            role = Role.RECV
-        else:
+        env = Envelope(*_integers(parts, Envelope._fields))
+        if rank != env.source and rank != env.destination:
             raise ValueError(f"process {rank} is neither source nor destination of {token!r}")
-        return MessageOccurrence(space.signature_for(env), role, env)
-    return MessageOccurrence(space.intern_character(token))
+        return space.signature_for(env)
+    return space.intern_character(token)
 
 
 def cmd_stream(args, out, err, stdin) -> int:
@@ -143,19 +147,18 @@ def cmd_stream(args, out, err, stdin) -> int:
                 raise ValueError(f"unknown event {line!r}")
             if not fields[1].isdecimal():
                 raise ValueError(f"expected a decimal rank, got {fields[1]!r}")
-            rank = int(fields[1])
+            (rank,) = _integers(fields[1:2], ("rank",))
             if kind == "append":
                 if len(fields) < 3:
                     raise ValueError("append needs at least one token")
                 if mode is None:
                     mode = Mode.STRICT if "," in fields[2] else Mode.ABSTRACT
                 if engine is None:
-                    engine = Engine(mode)
-                occurrences = [_parse_stream_token(tok, rank, space, mode) for tok in fields[2:]]
-                engine.append(rank, occurrences)
+                    engine = Engine(mode, space)
+                engine.append(rank, [_parse_stream_token(tok, rank, space, mode) for tok in fields[2:]])
             else:
                 if engine is None:
-                    engine = Engine(mode or Mode.ABSTRACT)
+                    engine = Engine(mode or Mode.ABSTRACT, space)
                 engine.close(rank)
         except (ValueError, EngineError) as exc:
             print(f"stdin:{lineno}: {exc}", file=err)
@@ -165,7 +168,7 @@ def cmd_stream(args, out, err, stdin) -> int:
             break  # never recoverable; later events could only add noise
 
     if engine is None:
-        engine = Engine(mode or Mode.ABSTRACT)
+        engine = Engine(mode or Mode.ABSTRACT, space)
         verdict = engine.drain()
     if verdict is None:  # every event was drained, so some sequence is open
         print(f"protocol error: stream ended with open sequences {engine.open_ranks()}", file=err)

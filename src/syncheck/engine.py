@@ -1,6 +1,8 @@
 """Multi-queue matching engine, batch and streaming.
 
-Each rank's signatures are kept in one `array('l')` column.  Each ready
+An occurrence is its signature, an int: each rank's signatures are kept in
+one `array('l')` column, appended as parsed or streamed, or lowered once
+from a model built through the API (`model.lower`).  Each ready
 sequence's head is examined once: the signature's matcher either already
 holds a pending head from the other member sequence (match both, advance
 both cursors) or records this head as pending.  After a match, the run of
@@ -16,23 +18,11 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from enum import Enum
-from operator import itemgetter
 from typing import Iterable, Optional, Union
 
-from .model import (
-    Deadlock,
-    Illegal,
-    Legality,
-    MessageOccurrence,
-    Mode,
-    Model,
-    NoDeadlock,
-    deadlock_report,
-)
+from .model import Deadlock, Illegal, Legality, Mode, Model, NoDeadlock, deadlock_report, lower
 
 Verdict = Union[NoDeadlock, Deadlock, Illegal]
-
-_signature = itemgetter(0)  # MessageOccurrence.signature
 
 
 def _common_run(a: array, i: int, b: array, j: int) -> int:
@@ -71,16 +61,16 @@ class StepOutcome(Enum):
 
 
 class Engine:
-    def __init__(self, mode: Mode = Mode.ABSTRACT):
+    def __init__(self, mode: Mode = Mode.ABSTRACT, space=None):
         self.mode = mode
+        self._space = space  # SignatureSpace of the signatures; gives a report its envelopes
         # per-rank state kept as primitive maps; the matching loop is hot
-        self._occ: dict = {}  # rank -> list[MessageOccurrence], read by reports only
-        self._col: dict = {}  # rank -> array('l') of its signatures, read by _run
+        self._col: dict = {}  # rank -> array('l') of its signatures
         self._cursor: dict = {}  # rank -> int
         self._open: set = set()  # ranks not yet closed; drain() reads it on every event
         self._total = 0  # occurrences loaded or appended
         self._table: dict = {}  # signature -> pending rank, or None
-        self._legality = Legality(mode)
+        self._legality = Legality()
         # a rank joins the queue only when it gains a head while idle or right
         # after its head matched, so no rank is queued twice or while pending
         self._queue: deque = deque()
@@ -116,22 +106,23 @@ class Engine:
     # -- construction -------------------------------------------------------
 
     def load(self, model: Model, order: Optional[Iterable[int]] = None) -> None:
-        """Attach all model sequences to a fresh engine.
+        """Attach all model sequences to a fresh engine, with the model's space.
 
         `order` optionally fixes the initial ready-queue order (a permutation
         of the nonempty ranks); default is model order.
         """
-        if self._loaded or self._occ:
+        if self._loaded or self._col:
             raise EngineError("engine already loaded")
         if model.mode is not self.mode:
             raise EngineError(
                 f"cannot load a {model.mode.value} model into a {self.mode.value} engine"
             )
         self._loaded = True
-        for seq in model.sequences:
-            if seq.rank in self._occ:
+        self._space = model.space
+        for seq, signatures in lower(model, self._legality):
+            if seq.rank in self._col:
                 raise EngineError(f"duplicate rank {seq.rank}")
-            self.append(seq.rank, seq.occurrences)
+            self.append(seq.rank, signatures)
             if seq.closed:
                 self.close(seq.rank)
         if order is not None:
@@ -140,36 +131,32 @@ class Engine:
                 raise EngineError("order must be a permutation of the nonempty ranks")
             self._queue = deque(order)
 
-    def append(self, rank: int, occurrences: Iterable[MessageOccurrence]) -> None:
-        """Streaming append at a sequence tail; creates the sequence on first use."""
+    def append(self, rank: int, signatures) -> None:
+        """Streaming append of signatures (a list or an `array('l')`); creates the sequence on first use."""
         if self.finished:
             raise EngineError("append after finalization")
-        lst = self._occ.get(rank)
-        if lst is None:
-            lst = self._occ[rank] = []
-            self._col[rank] = array("l")
+        col = self._col.get(rank)
+        if col is None:
+            col = self._col[rank] = array("l")
             self._cursor[rank] = 0
             self._open.add(rank)
         elif rank not in self._open:
             raise EngineError(f"append to closed sequence {rank}")
-        col = self._col[rank]
-        occurrences = list(occurrences)
         start = len(col)
-        # one list of the new signatures fills the column and feeds Legality:
-        # array.fromlist converts it ~1.6x faster than extend() converts an
-        # iterator, and Legality keys its dict by the occurrences' own ints
-        signatures = list(map(_signature, occurrences))
-        col.fromlist(signatures)
-        lst.extend(occurrences)
-        self._legality.add(rank, start, occurrences, signatures)
-        if self._cursor[rank] == start and occurrences:  # idle, so not queued
+        # fromlist converts a list ~1.6x faster than extend(), item by item
+        if type(signatures) is list:
+            col.fromlist(signatures)
+        else:
+            col.extend(signatures)
+        self._legality.add(rank, signatures)
+        if self._cursor[rank] == start < len(col):  # idle, so not queued
             self._queue.append(rank)
-        self._total += len(occurrences)
+        self._total += len(col) - start
 
     def close(self, rank: int) -> None:
         if self.finished:
             raise EngineError("close after finalization")
-        if rank not in self._occ:
+        if rank not in self._col:
             raise EngineError(f"close of unknown rank {rank}")
         if rank not in self._open:
             raise EngineError(f"sequence {rank} already closed")
@@ -260,7 +247,7 @@ class Engine:
         if 2 * self.matched_pairs == self._total:  # every occurrence matched
             self._verdict = NoDeadlock()
         else:
-            self._verdict = Deadlock(deadlock_report(self._occ, self._cursor))
+            self._verdict = Deadlock(deadlock_report(self._col, self._cursor, self._space))
         return self._verdict
 
 

@@ -1,14 +1,18 @@
 """Core domain types: envelopes, occurrences, sequences, models, verdicts.
 
 A "signature" is a plain nonnegative int issued densely by a
-:class:`~syncheck.signatures.SignatureSpace`; downstream code uses it as a
-dict key or array index.
+:class:`~syncheck.signatures.SignatureSpace`.  A parsed sequence is one
+``array('l')`` column of signatures, each occurrence's envelope its
+signature's entry in the space and its role taken from the rank: a send
+sits at its envelope's source.  API-built sequences list
+:class:`MessageOccurrence` objects, which :func:`lower` checks and lowers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 
 class Role(Enum):
@@ -50,14 +54,21 @@ class MessageOccurrence(NamedTuple):
 
 @dataclass
 class Sequence:
-    """One process's ordered occurrences; `closed` once no more can follow."""
+    """One process's ordered occurrences, either `MessageOccurrence`s (built through
+    the API) or a `column` of signatures (parsed); `closed` once no more can follow."""
 
     rank: int
-    occurrences: list  # list[MessageOccurrence]
+    occurrences: Optional[list] = None  # list[MessageOccurrence]
     closed: bool = True
+    column: Optional[array] = None
 
     def __len__(self) -> int:
-        return len(self.occurrences)
+        return len(self.occurrences if self.column is None else self.column)
+
+    @property
+    def signatures(self):
+        """The signatures in order: the column, or a list made from the occurrences."""
+        return self.column if self.column is not None else [occ.signature for occ in self.occurrences]
 
 
 @dataclass
@@ -76,12 +87,6 @@ class Model:
     @property
     def message_count(self) -> int:
         return sum(len(s) for s in self.sequences)
-
-    def sequence_by_rank(self, rank: int) -> Sequence:
-        for s in self.sequences:
-            if s.rank == rank:
-                return s
-        raise KeyError(rank)
 
 
 class BlockedEntry(NamedTuple):
@@ -129,130 +134,134 @@ class Illegal:
 
 
 class Legality:
-    """The legality rules, checked as occurrences arrive.
+    """The membership rule: every signature occurs in exactly two distinct sequences.
 
-    Every signature occurs in exactly two distinct sequences.  In strict
-    mode every occurrence also carries an envelope, a send sits at its
-    envelope's source and a recv at its destination, and every member rank
-    of a signature is an endpoint of the envelope it was first seen with.
     Occurrence-count imbalance between the two sequences is legal; it
-    surfaces as a deadlock at matching time.
+    surfaces as a deadlock at matching time.  Strict-mode rules hold by
+    construction for parsed and streamed occurrences; see `lower`.
 
     `add` records each occurrence's rank in O(1) and reports a violation as
-    soon as the occurrences seen show one.  A signature with fewer than two
+    soon as the signatures seen show one.  A signature with fewer than two
     member ranks can only be judged by `finish`, once every sequence is
     closed.  The first violation found is kept.
     """
 
-    def __init__(self, mode: Mode):
-        self.strict = mode is Mode.STRICT
+    def __init__(self) -> None:
         self.violation: Optional[IllegalReason] = None
-        self._members: dict = {}  # signature -> distinct member ranks (at most 2)
-        self._lonely = 0  # signatures with one member rank so far
-        self._first_envelope: dict = {}  # signature -> envelope it was first seen with (strict)
+        # signature -> its first and its second member rank; int to int, so
+        # the cyclic GC never scans them
+        self._first: dict = {}
+        self._second: dict = {}
 
-    def add(self, rank: int, start: int, occurrences, signatures) -> Optional[IllegalReason]:
-        """Record `occurrences`, the positions from `start` on of sequence `rank`.
-
-        `signatures` holds their signatures, in the same order.
-        """
+    def add(self, rank: int, signatures) -> Optional[IllegalReason]:
+        """Record `signatures`, the next occurrences of sequence `rank`."""
         if self.violation is None:
-            self.violation = self._add(rank, start, occurrences, signatures)
+            self.violation = self._add(rank, signatures)
         return self.violation
 
-    def _add(self, rank: int, start: int, occurrences, signatures) -> Optional[IllegalReason]:
-        strict = self.strict
-        if strict:
-            send, recv = Role.SEND, Role.RECV
-            first_envelope = self._first_envelope
-            for pos, (sig, role, env) in enumerate(occurrences, start):
-                if env is None:
-                    message = f"strict-mode occurrence at rank {rank} pos {pos} has no envelope"
-                    return IllegalReason(sig, (rank,), message)
-                if role is send and rank != env[1]:
-                    message = f"send at rank {rank} pos {pos} but envelope source is {env.source}"
-                    return IllegalReason(sig, (rank,), message)
-                if role is recv and rank != env[2]:
-                    message = f"recv at rank {rank} pos {pos} but envelope destination is {env.destination}"
-                    return IllegalReason(sig, (rank,), message)
-                if sig not in first_envelope:
-                    first_envelope[sig] = env
+    def _add(self, rank: int, signatures) -> Optional[IllegalReason]:
         # membership changes at most twice per signature, so look at each
         # distinct signature once, in order of first appearance
-        members = self._members
+        first, second = self._first, self._second
         for sig in dict.fromkeys(signatures):
-            ranks = members.get(sig)
-            if ranks is None:
-                ranks = members[sig] = []
-            elif rank in ranks:
-                continue
-            if len(ranks) == 2:
-                ranks = sorted(ranks + [rank])
+            member = first.setdefault(sig, rank)
+            if member != rank and second.setdefault(sig, rank) != rank:
                 message = f"signature {sig} occurs in 3 sequences, expected exactly 2"
-                return IllegalReason(sig, tuple(ranks), message)
-            if strict:
-                env = first_envelope[sig]
-                if rank != env.source and rank != env.destination:
-                    ranks = sorted(ranks + [rank])
-                    message = (
-                        f"signature {sig} occurs in sequences {ranks} "
-                        f"but its envelope endpoints are {sorted((env.source, env.destination))}"
-                    )
-                    return IllegalReason(sig, tuple(ranks), message)
-            ranks.append(rank)
-            self._lonely += 1 if len(ranks) == 1 else -1
+                return IllegalReason(sig, tuple(sorted((member, second[sig], rank))), message)
         return None
 
     def finish(self) -> Optional[IllegalReason]:
         """Judge the model as complete: every signature must have two members."""
-        if self.violation is None and self._lonely:
-            sig = min(sig for sig, ranks in self._members.items() if len(ranks) < 2)
-            ranks = tuple(self._members[sig])
-            message = f"signature {sig} occurs in {len(ranks)} sequences, expected exactly 2"
-            self.violation = IllegalReason(sig, ranks, message)
+        if self.violation is None and len(self._first) > len(self._second):
+            sig = min(sig for sig in self._first if sig not in self._second)
+            message = f"signature {sig} occurs in 1 sequences, expected exactly 2"
+            self.violation = IllegalReason(sig, (self._first[sig],), message)
         return self.violation
+
+
+def lower(model: Model, legality: Legality) -> Iterator[Tuple[Sequence, object]]:
+    """Each sequence of `model`, in order, with its signatures, which the
+    caller adds to `legality` before taking the next.
+
+    Occurrences built through the API enter here, so the strict-mode rules
+    are checked here: each occurrence has an envelope, a send sits at its
+    envelope's source and a recv at its destination, and each member rank
+    of a signature is an endpoint of the envelope first seen with it.  A
+    violation goes to `legality` in the order Legality.add meets its own.
+    """
+    strict = model.mode is Mode.STRICT
+    first_envelope: dict = {}  # signature -> envelope it was first seen with
+    for seq in model.sequences:
+        signatures = seq.signatures
+        if strict and seq.column is None and legality.violation is None:
+            legality.violation = _strict_violation(seq, signatures, first_envelope, legality)
+        yield seq, signatures
+
+
+def _strict_violation(seq, signatures, first_envelope, legality) -> Optional[IllegalReason]:
+    rank, send, recv = seq.rank, Role.SEND, Role.RECV
+    stray = False  # a first envelope here lacks `rank` as an endpoint
+    for pos, (sig, role, env) in enumerate(seq.occurrences):
+        if env is None:
+            message = f"strict-mode occurrence at rank {rank} pos {pos} has no envelope"
+            return IllegalReason(sig, (rank,), message)
+        if role is send and rank != env[1]:
+            message = f"send at rank {rank} pos {pos} but envelope source is {env.source}"
+            return IllegalReason(sig, (rank,), message)
+        if role is recv and rank != env[2]:
+            message = f"recv at rank {rank} pos {pos} but envelope destination is {env.destination}"
+            return IllegalReason(sig, (rank,), message)
+        first = first_envelope.setdefault(sig, env)
+        if rank != first[1] and rank != first[2]:
+            stray = True
+    if not stray:
+        return None
+    # each rank that joins a signature, met in the order Legality.add meets it
+    for sig in dict.fromkeys(signatures):
+        ranks = [r for r in (legality._first.get(sig), legality._second.get(sig)) if r is not None]
+        if rank in ranks:
+            continue
+        if len(ranks) == 2:
+            return None  # a third member: Legality.add reports it first
+        env = first_envelope[sig]
+        if rank != env.source and rank != env.destination:
+            ranks = sorted(ranks + [rank])
+            message = (
+                f"signature {sig} occurs in sequences {ranks} "
+                f"but its envelope endpoints are {sorted((env.source, env.destination))}"
+            )
+            return IllegalReason(sig, tuple(ranks), message)
+    return None
 
 
 def validate_static(model: Model) -> Optional[IllegalReason]:
     """The model's first legality violation, or None when it is legal."""
-    legality = Legality(model.mode)
-    for seq in model.sequences:
-        legality.add(seq.rank, 0, seq.occurrences, [occ.signature for occ in seq.occurrences])
+    legality = Legality()
+    for seq, signatures in lower(model, legality):
+        legality.add(seq.rank, signatures)
     return legality.finish()
 
 
-def deadlock_report(occurrences_by_rank: dict, cursors_by_rank: dict) -> DeadlockReport:
-    """The report of sequences stopped at the given cursors.
+def deadlock_report(columns: dict, cursors: dict, space) -> DeadlockReport:
+    """The report of sequences, as signature columns by rank, stopped at the given cursors.
 
     Every occurrence before a cursor was consumed in a rendezvous; the
-    occurrence at a cursor, if any, is a blocked head.
+    occurrence at a cursor, if any, is a blocked head, whose envelope is
+    its signature's entry in `space` (none without a space).
     """
     blocked = []
     total = consumed = 0
-    for rank in sorted(occurrences_by_rank):
-        occurrences = occurrences_by_rank[rank]
-        cur = cursors_by_rank[rank]
-        total += len(occurrences)
+    for rank in sorted(columns):
+        column = columns[rank]
+        cur = cursors[rank]
+        total += len(column)
         consumed += cur
-        if cur < len(occurrences):
-            occ = occurrences[cur]
-            blocked.append(BlockedEntry(rank, cur, occ.signature, occ.envelope))
+        if cur < len(column):
+            sig = column[cur]
+            blocked.append(BlockedEntry(rank, cur, sig, None if space is None else space.envelope_of(sig)))
     return DeadlockReport(
         blocked=tuple(blocked),
         matched_pairs=consumed // 2,
         residual=total - consumed,
         message_count=total,
     )
-
-
-def abstracted(model: Model) -> Model:
-    """Drop roles and envelopes, keeping signatures; verdicts are unchanged."""
-    seqs = [
-        Sequence(
-            rank=s.rank,
-            occurrences=[MessageOccurrence(o.signature) for o in s.occurrences],
-            closed=s.closed,
-        )
-        for s in model.sequences
-    ]
-    return Model(sequences=seqs, mode=Mode.ABSTRACT, space=model.space)

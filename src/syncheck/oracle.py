@@ -41,7 +41,7 @@ def simulate_exhaustive(model: Model, cap: int = 10**6) -> SimulationResult:
         return SimulationResult(Illegal(reason), True, 0)
 
     seqs = model.sequences
-    sigs = [[occ.signature for occ in s.occurrences] for s in seqs]
+    sigs = [s.signatures for s in seqs]
     lengths = [len(x) for x in sigs]
     total = sum(lengths)
 
@@ -82,9 +82,9 @@ def simulate_exhaustive(model: Model, cap: int = 10**6) -> SimulationResult:
         verdict: Verdict = NoDeadlock()
     else:
         assert stuck_terminal is not None
-        occurrences = {seq.rank: seq.occurrences for seq in seqs}
+        columns = {seq.rank: column for seq, column in zip(seqs, sigs)}
         cursors = {seq.rank: cur for seq, cur in zip(seqs, stuck_terminal)}
-        verdict = Deadlock(deadlock_report(occurrences, cursors))
+        verdict = Deadlock(deadlock_report(columns, cursors, model.space))
     confluent = not (success_terminal and stuck_terminal is not None)
     return SimulationResult(verdict, confluent, len(visited))
 
@@ -114,8 +114,8 @@ def cycle_check(model: Model) -> CycleCheckResult:
     # k-th occurrence of a signature pairs with the k-th in the other sequence
     occ_by_sig: dict = {}  # sig -> {rank: [positions]}
     for seq in model.sequences:
-        for pos, occ in enumerate(seq.occurrences):
-            occ_by_sig.setdefault(occ.signature, {}).setdefault(seq.rank, []).append(pos)
+        for pos, sig in enumerate(seq.signatures):
+            occ_by_sig.setdefault(sig, {}).setdefault(seq.rank, []).append(pos)
 
     nodes: List[OrderNode] = []
     node_of: dict = {}  # (rank, position) -> element id; paired nodes only
@@ -145,7 +145,7 @@ def cycle_check(model: Model) -> CycleCheckResult:
 
     elems_by_seq: dict = {}
     for seq in model.sequences:
-        chain = [elem(seq.rank, pos) for pos in range(len(seq.occurrences))]
+        chain = [elem(seq.rank, pos) for pos in range(len(seq))]
         elems_by_seq[seq.rank] = chain
         for a, b in zip(chain, chain[1:]):
             succ[a].append(b)
@@ -171,16 +171,14 @@ def cycle_check(model: Model) -> CycleCheckResult:
         return CycleCheckResult(NoDeadlock(), None, ())
 
     # deadlock: derive per-sequence cursors (removals form a per-sequence prefix)
-    occurrences = {}
     cursors = {}
-    for seq in model.sequences:
-        chain = elems_by_seq[seq.rank]
+    for rank, chain in elems_by_seq.items():
         cur = 0
         while cur < len(chain) and removed[chain[cur]]:
             cur += 1
-        occurrences[seq.rank] = seq.occurrences
-        cursors[seq.rank] = cur
-    report = deadlock_report(occurrences, cursors)
+        cursors[rank] = cur
+    columns = {seq.rank: seq.signatures for seq in model.sequences}
+    report = deadlock_report(columns, cursors, model.space)
     witness = _find_cycle(n_nodes, succ, removed)
     witness_nodes = tuple(nodes[i] for i in witness) if witness else None
     return CycleCheckResult(Deadlock(report), witness_nodes, tuple(sorted(unpaired)))

@@ -9,11 +9,15 @@ DSL format (``#`` starts a comment that runs to the end of the line)::
 
     process 0 { send tag=1 to 2; recv tag=3 from 1; }
 
-``send tag=t to j`` in process i builds Envelope(t, i, j, comm), role SEND;
-``recv tag=t from i`` in process j builds Envelope(t, i, j, comm), role RECV;
+``send tag=t to j`` in process i is a send with envelope (t, i, j, comm);
+``recv tag=t from i`` in process j is a recv with envelope (t, i, j, comm);
 ``comm=c`` is optional and defaults to 0.  Whitespace and comments may
 appear between any two tokens; error positions count lines as
 ``str.splitlines`` does.
+
+Both parsers emit one ``array('l')`` column of signatures per process and
+no per-occurrence object: the envelope and the enclosing rank determine a
+DSL occurrence's role.
 
 The DSL is read one grammar unit at a time -- a process header, a statement,
 a closing brace -- each with one compiled regex, so a successful parse makes
@@ -23,9 +27,10 @@ token, to report the first token that does not fit.
 from __future__ import annotations
 
 import re
+from array import array
 from typing import List, NoReturn, Optional
 
-from .model import Envelope, MessageOccurrence, Mode, Model, Role, Sequence
+from .model import Mode, Model, Sequence
 from .signatures import SignatureSpace
 
 
@@ -84,13 +89,10 @@ def _abstract_rank(rank_text: str, lineno: int) -> int:
 
 
 def parse_abstract(text: str) -> Model:
-    space = SignatureSpace()
     sequences: List[Sequence] = []
     used_ranks: set = set()
     auto_rank = 0
-    # one shared occurrence per character: occurrences are immutable, and
-    # interning in first-appearance order keeps the signature numbering
-    occ_of: dict = {}
+    index: dict = {}  # character -> signature, in order of first appearance
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -107,10 +109,9 @@ def parse_abstract(text: str) -> Model:
         used_ranks.add(rank)
         chars = "".join(body.split())
         for ch in dict.fromkeys(chars):
-            if ch not in occ_of:
-                occ_of[ch] = MessageOccurrence(space.intern_character(ch))
-        sequences.append(Sequence(rank=rank, occurrences=list(map(occ_of.__getitem__, chars))))
-    return Model(sequences=sequences, mode=Mode.ABSTRACT, space=space)
+            index.setdefault(ch, len(index))
+        sequences.append(Sequence(rank=rank, column=array("l", list(map(index.__getitem__, chars)))))
+    return Model(sequences=sequences, mode=Mode.ABSTRACT, space=SignatureSpace(list(index)))
 
 
 # A keyword ends where an identifier would: `sendx` is one token, not `send`.
@@ -126,10 +127,8 @@ _TOKEN_RE = re.compile(rf"{_SKIP}([A-Za-z_]\w*|\d+|[^\s#])")
 
 
 def parse_dsl(text: str) -> Model:
-    space = SignatureSpace()
-    signature_for = space.signature_for
-    header, statement, close = _HEADER_RE.match, _STATEMENT_RE.match, _CLOSE_RE.match
-    send, recv = Role.SEND, Role.RECV
+    header, close, statements = _HEADER_RE.match, _CLOSE_RE.match, _STATEMENT_RE.scanner
+    index: dict = {}  # envelope tuple -> signature; the space keeps only the envelopes
     sequences: List[Sequence] = []
     used_ranks: set = set()
     pos = 0  # always just past a token, or 0
@@ -137,7 +136,7 @@ def parse_dsl(text: str) -> Model:
         m = header(text, pos)
         if m is None:
             if _END_RE.match(text, pos):
-                return Model(sequences=sequences, mode=Mode.STRICT, space=space)
+                return Model(sequences=sequences, mode=Mode.STRICT, space=SignatureSpace(list(index)))
             _Rescan(text, pos).raise_header_error(used_ranks)
         try:
             rank = int(m[1])
@@ -146,34 +145,27 @@ def parse_dsl(text: str) -> Model:
         if rank in used_ranks:
             raise _duplicate_process(text, m.start(1), rank)
         used_ranks.add(rank)
-        pos = m.end()
-        occurrences: list = []
-        append = occurrences.append
-        while True:
-            m = statement(text, pos)
-            if m is None:
-                break
+        column = array("l")
+        append = column.append
+        # each match starts where the last one ended; None ends the body
+        for m in iter(statements(text, m.end()).match, None):
             is_send, tag, peer, comm = m.groups()
             try:
                 tag, peer, comm = int(tag), int(peer), int(comm) if comm else 0
             except ValueError:  # too many digits for int(); the re-scan names it
-                _Rescan(text, pos).raise_statement_error()
+                _Rescan(text, m.start()).raise_statement_error()
             if peer == rank:
                 where = "send to" if is_send else "recv from"
                 message = f"process {rank} cannot {where} itself"
                 raise ParseError(*_position(text, m.start(3)), message, "SelfMessage")
-            if is_send:
-                env = Envelope(tag, rank, peer, comm)
-                append(MessageOccurrence(signature_for(env), send, env))
-            else:
-                env = Envelope(tag, peer, rank, comm)
-                append(MessageOccurrence(signature_for(env), recv, env))
-            pos = m.end()
+            key = (tag, rank, peer, comm) if is_send else (tag, peer, rank, comm)
+            append(index.setdefault(key, len(index)))
+        pos = m.end()  # of the last statement, or of the header
         m = close(text, pos)
         if m is None:
             _Rescan(text, pos).raise_statement_error()
         pos = m.end()
-        sequences.append(Sequence(rank=rank, occurrences=occurrences))
+        sequences.append(Sequence(rank=rank, column=column))
 
 
 def _position(text: str, offset: int) -> tuple:
@@ -277,30 +269,31 @@ def render_abstract(model: Model) -> str:
     (strict-model envelopes) are relabeled from a 62-character alphabet, so
     only models with at most 62 such signatures can be rendered.
     """
+    rows = [seq.signatures for seq in model.sequences]
     labels: dict = {}
     taken = set()
-    for seq in model.sequences:
-        for occ in seq.occurrences:
-            if occ.signature in labels:
+    for row in rows:
+        for sig in row:
+            if sig in labels:
                 continue
-            label = model.space.label_of(occ.signature)
+            label = model.space.label_of(sig)
             if len(label) == 1:
-                labels[occ.signature] = label
+                labels[sig] = label
                 taken.add(label)
     next_char = iter(c for c in _ABSTRACT_ALPHABET if c not in taken)
-    for seq in model.sequences:
-        for occ in seq.occurrences:
-            if occ.signature not in labels:
+    for row in rows:
+        for sig in row:
+            if sig not in labels:
                 label = next(next_char, None)
                 if label is None:
                     raise ValueError(
                         "too many distinct signatures to render as abstract "
                         f"(alphabet has {len(_ABSTRACT_ALPHABET)} characters)"
                     )
-                labels[occ.signature] = label
+                labels[sig] = label
     lines = [
-        f"P{seq.rank}: {''.join(labels[o.signature] for o in seq.occurrences)}"
-        for seq in model.sequences
+        f"P{seq.rank}: {''.join(map(labels.__getitem__, row))}"
+        for seq, row in zip(model.sequences, rows)
     ]
     return "\n".join(lines) + "\n"
 
@@ -311,10 +304,13 @@ def render_dsl(model: Model) -> str:
     lines = []
     for seq in model.sequences:
         lines.append(f"process {seq.rank} {{")
-        for occ in seq.occurrences:
-            env = occ.envelope
+        if seq.column is None:
+            envelopes = [occ.envelope for occ in seq.occurrences]
+        else:
+            envelopes = map(model.space.envelope_of, seq.column)
+        for env in envelopes:
             comm = f" comm={env.communicator}" if env.communicator != 0 else ""
-            if occ.role is Role.SEND:
+            if env.source == seq.rank:  # a send sits at its envelope's source
                 lines.append(f"  send tag={env.tag} to {env.destination}{comm};")
             else:
                 lines.append(f"  recv tag={env.tag} from {env.source}{comm};")

@@ -1,8 +1,8 @@
 """Signature space: dense unique integers for message envelopes or characters.
 
-Strict-mode envelopes and abstract-mode characters are each keyed through a
-flat dict.  Both give expected constant time per call and the k-th distinct
-key receives value k-1.
+Entry k of a space, an envelope tuple or a character, has signature k.
+The flat dict from entries back to signatures is made on the first
+interning call, so a space built from a parser's entries keeps none.
 """
 from __future__ import annotations
 
@@ -12,13 +12,12 @@ from .model import Envelope, check_envelope
 
 
 class SignatureSpace:
-    def __init__(self) -> None:
-        self._envelopes: dict = {}  # Envelope -> signature
-        self._chars: dict = {}
-        self._reverse: list = []  # signature -> Envelope | str
+    def __init__(self, entries: Optional[list] = None) -> None:
+        self._entries: list = [] if entries is None else entries  # signature -> envelope tuple | str; adopted
+        self._index: Optional[dict] = None  # entry -> signature
 
     def __len__(self) -> int:
-        return len(self._reverse)
+        return len(self._entries)
 
     def signature_for(self, env: Envelope) -> int:
         """Create-or-retrieve the signature of an envelope.
@@ -43,25 +42,27 @@ class SignatureSpace:
             )
         if not plain:
             check_envelope(env)
-        sig = self._envelopes.get(env)
-        if sig is None:
-            sig = self._envelopes[env] = len(self._reverse)
-            self._reverse.append(env)
-        return sig
+        return self._intern(env)
 
     def intern_character(self, ch: str) -> int:
         """Create-or-retrieve the signature of an abstract character token."""
-        sig = self._chars.get(ch)
+        return self._intern(ch)
+
+    def _intern(self, entry: Union[tuple, str]) -> int:
+        # an Envelope and a plain tuple with the same fields are one entry
+        index = self._index
+        if index is None:
+            index = self._index = {e: sig for sig, e in enumerate(self._entries)}
+        sig = index.get(entry)
         if sig is None:
-            sig = len(self._reverse)
-            self._chars[ch] = sig
-            self._reverse.append(ch)
+            sig = index[entry] = len(self._entries)
+            self._entries.append(entry)
         return sig
 
     def envelope_of(self, sig: int) -> Optional[Envelope]:
         """The registering envelope, or None for abstract-mode signatures."""
         entry = self._entry(sig)
-        return entry if isinstance(entry, Envelope) else None
+        return None if isinstance(entry, str) else Envelope(*entry)
 
     def label_of(self, sig: int) -> str:
         """Stable symbolic name: the character, or 'tag,src,dst,comm'.
@@ -70,11 +71,9 @@ class SignatureSpace:
         interleavings compare equal.
         """
         entry = self._entry(sig)
-        if isinstance(entry, Envelope):
-            return f"{entry.tag},{entry.source},{entry.destination},{entry.communicator}"
-        return entry
+        return entry if isinstance(entry, str) else "{},{},{},{}".format(*entry)
 
-    def _entry(self, sig: int) -> Union[Envelope, str]:
-        if not 0 <= sig < len(self._reverse):
+    def _entry(self, sig: int) -> Union[tuple, str]:
+        if not 0 <= sig < len(self._entries):
             raise KeyError(f"unknown signature {sig}")
-        return self._reverse[sig]
+        return self._entries[sig]

@@ -186,7 +186,7 @@ def test_criterion_6_streaming_equivalence():
             batch = _report_body(batch_verdict, model.space, batch_engine)
 
             engine = Engine(Mode.ABSTRACT)
-            pending = {s.rank: list(s.occurrences) for s in model.sequences}
+            pending = {s.rank: list(s.signatures) for s in model.sequences}
             for rank in pending:
                 engine.append(rank, [])
             open_ranks = set(pending)

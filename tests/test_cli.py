@@ -194,6 +194,26 @@ class TestStream:
         assert out == ""
         assert err == f"stdin:{lineno}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "events, lineno, message",
+        [
+            # more digits than int() converts (4300 by default): named, as in the DSL
+            ("append 0 a\nappend " + "1" * 5000 + " a\n", 2, "rank has too many digits (5000)"),
+            ("append 0 a\nclose " + "1" * 5000 + "\n", 2, "rank has too many digits (5000)"),
+            ("append 0 " + "1" * 5000 + ",0,1\n", 1, "tag has too many digits (5000)"),
+            ("append 0 1,0,1\nappend 1 1," + "0" * 4400 + ",1\n", 2, "source has too many digits (4400)"),
+            ("append 0 1,0," + "1" * 5000 + "\n", 1, "destination has too many digits (5000)"),
+            ("append 0 1,0,1,0\nappend 1 1,0,1," + "0" * 4400 + "\n", 2, "communicator has too many digits (4400)"),
+            ("append 0 " + "1" * 4400 + "," + "1" * 5000 + ",1\n", 1, "tag has too many digits (4400)"),
+        ],
+        ids=["rank-append", "rank-close", "tag", "source", "destination", "communicator", "first-of-two"],
+    )
+    def test_integer_past_int_limit_exit_1(self, events, lineno, message):
+        code, out, err = run_cli(["stream"], events + "close 0\nclose 1\nend\n")
+        assert code == 1
+        assert out == ""
+        assert err == f"stdin:{lineno}: {message}\n"
+
     def test_illegal_detected_mid_stream(self):
         events = "append 0 a\nappend 1 a\nappend 2 a\nend\n"
         code, out, _ = run_cli(["stream"], events)

@@ -37,8 +37,8 @@ from syncheck.bench import GenSpec, generate
 from syncheck.engine import StepOutcome, _common_run
 
 
-def occ(space, ch):
-    return MessageOccurrence(space.intern_character(ch))
+def sig(space, ch):
+    return space.intern_character(ch)
 
 
 class TestBatchFixtures:
@@ -134,13 +134,12 @@ class TestStepSemantics:
         engine = Engine(Mode.ABSTRACT)
         engine.load(abstract_model("abc", "abc", "", ""))
         while engine.step() is StepOutcome.PROGRESSED:
-            for sig, pending in engine._table.items():
+            for signature, pending in engine._table.items():
                 if pending is not None:
-                    head = engine._occ[pending][engine.cursor(pending)]
-                    assert head.signature == sig
+                    assert engine._col[pending][engine.cursor(pending)] == signature
                     assert pending not in engine._queue
-            for ranks in engine._legality._members.values():
-                assert len(ranks) <= 2
+            first, second = engine._legality._first, engine._legality._second
+            assert all(first[sig] != rank for sig, rank in second.items())
 
 
 class TestStreaming:
@@ -149,7 +148,7 @@ class TestStreaming:
         space = abstract_model("ab").space  # any space; characters intern on demand
         for rank, chars in enumerate(["ab", "bc", "ca"]):
             for ch in chars:
-                engine.append(rank, [occ(space, ch)])
+                engine.append(rank, [sig(space, ch)])
                 assert engine.drain() is None
         for rank in range(3):
             engine.close(rank)
@@ -161,8 +160,8 @@ class TestStreaming:
     def test_pair_streamed(self):
         engine = Engine(Mode.ABSTRACT)
         space = abstract_model("").space
-        engine.append(0, [occ(space, "a")])
-        engine.append(1, [occ(space, "a")])
+        engine.append(0, [sig(space, "a")])
+        engine.append(1, [sig(space, "a")])
         engine.close(0)
         engine.close(1)
         assert isinstance(engine.drain(), NoDeadlock)
@@ -170,10 +169,10 @@ class TestStreaming:
     def test_append_to_blocked_sequence_keeps_head(self):
         engine = Engine(Mode.ABSTRACT)
         space = abstract_model("").space
-        engine.append(0, [occ(space, "a")])
+        engine.append(0, [sig(space, "a")])
         assert engine.drain() is None  # pending on a, rank 1 still open implicitly
-        engine.append(0, [occ(space, "b")])
-        engine.append(1, [occ(space, "a"), occ(space, "b")])
+        engine.append(0, [sig(space, "b")])
+        engine.append(1, [sig(space, "a"), sig(space, "b")])
         engine.close(0)
         engine.close(1)
         assert isinstance(engine.drain(), NoDeadlock)
@@ -181,12 +180,12 @@ class TestStreaming:
     def test_exhausted_idle_sequence_requeued_on_append(self):
         engine = Engine(Mode.ABSTRACT)
         space = abstract_model("").space
-        engine.append(0, [occ(space, "a")])
-        engine.append(1, [occ(space, "a")])
+        engine.append(0, [sig(space, "a")])
+        engine.append(1, [sig(space, "a")])
         assert engine.drain() is None
         # both exhausted and idle now; new tail must be examined again
-        engine.append(0, [occ(space, "b")])
-        engine.append(1, [occ(space, "b")])
+        engine.append(0, [sig(space, "b")])
+        engine.append(1, [sig(space, "b")])
         engine.close(0)
         engine.close(1)
         verdict = engine.drain()
@@ -196,15 +195,15 @@ class TestStreaming:
     def test_append_after_close_fails(self):
         engine = Engine(Mode.ABSTRACT)
         space = abstract_model("").space
-        engine.append(0, [occ(space, "a")])
+        engine.append(0, [sig(space, "a")])
         engine.close(0)
         with pytest.raises(EngineError, match="closed"):
-            engine.append(0, [occ(space, "b")])
+            engine.append(0, [sig(space, "b")])
 
     def test_double_close_fails(self):
         engine = Engine(Mode.ABSTRACT)
         space = abstract_model("").space
-        engine.append(0, [occ(space, "a")])
+        engine.append(0, [sig(space, "a")])
         engine.close(0)
         with pytest.raises(EngineError, match="already closed"):
             engine.close(0)
@@ -217,17 +216,17 @@ class TestStreaming:
     def test_append_after_finalization_fails(self):
         engine = Engine(Mode.ABSTRACT)
         space = abstract_model("").space
-        engine.append(0, [occ(space, "a")])
-        engine.append(1, [occ(space, "a")])
+        engine.append(0, [sig(space, "a")])
+        engine.append(1, [sig(space, "a")])
         engine.close(0)
         engine.close(1)
         assert isinstance(engine.drain(), NoDeadlock)
         with pytest.raises(EngineError):
-            engine.append(0, [occ(space, "b")])
+            engine.append(0, [sig(space, "b")])
 
     def test_loaded_open_sequence_defers_verdict_until_closed(self):
         space = abstract_model("").space
-        a = occ(space, "a")
+        a = MessageOccurrence(sig(space, "a"))
         model = Model([Sequence(0, [a]), Sequence(1, [a], closed=False)], Mode.ABSTRACT, space)
         engine = Engine(Mode.ABSTRACT)
         engine.load(model)
@@ -244,9 +243,10 @@ class TestStreaming:
             engine.load(abstract_model("b", "b"))
 
     def test_strict_engine_rejects_bare_occurrences(self):
-        # as in a batch check, a strict occurrence without an envelope is illegal
+        # occurrences enter only through load, where a strict one without an
+        # envelope is illegal, as in a batch check
         engine = Engine(Mode.STRICT)
-        engine.append(0, [MessageOccurrence(0)])
+        engine.load(Model([Sequence(0, [MessageOccurrence(0)])], Mode.STRICT, SignatureSpace()))
         verdict = engine.drain()
         assert isinstance(verdict, Illegal)
         assert verdict.reason.ranks == (0,)
@@ -255,17 +255,19 @@ class TestStreaming:
     def test_strict_role_mismatch_halts_illegal(self):
         engine = Engine(Mode.STRICT)
         env = Envelope(tag=1, source=0, destination=1)
-        engine.append(1, [MessageOccurrence(0, Role.SEND, env)])  # rank 1 is not the source
-        engine.close(1)
+        space = SignatureSpace()
+        rows = [Sequence(1, [MessageOccurrence(space.signature_for(env), Role.SEND, env)])]  # rank 1 is not the source
+        engine.load(Model(rows, Mode.STRICT, space))
         verdict = engine.drain()
         assert isinstance(verdict, Illegal)
+        assert verdict.reason.message == "send at rank 1 pos 0 but envelope source is 0"
 
     def test_engines_are_independent(self):
         a, b = Engine(Mode.ABSTRACT), Engine(Mode.ABSTRACT)
         space = abstract_model("").space
-        a.append(0, [occ(space, "a")])
-        b.append(0, [occ(space, "a")])
-        a.append(1, [occ(space, "a")])
+        a.append(0, [sig(space, "a")])
+        b.append(0, [sig(space, "a")])
+        a.append(1, [sig(space, "a")])
         assert a.drain() is None and b.drain() is None
         assert a.matched_pairs == 1 and b.matched_pairs == 0
         assert a._table is not b._table
@@ -326,15 +328,15 @@ class TestInvariants:
             assert len(set(queue)) == len(queue)
             pending = set(engine._table.values())
             for rank in queue:
-                assert engine.cursor(rank) < len(engine._occ[rank])
+                assert engine.cursor(rank) < len(engine._col[rank])
                 assert rank not in pending
             # each matched pair took two head examinations, each pending rank one,
             # whether the pair was matched alone or in a forced run
             pending.discard(None)
             assert engine.steps == 2 * engine.matched_pairs + len(pending)
             # the table holds every signature examined: consumed or pending heads
-            examined = {o.signature for r, occs in engine._occ.items() for o in occs[:engine.cursor(r)]}
-            examined.update(engine._occ[r][engine.cursor(r)].signature for r in pending)
+            examined = {sig for r, col in engine._col.items() for sig in col[:engine.cursor(r)]}
+            examined.update(engine._col[r][engine.cursor(r)] for r in pending)
             assert set(engine._table) == examined
 
         def step_or_drain(engine, rng):
@@ -367,7 +369,7 @@ class TestInvariants:
                 if start is None:
                     engine.close(rank)
                 else:
-                    engine.append(rank, model.sequences[rank].occurrences[start:end])
+                    engine.append(rank, model.sequences[rank].signatures[start:end])
                 assert_queue_ok(engine)
                 step_or_drain(engine, rng)
 
@@ -379,7 +381,7 @@ class TestInvariants:
 
             engine = Engine(Mode.ABSTRACT)
             pending = {
-                s.rank: list(s.occurrences) for s in model.sequences
+                s.rank: list(s.signatures) for s in model.sequences
             }
             open_ranks = set(pending)
             for rank in open_ranks:
@@ -496,7 +498,7 @@ def test_lockstep_runs_agree_with_cycle_check_batch_and_streamed():
         assert verdict == cycle_check(model).verdict
         for _ in range(2):
             streamed = Engine(Mode.ABSTRACT)
-            rows = [seq.occurrences for seq in model.sequences]
+            rows = [seq.signatures for seq in model.sequences]
             for rank, start, end in interleaving(rng, rows):
                 if start is None:
                     streamed.close(rank)

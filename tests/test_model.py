@@ -11,7 +11,6 @@ from syncheck import (
     Role,
     Sequence,
     SignatureSpace,
-    abstracted,
     check,
     parse_dsl,
     validate_static,
@@ -109,9 +108,18 @@ def test_duplicate_ranks_rejected_at_model_construction():
         )
 
 
+def _abstracted(model: Model) -> Model:
+    """The model with roles and envelopes dropped, keeping signatures."""
+    seqs = [
+        Sequence(s.rank, [MessageOccurrence(sig) for sig in s.signatures], s.closed)
+        for s in model.sequences
+    ]
+    return Model(sequences=seqs, mode=Mode.ABSTRACT, space=model.space)
+
+
 def test_abstracting_a_dsl_model_keeps_the_verdict():
     strict = parse_dsl(PAPER_DSL)
-    loose = abstracted(strict)
+    loose = _abstracted(strict)
     assert loose.mode is Mode.ABSTRACT
     assert all(o.envelope is None for s in loose.sequences for o in s.occurrences)
     assert type(check(loose)) is type(check(strict))

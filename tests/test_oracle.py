@@ -96,7 +96,7 @@ class TestCycleCheck:
     def test_witness_endpoints_lie_in_their_sequences(self):
         result = cycle_check(abstract_model("ab", "bc", "ca"))
         model = abstract_model("ab", "bc", "ca")
+        by_rank = {seq.rank: seq for seq in model.sequences}
         for node in result.witness:
             for rank, pos in node.endpoints:
-                seq = model.sequence_by_rank(rank)
-                assert seq.occurrences[pos].signature == node.signature
+                assert by_rank[rank].signatures[pos] == node.signature

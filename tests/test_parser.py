@@ -1,3 +1,7 @@
+import gc
+import tracemalloc
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,19 +62,22 @@ class TestAbstract:
         assert len(model.sequences) == 2
 
     def test_roles_are_unspecified(self):
+        # a parsed sequence is its signature column; characters have no envelope
         model = parse_abstract("ab\nab")
-        assert all(o.role is Role.UNSPECIFIED for s in model.sequences for o in s.occurrences)
-        assert all(o.envelope is None for s in model.sequences for o in s.occurrences)
+        assert all(s.occurrences is None for s in model.sequences)
+        assert all(model.space.envelope_of(sig) is None for s in model.sequences for sig in s.column)
 
     def test_whitespace_in_body_ignored(self):
         model = parse_abstract("P0: a b\nP1: ab")
         assert len(model.sequences[0]) == 2
 
     def test_repeated_characters_share_one_occurrence(self):
+        # one signature per character, in one array('l') column per sequence
         model = parse_abstract("abab\nba")
         first, second = model.sequences
-        assert first.occurrences[0] is first.occurrences[2] is second.occurrences[1]
-        assert [o.signature for o in first.occurrences] == [0, 1, 0, 1]
+        assert first.column == array("l", [0, 1, 0, 1])
+        assert second.column == array("l", [1, 0])
+        assert len(model.space) == 2
 
     # (category, line, column, message); one row per message the parser emits
     @pytest.mark.parametrize(
@@ -107,14 +114,15 @@ class TestDsl:
 
     def test_send_builds_envelope_from_context(self):
         model = parse_dsl("process 0 {send tag=5 to 1 comm=2;} process 1 {recv tag=5 from 0 comm=2;}")
-        occ = model.sequences[0].occurrences[0]
-        assert occ.role is Role.SEND
-        assert occ.envelope == (5, 0, 1, 2)
-        assert occ.signature == model.sequences[1].occurrences[0].signature
+        sig = model.sequences[0].column[0]
+        env = model.space.envelope_of(sig)
+        assert env == (5, 0, 1, 2)
+        assert env.source == model.sequences[0].rank  # so the occurrence is a send
+        assert sig == model.sequences[1].column[0]
 
     def test_comm_defaults_to_zero(self):
         model = parse_dsl("process 0 {send tag=1 to 1;} process 1 {recv tag=1 from 0;}")
-        assert model.sequences[0].occurrences[0].envelope.communicator == 0
+        assert model.space.envelope_of(model.sequences[0].column[0]).communicator == 0
 
     def test_self_message(self):
         with pytest.raises(ParseError) as exc:
@@ -225,13 +233,38 @@ class TestDsl:
         assert _error_of(parse_dsl, text) == ("BadInteger",) + expected
 
     def test_roles_match_ranks_by_construction(self):
+        # each statement's envelope has the enclosing rank at the end its verb
+        # names: a send at the source, a recv at the destination
         model = parse_dsl(PAPER_DSL)
-        for seq in model.sequences:
-            for occ in seq.occurrences:
-                if occ.role is Role.SEND:
-                    assert seq.rank == occ.envelope.source
-                else:
-                    assert seq.rank == occ.envelope.destination
+        envelopes = [[tuple(model.space.envelope_of(sig)) for sig in seq.column] for seq in model.sequences]
+        assert envelopes == [
+            [(1, 0, 2, 0), (2, 0, 1, 0)],
+            [(2, 0, 1, 0), (3, 1, 2, 0)],
+            [(3, 1, 2, 0), (1, 0, 2, 0)],
+        ]
+        verbs = [
+            ["send" if env[1] == seq.rank else "recv" for env in row]
+            for seq, row in zip(model.sequences, envelopes)
+        ]
+        assert verbs == [["send", "send"], ["recv", "send"], ["recv", "recv"]]
+
+
+def test_parsed_model_retains_at_most_100_bytes_per_occurrence():
+    # random P=64 gives n/2 distinct envelopes, the most a model can have:
+    # the column (8 B per occurrence) plus the space's envelope tuples; the
+    # parser's interning dict is dropped
+    text = render_dsl(generate(GenSpec("random", 64, 3125, seed=1)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model = parse_dsl(text)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert model.message_count == 200_000
+    assert kept / model.message_count <= 100
 
 
 class TestDetectionAndRoundTrip:
@@ -257,11 +290,12 @@ class TestDetectionAndRoundTrip:
         assert parse_model("ab\nbc\nca").mode is Mode.ABSTRACT
 
     def _same(self, a, b):
+        # a parsed occurrence's role follows from its rank and envelope
         assert [s.rank for s in a.sequences] == [s.rank for s in b.sequences]
         for sa, sb in zip(a.sequences, b.sequences):
-            assert [o.signature for o in sa.occurrences] == [o.signature for o in sb.occurrences]
-            assert [o.role for o in sa.occurrences] == [o.role for o in sb.occurrences]
-            assert [o.envelope for o in sa.occurrences] == [o.envelope for o in sb.occurrences]
+            assert sa.column == sb.column
+            assert list(map(a.space.label_of, sa.column)) == list(map(b.space.label_of, sb.column))
+            assert list(map(a.space.envelope_of, sa.column)) == list(map(b.space.envelope_of, sb.column))
 
     def test_abstract_round_trip(self):
         model = parse_abstract("ab\nbc\nca")
@@ -296,17 +330,16 @@ class TestDetectionAndRoundTrip:
 
         dsl = parse_dsl(render_dsl(model))
         assert [s.rank for s in dsl.sequences] == ranks
-        assert [[o.signature for o in s.occurrences] for s in dsl.sequences] == signatures
+        assert [s.column.tolist() for s in dsl.sequences] == signatures
         for ours, theirs in zip(dsl.sequences, model.sequences):
-            assert [o.role for o in ours.occurrences] == [o.role for o in theirs.occurrences]
-            assert [o.envelope for o in ours.occurrences] == [o.envelope for o in theirs.occurrences]
-            assert [dsl.space.envelope_of(o.signature) for o in ours.occurrences] == [
-                o.envelope for o in theirs.occurrences
-            ]
+            envelopes = list(map(dsl.space.envelope_of, ours.column))
+            assert envelopes == [o.envelope for o in theirs.occurrences]
+            roles = [Role.SEND if env.source == ours.rank else Role.RECV for env in envelopes]
+            assert roles == [o.role for o in theirs.occurrences]
 
         abstract = parse_abstract(render_abstract(model))
         assert [s.rank for s in abstract.sequences] == ranks
-        assert [[o.signature for o in s.occurrences] for s in abstract.sequences] == signatures
+        assert [s.column.tolist() for s in abstract.sequences] == signatures
         assert len(abstract.space) == len(dsl.space) == len(model.space)
 
 
