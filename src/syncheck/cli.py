@@ -6,6 +6,7 @@ Exit codes are a stable contract: 0 ok, 1 usage/parse/protocol error,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import List, Optional
 
@@ -111,25 +112,57 @@ def _integers(digit_runs: list, fields: tuple) -> list:
         raise ValueError(f"{field} has too many digits ({len(digits)})") from None
 
 
-def _parse_stream_token(token: str, rank: int, space: SignatureSpace, mode: Mode) -> int:
-    """The signature of one token; a strict token's rank must be an endpoint of its envelope."""
-    if mode is Mode.STRICT:
-        parts = token.split(",")
-        if len(parts) not in (3, 4):
-            raise ValueError(f"expected tag,src,dst[,comm], got {token!r}")
-        # integers are runs of decimal digits, as in the DSL; int() alone
-        # would also take `+1`, `1_0` and `-0`
-        if "" in parts or not token.replace(",", "").isdecimal():
-            raise ValueError(f"expected decimal integers tag,src,dst[,comm], got {token!r}")
-        env = Envelope(*_integers(parts, Envelope._fields))
-        if rank != env.source and rank != env.destination:
-            raise ValueError(f"process {rank} is neither source nor destination of {token!r}")
-        return space.signature_for(env)
-    return space.intern_character(token)
+def _parse_stream_token(token: str, rank: int, space: SignatureSpace) -> int:
+    """The signature of one strict token, checked field by field; the rank
+    must be an endpoint of its envelope.  Every malformed token is named here."""
+    parts = token.split(",")
+    if len(parts) not in (3, 4):
+        raise ValueError(f"expected tag,src,dst[,comm], got {token!r}")
+    # integers are runs of decimal digits, as in the DSL; int() alone
+    # would also take `+1`, `1_0` and `-0`
+    if "" in parts or not token.replace(",", "").isdecimal():
+        raise ValueError(f"expected decimal integers tag,src,dst[,comm], got {token!r}")
+    env = Envelope(*_integers(parts, Envelope._fields))
+    if rank != env.source and rank != env.destination:
+        raise ValueError(f"process {rank} is neither source nor destination of {token!r}")
+    return space.signature_for(env)
+
+
+# `\d` and str.isdecimal take the same digits, so this matches exactly the
+# tokens that pass `_parse_stream_token`'s field-count and decimal checks
+_STRICT_TOKEN_RE = re.compile(r"(\d+),(\d+),(\d+)(?:,(\d+))?")
+
+
+def _strict_signatures(tokens: list, rank: int, space: SignatureSpace, known: dict) -> list:
+    """The signatures of one append's strict tokens.
+
+    `known` maps each token read so far in the session to its signature, so
+    a repeated token costs a lookup and an endpoint test.  A new token is
+    read with one regex and interned through `signature_for`; anything
+    unusual (a malformed token, too many digits, a foreign rank, a
+    self-message) goes to `_parse_stream_token`, which names the error.
+    """
+    entries = space.entries
+    signatures = []
+    for token in tokens:
+        sig = known.get(token)
+        if sig is None or rank != entries[sig][1] and rank != entries[sig][2]:
+            m = _STRICT_TOKEN_RE.fullmatch(token)
+            try:
+                env = None if m is None else Envelope(*map(int, m.groups("0")))
+            except ValueError:  # too many digits for int()
+                env = None
+            if env is not None and env.source != env.destination and rank in (env.source, env.destination):
+                sig = known[token] = space.signature_for(env)
+            else:
+                sig = _parse_stream_token(token, rank, space)
+        signatures.append(sig)
+    return signatures
 
 
 def cmd_stream(args, out, err, stdin) -> int:
     space = SignatureSpace()
+    known: dict = {}  # strict token -> signature, for this session
     engine: Optional[Engine] = None
     mode = {"strict": Mode.STRICT, "abstract": Mode.ABSTRACT, "auto": None}[args.mode]
     verdict = None
@@ -142,12 +175,17 @@ def cmd_stream(args, out, err, stdin) -> int:
         kind = fields[0]
         try:
             if kind == "end":
+                if len(fields) > 1:
+                    raise ValueError(f"end takes no arguments, got {line!r}")
                 break
             if kind not in ("append", "close") or len(fields) < 2:
                 raise ValueError(f"unknown event {line!r}")
             if not fields[1].isdecimal():
                 raise ValueError(f"expected a decimal rank, got {fields[1]!r}")
-            (rank,) = _integers(fields[1:2], ("rank",))
+            try:
+                rank = int(fields[1])
+            except ValueError:  # too many digits for int(); _integers names the field
+                (rank,) = _integers(fields[1:2], ("rank",))
             if kind == "append":
                 if len(fields) < 3:
                     raise ValueError("append needs at least one token")
@@ -155,8 +193,13 @@ def cmd_stream(args, out, err, stdin) -> int:
                     mode = Mode.STRICT if "," in fields[2] else Mode.ABSTRACT
                 if engine is None:
                     engine = Engine(mode, space)
-                engine.append(rank, [_parse_stream_token(tok, rank, space, mode) for tok in fields[2:]])
+                if mode is Mode.STRICT:
+                    engine.append(rank, _strict_signatures(fields[2:], rank, space, known))
+                else:  # each character is an occurrence, as in the abstract format
+                    engine.append(rank, list(map(space.intern_character, "".join(fields[2:]))))
             else:
+                if len(fields) > 2:
+                    raise ValueError(f"close takes one rank, got {line!r}")
                 if engine is None:
                     engine = Engine(mode or Mode.ABSTRACT, space)
                 engine.close(rank)

@@ -19,6 +19,11 @@ class SignatureSpace:
     def __len__(self) -> int:
         return len(self._entries)
 
+    @property
+    def entries(self) -> list:
+        """Entry k is signature k's envelope tuple or character; read only."""
+        return self._entries
+
     def signature_for(self, env: Envelope) -> int:
         """Create-or-retrieve the signature of an envelope.
 

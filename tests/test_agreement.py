@@ -70,28 +70,51 @@ def test_engine_stream_agrees_with_check():
     assert illegal > 200 and single > 150
 
 
-def test_cli_stream_agrees_with_check(tmp_path):
+def _assert_stream_agrees(rows, batch_code, batch_out, code, out, err):
+    assert code == batch_code, (rows, err)
+    batch, streamed = json.loads(batch_out), json.loads(out)
+    bad = violations(rows)
+    if not bad:
+        for report in (batch, streamed):
+            report["stats"].pop("steps")
+        assert streamed == batch, rows
+    elif len(bad) == 1:
+        ((ch, ranks),) = bad.items()
+        assert streamed["reason"]["signature"] == batch["reason"]["signature"] == ch, rows
+        if len(ranks) <= 3:
+            assert streamed["reason"]["processes"] == batch["reason"]["processes"] == ranks
+
+
+def _chunks(rng, chars) -> list:
+    """`chars` cut at random into tokens of one or more characters."""
+    cuts = sorted(rng.sample(range(1, len(chars)), rng.randint(0, len(chars) - 1)))
+    return ["".join(chars[a:b]) for a, b in zip([0] + cuts, cuts + [len(chars)])]
+
+
+def _stream_agrees_with_check(tmp_path, seed, tokens):
+    """Stream `_cases(seed, 150)` with each appended slice cut into tokens by
+    `tokens(rng, chars)`, and compare each verdict with a batch `check`."""
+    rng = random.Random(seed)
     path = tmp_path / "m.txt"
-    for rows, events in _cases(7, 150):
+    for rows, events in _cases(seed, 150):
         path.write_text("".join(f"P{rank}: {''.join(row)}\n" for rank, row in enumerate(rows)))
         batch_code, batch_out, _ = run_cli(["check", str(path), "--format", "json"])
         lines = [
-            f"close {rank}" if start is None else f"append {rank} {' '.join(rows[rank][start:end])}"
+            f"close {rank}" if start is None else f"append {rank} {' '.join(tokens(rng, rows[rank][start:end]))}"
             for rank, start, end in events
         ]
         code, out, err = run_cli(["stream", "--format", "json"], "\n".join(lines + ["end"]) + "\n")
-        assert code == batch_code, (rows, err)
-        batch, streamed = json.loads(batch_out), json.loads(out)
-        bad = violations(rows)
-        if not bad:
-            for report in (batch, streamed):
-                report["stats"].pop("steps")
-            assert streamed == batch, rows
-        elif len(bad) == 1:
-            ((ch, ranks),) = bad.items()
-            assert streamed["reason"]["signature"] == batch["reason"]["signature"] == ch, rows
-            if len(ranks) <= 3:
-                assert streamed["reason"]["processes"] == batch["reason"]["processes"] == ranks
+        _assert_stream_agrees(rows, batch_code, batch_out, code, out, err)
+
+
+def test_cli_stream_agrees_with_check(tmp_path):
+    _stream_agrees_with_check(tmp_path, 7, lambda rng, chars: chars)
+
+
+def test_cli_stream_reads_abstract_tokens_per_character(tmp_path):
+    # a token of several characters is that many occurrences, as in the
+    # abstract format: `append 0 ab` equals `P0: ab`
+    _stream_agrees_with_check(tmp_path, 13, _chunks)
 
 
 @pytest.mark.parametrize(

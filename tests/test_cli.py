@@ -1,9 +1,12 @@
+import gc
 import io
 import json
+import tracemalloc
 
 import pytest
 
 from support import PAPER_DSL
+from syncheck.bench import GenSpec, generate
 from syncheck.cli import main
 
 
@@ -214,6 +217,52 @@ class TestStream:
         assert out == ""
         assert err == f"stdin:{lineno}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "events, lineno, message",
+        [
+            ("append 0 a\nappend 1 a\nclose 0 b c\n", 3, "close takes one rank, got 'close 0 b c'"),
+            ("append 0 a\nappend 1 a\nclose 0 1\n", 3, "close takes one rank, got 'close 0 1'"),
+            # the verdict is fixed at `close 1`; a malformed end is still an error
+            ("append 0 a\nappend 1 a\nclose 0\nclose 1\nend now\n", 5, "end takes no arguments, got 'end now'"),
+            # a token known from its source: rank 2 is still no endpoint
+            ("append 0 5,0,1\nappend 2 5,0,1\n", 2, "process 2 is neither source nor destination of '5,0,1'"),
+            ("append 1 5,0,1\nappend 0 5,0,1 5,0,1\nappend 2 5,0,1\n", 3,
+             "process 2 is neither source nor destination of '5,0,1'"),
+            ("append 3 1,3,4\nappend 3 1,3,3\n", 2, "self-message: source == destination == 3"),
+            # a valid new token, then a bad one on the same line
+            ("append 0 1,0,1 2,0,1,x\n", 1, "expected decimal integers tag,src,dst[,comm], got '2,0,1,x'"),
+            ("append 0 1,0,1 2,5,6\n", 1, "process 0 is neither source nor destination of '2,5,6'"),
+            ("append 0 1,0,1 1,0\n", 1, "expected tag,src,dst[,comm], got '1,0'"),
+            ("append 0 1,0,1\nappend 1 1,0,1 " + "1" * 5000 + ",0,1\n", 2, "tag has too many digits (5000)"),
+        ],
+        ids=[
+            "close-two-fields", "close-two-ranks", "end-field", "third-rank", "third-rank-after-both",
+            "self-message", "bad-after-new", "foreign-after-new", "short-after-new", "long-after-known",
+        ],
+    )
+    def test_protocol_error_names_its_line(self, events, lineno, message):
+        code, out, err = run_cli(["stream"], events + "close 0\nclose 1\nend\n")
+        assert code == 1
+        assert out == ""
+        assert err == f"stdin:{lineno}: {message}\n"
+
+    def test_token_spellings_name_one_envelope(self):
+        # leading zeros and an omitted comm spell the same envelope
+        events = "append 0 01,0,1 1,0,1\nappend 1 1,0,1,0\nappend 1 1,00,1\nclose 0\nclose 1\nend\n"
+        code, out, _ = run_cli(["stream", "--format", "json"], events)
+        assert code == 0
+        report = json.loads(out)
+        assert report["stats"]["distinctSignatures"] == 1
+        assert report["matchedPairs"] == 2
+
+    def test_abstract_tokens_are_read_per_character(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("P0: ab\nP1: ba\n")
+        batch = run_cli(["check", str(path), "--format", "json"])
+        streamed = run_cli(["stream", "--format", "json"], "append 0 ab\nappend 1 ba\nclose 0\nclose 1\nend\n")
+        assert streamed == batch
+        assert batch[0] == 2
+
     def test_illegal_detected_mid_stream(self):
         events = "append 0 a\nappend 1 a\nappend 2 a\nend\n"
         code, out, _ = run_cli(["stream"], events)
@@ -223,6 +272,32 @@ class TestStream:
         code, out, _ = run_cli(["stream"], "end\n")
         assert code == 0
         assert "verdict: ok" in out
+
+    def test_strict_session_memory(self):
+        # perfbench's stream-ranks input at a quarter of its ranks: every
+        # `tag,src,dst` token is appended twice, once by each endpoint.  A
+        # session peaked at 250 B per occurrence before the token cache; the
+        # cache may add at most a quarter of that (304 B with it)
+        model = generate(GenSpec("pairs", 2000, 12))
+        tokens = {
+            s.rank: [f"{o.envelope.tag},{o.envelope.source},{o.envelope.destination}" for o in s.occurrences]
+            for s in model.sequences
+        }
+        lines = [f"append {rank} {' '.join(row[i:i + 4])}" for i in range(0, 12, 4) for rank, row in tokens.items()]
+        stdin = io.StringIO("\n".join(lines + [f"close {rank}" for rank in tokens] + ["end"]) + "\n")
+        out = io.StringIO()
+        del model, tokens, lines
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            code = main(["stream", "--format", "json"], stdin=stdin, stdout=out, stderr=io.StringIO())
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(out.getvalue())["stats"]["messages"] == 24_000
+        assert peak / 24_000 <= 312
 
 
 class TestOracle:
