@@ -2,7 +2,7 @@
 point-to-point message passing, with differential-testing oracles and a
 benchmark harness."""
 
-from .engine import Engine, EngineError, StepOutcome, check, check_with_engine
+from .engine import Engine, EngineError, check, check_with_engine
 from .model import (
     BlockedEntry,
     Deadlock,
@@ -49,7 +49,6 @@ __all__ = [
     "Sequence",
     "SignatureSpace",
     "SimulationResult",
-    "StepOutcome",
     "StateCapExceeded",
     "check",
     "check_with_engine",

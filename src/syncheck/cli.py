@@ -85,7 +85,7 @@ def _parse_file(path: str, mode: str):
 def cmd_check(args, out, err) -> int:
     try:
         model = _parse_file(args.path, args.mode)
-    except (OSError, ParseError) as exc:
+    except (OSError, UnicodeDecodeError, ParseError) as exc:
         print(f"{args.path}: {exc}", file=err)
         return 1
     if args.validate_only:
@@ -163,9 +163,9 @@ def _strict_signatures(tokens: list, rank: int, space: SignatureSpace, known: di
 def cmd_stream(args, out, err, stdin) -> int:
     space = SignatureSpace()
     known: dict = {}  # strict token -> signature, for this session
-    engine: Optional[Engine] = None
+    engine = Engine(space)
+    # the token format; under auto, the first append sets it
     mode = {"strict": Mode.STRICT, "abstract": Mode.ABSTRACT, "auto": None}[args.mode]
-    verdict = None
 
     for lineno, raw in enumerate(stdin, start=1):
         line = raw.strip()
@@ -191,8 +191,6 @@ def cmd_stream(args, out, err, stdin) -> int:
                     raise ValueError("append needs at least one token")
                 if mode is None:
                     mode = Mode.STRICT if "," in fields[2] else Mode.ABSTRACT
-                if engine is None:
-                    engine = Engine(mode, space)
                 if mode is Mode.STRICT:
                     engine.append(rank, _strict_signatures(fields[2:], rank, space, known))
                 else:  # each character is an occurrence, as in the abstract format
@@ -200,19 +198,14 @@ def cmd_stream(args, out, err, stdin) -> int:
             else:
                 if len(fields) > 2:
                     raise ValueError(f"close takes one rank, got {line!r}")
-                if engine is None:
-                    engine = Engine(mode or Mode.ABSTRACT, space)
                 engine.close(rank)
         except (ValueError, EngineError) as exc:
             print(f"stdin:{lineno}: {exc}", file=err)
             return 1
-        verdict = engine.drain()
-        if isinstance(verdict, Illegal):
+        if isinstance(engine.drain(), Illegal):
             break  # never recoverable; later events could only add noise
 
-    if engine is None:
-        engine = Engine(mode or Mode.ABSTRACT, space)
-        verdict = engine.drain()
+    verdict = engine.drain()  # the one fixed by an event, or an empty stream's
     if verdict is None:  # every event was drained, so some sequence is open
         print(f"protocol error: stream ended with open sequences {engine.open_ranks()}", file=err)
         return 1
@@ -224,7 +217,7 @@ def cmd_stream(args, out, err, stdin) -> int:
 def cmd_oracle(args, out, err) -> int:
     try:
         model = _parse_file(args.path, "auto")
-    except (OSError, ParseError) as exc:
+    except (OSError, UnicodeDecodeError, ParseError) as exc:
         print(f"{args.path}: {exc}", file=err)
         return 1
     if args.backend == "simulate":
@@ -296,8 +289,12 @@ def cmd_gen(args, out, err) -> int:
         print(f"gen: {exc}", file=err)
         return 1
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.write(text)
+        except OSError as exc:
+            print(f"gen: {exc}", file=err)
+            return 1
     else:
         out.write(text)
     return 0

@@ -1,4 +1,9 @@
-"""Multi-queue matching engine, batch and streaming.
+"""Multi-queue matching engine: `append`, `close` and `drain`.
+
+Sequences grow by `append` and end by `close`; `drain` matches ready heads
+until none is left and, once every sequence is closed, returns the verdict.
+`load` appends and closes every sequence of a complete model, so a batch
+check is `load` plus one `drain`, and a stream drains after each event.
 
 An occurrence is its signature, an int: each rank's signatures are kept in
 one `array('l')` column, appended as parsed or streamed, or lowered once
@@ -8,7 +13,7 @@ holds a pending head from the other member sequence (match both, advance
 both cursors) or records this head as pending.  After a match, the run of
 equal signatures that follows in both sequences is forced, so it is
 consumed at once by slice compares; `steps` still counts two head
-examinations per matched pair.  A `Legality` fed at load and append decides
+examinations per matched pair.  A `Legality` fed at each append decides
 legality, so no third member rank is matched.  Total steps are bounded by
 the number of occurrences examined, so a batch check is linear in the
 message count.
@@ -17,10 +22,9 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from enum import Enum
 from typing import Iterable, Optional, Union
 
-from .model import Deadlock, Illegal, Legality, Mode, Model, NoDeadlock, deadlock_report, lower
+from .model import Deadlock, Illegal, Legality, Model, NoDeadlock, deadlock_report, lower
 
 Verdict = Union[NoDeadlock, Deadlock, Illegal]
 
@@ -55,14 +59,8 @@ class EngineError(Exception):
     pass
 
 
-class StepOutcome(Enum):
-    PROGRESSED = "progressed"
-    QUEUE_EMPTY = "queue-empty"
-
-
 class Engine:
-    def __init__(self, mode: Mode = Mode.ABSTRACT, space=None):
-        self.mode = mode
+    def __init__(self, space=None):
         self._space = space  # SignatureSpace of the signatures; gives a report its envelopes
         # per-rank state kept as primitive maps; the matching loop is hot
         self._col: dict = {}  # rank -> array('l') of its signatures
@@ -82,14 +80,6 @@ class Engine:
     # -- introspection ------------------------------------------------------
 
     @property
-    def finished(self) -> bool:
-        return self._verdict is not None
-
-    @property
-    def verdict(self) -> Optional[Verdict]:
-        return self._verdict
-
-    @property
     def table_size(self) -> int:
         return len(self._table)
 
@@ -100,31 +90,23 @@ class Engine:
     def open_ranks(self) -> list:
         return sorted(self._open)
 
-    def cursor(self, rank: int) -> int:
-        return self._cursor[rank]
-
     # -- construction -------------------------------------------------------
 
     def load(self, model: Model, order: Optional[Iterable[int]] = None) -> None:
-        """Attach all model sequences to a fresh engine, with the model's space.
+        """Append and close every model sequence in a fresh engine, with the model's space.
 
         `order` optionally fixes the initial ready-queue order (a permutation
         of the nonempty ranks); default is model order.
         """
         if self._loaded or self._col:
             raise EngineError("engine already loaded")
-        if model.mode is not self.mode:
-            raise EngineError(
-                f"cannot load a {model.mode.value} model into a {self.mode.value} engine"
-            )
         self._loaded = True
         self._space = model.space
         for seq, signatures in lower(model, self._legality):
             if seq.rank in self._col:
                 raise EngineError(f"duplicate rank {seq.rank}")
             self.append(seq.rank, signatures)
-            if seq.closed:
-                self.close(seq.rank)
+            self.close(seq.rank)
         if order is not None:
             order = list(order)
             if sorted(order) != sorted(self._queue):  # the nonempty ranks
@@ -133,7 +115,7 @@ class Engine:
 
     def append(self, rank: int, signatures) -> None:
         """Streaming append of signatures (a list or an `array('l')`); creates the sequence on first use."""
-        if self.finished:
+        if self._verdict is not None:
             raise EngineError("append after finalization")
         col = self._col.get(rank)
         if col is None:
@@ -154,7 +136,7 @@ class Engine:
         self._total += len(col) - start
 
     def close(self, rank: int) -> None:
-        if self.finished:
+        if self._verdict is not None:
             raise EngineError("close after finalization")
         if rank not in self._col:
             raise EngineError(f"close of unknown rank {rank}")
@@ -164,19 +146,17 @@ class Engine:
 
     # -- execution ----------------------------------------------------------
 
-    def _run(self, limit: int) -> None:
-        """Process up to `limit` ready heads (-1 = until the queue empties),
-        each with the forced run that its match starts."""
+    def _run(self) -> None:
+        """Process ready heads until the queue empties, each with the forced
+        run that its match starts."""
         queue = self._queue
         col_map = self._col
         cur_map = self._cursor
         table = self._table
         steps = self.steps
         matched = self.matched_pairs
-        done = 0
         try:
-            while queue and done != limit:
-                done += 1
+            while queue:
                 rank = queue.popleft()
                 col = col_map[rank]
                 pos = cur_map[rank]
@@ -192,7 +172,7 @@ class Engine:
                 other_col = col_map[other]
                 other_pos = cur_map[other] + 1
                 # Forced run.  Legality admits at most two member ranks per
-                # signature, and step()/drain() halt on a violation before
+                # signature, and drain() halts on a violation before
                 # matching, so equal next heads of `rank` and `other` can only
                 # match each other.  Neither rank is pending now, and the
                 # final cursors do not depend on match order, so the whole
@@ -216,32 +196,20 @@ class Engine:
             self.steps = steps
             self.matched_pairs = matched
 
-    def step(self) -> Union[StepOutcome, Verdict]:
-        if self.finished:
-            raise EngineError("step on a finished engine")
-        reason = self._legality.violation
-        if reason is not None:
-            self._verdict = Illegal(reason)
-            return self._verdict
-        if not self._queue:
-            return StepOutcome.QUEUE_EMPTY
-        self._run(1)
-        return StepOutcome.PROGRESSED
-
     def drain(self) -> Optional[Verdict]:
-        """Run steps until the queue empties or a verdict halts the engine.
+        """Match ready heads until the queue empties or a verdict halts the engine.
 
         Returns None while some sequence is still open (streaming continues);
         otherwise the final verdict.  Legality is judged before matching, so
         an illegal model halts without taking a step once all is closed.
         """
-        if self.finished:
+        if self._verdict is not None:
             return self._verdict
         reason = self._legality.violation if self._open else self._legality.finish()
         if reason is not None:
             self._verdict = Illegal(reason)
             return self._verdict
-        self._run(-1)
+        self._run()
         if self._open:
             return None
         if 2 * self.matched_pairs == self._total:  # every occurrence matched
@@ -258,10 +226,8 @@ def check(model: Model, order: Optional[Iterable[int]] = None) -> Verdict:
 
 def check_with_engine(model: Model, order: Optional[Iterable[int]] = None):
     """Like :func:`check` but also returns the engine for stats inspection."""
-    engine = Engine(model.mode)
+    engine = Engine()
     engine.load(model, order=order)
-    if engine.open_ranks():
-        raise EngineError("batch check requires all sequences closed")
     verdict = engine.drain()
     assert verdict is not None
     return verdict, engine

@@ -54,12 +54,12 @@ class MessageOccurrence(NamedTuple):
 
 @dataclass
 class Sequence:
-    """One process's ordered occurrences, either `MessageOccurrence`s (built through
-    the API) or a `column` of signatures (parsed); `closed` once no more can follow."""
+    """One process's complete, ordered occurrences: either `MessageOccurrence`s
+    (built through the API) or a `column` of signatures (parsed).  A sequence
+    that is still growing lives only in an `Engine`, fed by `append`."""
 
     rank: int
     occurrences: Optional[list] = None  # list[MessageOccurrence]
-    closed: bool = True
     column: Optional[array] = None
 
     def __len__(self) -> int:
@@ -140,7 +140,7 @@ class Legality:
     surfaces as a deadlock at matching time.  Strict-mode rules hold by
     construction for parsed and streamed occurrences; see `lower`.
 
-    `add` records each occurrence's rank in O(1) and reports a violation as
+    `add` records each occurrence's rank in O(1) and sets `violation` as
     soon as the signatures seen show one.  A signature with fewer than two
     member ranks can only be judged by `finish`, once every sequence is
     closed.  The first violation found is kept.
@@ -153,11 +153,10 @@ class Legality:
         self._first: dict = {}
         self._second: dict = {}
 
-    def add(self, rank: int, signatures) -> Optional[IllegalReason]:
+    def add(self, rank: int, signatures) -> None:
         """Record `signatures`, the next occurrences of sequence `rank`."""
         if self.violation is None:
             self.violation = self._add(rank, signatures)
-        return self.violation
 
     def _add(self, rank: int, signatures) -> Optional[IllegalReason]:
         # membership changes at most twice per signature, so look at each

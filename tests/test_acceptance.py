@@ -18,7 +18,6 @@ from syncheck import (
     Engine,
     Envelope,
     Illegal,
-    Mode,
     SignatureSpace,
     check,
     check_with_engine,
@@ -185,7 +184,7 @@ def test_criterion_6_streaming_equivalence():
             batch_verdict, batch_engine = check_with_engine(model)
             batch = _report_body(batch_verdict, model.space, batch_engine)
 
-            engine = Engine(Mode.ABSTRACT)
+            engine = Engine()
             pending = {s.rank: list(s.signatures) for s in model.sequences}
             for rank in pending:
                 engine.append(rank, [])

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from support import classify, interleaving, model_from_tuples, random_rows
-from syncheck import Engine, Illegal, Mode, check
+from syncheck import Engine, Illegal, check
 from syncheck.cli import main
 
 
@@ -43,7 +43,7 @@ def test_engine_stream_agrees_with_check():
         model = model_from_tuples(rows)
         batch = check(model)
 
-        engine = Engine(Mode.ABSTRACT)
+        engine = Engine()
         for rank, start, end in events:
             if start is None:
                 engine.close(rank)

@@ -116,6 +116,17 @@ class TestCheck:
         assert out == ""
         assert err.startswith(f"{path}: 1:9: BadInteger: ")
 
+    @pytest.mark.parametrize("args", [["check"], ["check", "--validate-only"], ["oracle"]])
+    def test_non_utf8_file_exit_1(self, tmp_path, args):
+        # reported as an unreadable file is, not as a traceback
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"P0: a\xff\nP1: a\n")
+        code, out, err = run_cli(args + [str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
     def test_usage_error_exit_1(self):
         code, _, err = run_cli(["check", "--format", "yaml", "x"])
         assert code == 1
@@ -348,6 +359,14 @@ class TestBenchAndGen:
     def test_bench_bad_spec_exit_1(self):
         code, _, err = run_cli(["bench", "--pattern", "ring", "-P", "2", "-M", "1"])
         assert code == 1
+
+    def test_gen_unwritable_out_exit_1(self, tmp_path):
+        path = tmp_path / "missing" / "m.dsl"
+        code, out, err = run_cli(["gen", "--out", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("gen: ") and str(path) in err
+        assert not path.parent.exists()
 
     def test_gen_then_check_ring(self, tmp_path):
         path = tmp_path / "ring.dsl"

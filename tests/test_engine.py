@@ -34,7 +34,7 @@ from syncheck import (
     parse_dsl,
 )
 from syncheck.bench import GenSpec, generate
-from syncheck.engine import StepOutcome, _common_run
+from syncheck.engine import _common_run
 
 
 def sig(space, ch):
@@ -80,71 +80,63 @@ class TestBatchFixtures:
     def test_empty_model_is_ok(self):
         assert isinstance(check(model_from_tuples([])), NoDeadlock)
 
-    def test_open_sequence_rejected_in_batch(self):
-        model = abstract_model("a", "a")
-        model.sequences[0].closed = False
-        with pytest.raises(EngineError, match="closed"):
-            check(model)
+
+def assert_one_pending_per_signature(engine):
+    # the table maps a signature to its one pending rank (or None), and that
+    # rank is blocked on the signature; members live in Legality
+    for signature, pending in engine._table.items():
+        if pending is not None:
+            assert engine._col[pending][engine._cursor[pending]] == signature
+            assert pending not in engine._queue
+    first, second = engine._legality._first, engine._legality._second
+    assert all(first[sig] != rank for sig, rank in second.items())
 
 
 class TestStepSemantics:
     def test_paper_example_registers_three_pendings(self):
-        engine = Engine(Mode.ABSTRACT)
+        engine = Engine()
         engine.load(abstract_model("ab", "bc", "ca"))
-        for _ in range(3):
-            assert engine.step() is StepOutcome.PROGRESSED
-        assert engine.step() is StepOutcome.QUEUE_EMPTY
+        assert isinstance(engine.drain(), Deadlock)
         assert engine.matched_pairs == 0
         assert engine.steps == 3
+        assert sorted(engine._table.values()) == [0, 1, 2]
 
     def test_two_steps_complete_a_rendezvous(self):
-        engine = Engine(Mode.ABSTRACT)
+        engine = Engine()
         engine.load(abstract_model("a", "a"))
-        assert engine.step() is StepOutcome.PROGRESSED
-        assert engine.step() is StepOutcome.PROGRESSED
-        assert engine.cursor(0) == 1 and engine.cursor(1) == 1
-        assert engine.step() is StepOutcome.QUEUE_EMPTY
+        assert isinstance(engine.drain(), NoDeadlock)
+        assert engine.steps == 2
+        assert engine._cursor == {0: 1, 1: 1}
 
     def test_third_registration_halts_illegal(self):
-        # the third member rank is seen at load, so the first step halts
-        engine = Engine(Mode.ABSTRACT)
+        # the third member rank is seen at load, so drain halts before a step
+        engine = Engine()
         engine.load(abstract_model("a", "a", "a"))
-        outcome = engine.step()
-        assert isinstance(outcome, Illegal)
-        assert outcome.reason.ranks == (0, 1, 2)
+        verdict = engine.drain()
+        assert isinstance(verdict, Illegal)
+        assert verdict.reason.ranks == (0, 1, 2)
         assert engine.steps == 0
-        with pytest.raises(EngineError):
-            engine.step()
-
-    def test_step_by_step_equals_drain(self):
-        for strings in [("ab", "bc", "ca"), ("ab", "ab"), ("aa", "a"), ("a", "a", "a")]:
-            stepped = Engine(Mode.ABSTRACT)
-            stepped.load(abstract_model(*strings))
-            while True:
-                outcome = stepped.step()
-                if outcome is StepOutcome.QUEUE_EMPTY or not isinstance(outcome, StepOutcome):
-                    break
-            drained = check(abstract_model(*strings))
-            final = stepped.drain() if not stepped.finished else stepped.verdict
-            assert final == drained
+        assert engine.drain() == verdict
 
     def test_matchers_hold_at_most_one_pending(self):
-        # the table maps a signature to its one pending rank (or None), and
-        # that rank is blocked on the signature; members live in Legality
-        engine = Engine(Mode.ABSTRACT)
-        engine.load(abstract_model("abc", "abc", "", ""))
-        while engine.step() is StepOutcome.PROGRESSED:
-            for signature, pending in engine._table.items():
-                if pending is not None:
-                    assert engine._col[pending][engine.cursor(pending)] == signature
-                    assert pending not in engine._queue
-            first, second = engine._legality._first, engine._legality._second
-            assert all(first[sig] != rank for sig, rank in second.items())
+        # streamed one occurrence at a time, so heads pend between drains
+        engine = Engine()
+        space = abstract_model("").space
+        for rank in (2, 3):
+            engine.append(rank, [])
+        for chars in ("abc", "cba"):
+            for ch in chars:
+                for rank in (0, 1):
+                    engine.append(rank, [sig(space, ch)])
+                    assert_one_pending_per_signature(engine)
+                    assert engine.drain() is None
+                    assert_one_pending_per_signature(engine)
+        assert engine.matched_pairs == 6
 
 
 class TestStreaming:
     def test_batch_equals_streamed_paper_example(self):
-        engine = Engine(Mode.ABSTRACT)
+        engine = Engine()
         space = abstract_model("ab").space  # any space; characters intern on demand
         for rank, chars in enumerate(["ab", "bc", "ca"]):
             for ch in chars:
@@ -158,7 +150,7 @@ class TestStreaming:
         assert verdict.report.residual == 6
 
     def test_pair_streamed(self):
-        engine = Engine(Mode.ABSTRACT)
+        engine = Engine()
         space = abstract_model("").space
         engine.append(0, [sig(space, "a")])
         engine.append(1, [sig(space, "a")])
@@ -167,7 +159,7 @@ class TestStreaming:
         assert isinstance(engine.drain(), NoDeadlock)
 
     def test_append_to_blocked_sequence_keeps_head(self):
-        engine = Engine(Mode.ABSTRACT)
+        engine = Engine()
         space = abstract_model("").space
         engine.append(0, [sig(space, "a")])
         assert engine.drain() is None  # pending on a, rank 1 still open implicitly
@@ -178,7 +170,7 @@ class TestStreaming:
         assert isinstance(engine.drain(), NoDeadlock)
 
     def test_exhausted_idle_sequence_requeued_on_append(self):
-        engine = Engine(Mode.ABSTRACT)
+        engine = Engine()
         space = abstract_model("").space
         engine.append(0, [sig(space, "a")])
         engine.append(1, [sig(space, "a")])
@@ -193,7 +185,7 @@ class TestStreaming:
         assert engine.matched_pairs == 2
 
     def test_append_after_close_fails(self):
-        engine = Engine(Mode.ABSTRACT)
+        engine = Engine()
         space = abstract_model("").space
         engine.append(0, [sig(space, "a")])
         engine.close(0)
@@ -201,7 +193,7 @@ class TestStreaming:
             engine.append(0, [sig(space, "b")])
 
     def test_double_close_fails(self):
-        engine = Engine(Mode.ABSTRACT)
+        engine = Engine()
         space = abstract_model("").space
         engine.append(0, [sig(space, "a")])
         engine.close(0)
@@ -209,12 +201,12 @@ class TestStreaming:
             engine.close(0)
 
     def test_close_unknown_rank_fails(self):
-        engine = Engine(Mode.ABSTRACT)
+        engine = Engine()
         with pytest.raises(EngineError, match="unknown"):
             engine.close(3)
 
     def test_append_after_finalization_fails(self):
-        engine = Engine(Mode.ABSTRACT)
+        engine = Engine()
         space = abstract_model("").space
         engine.append(0, [sig(space, "a")])
         engine.append(1, [sig(space, "a")])
@@ -224,20 +216,21 @@ class TestStreaming:
         with pytest.raises(EngineError):
             engine.append(0, [sig(space, "b")])
 
-    def test_loaded_open_sequence_defers_verdict_until_closed(self):
+    def test_streamed_open_sequence_defers_verdict_until_closed(self):
+        engine = Engine()
         space = abstract_model("").space
-        a = MessageOccurrence(sig(space, "a"))
-        model = Model([Sequence(0, [a]), Sequence(1, [a], closed=False)], Mode.ABSTRACT, space)
-        engine = Engine(Mode.ABSTRACT)
-        engine.load(model)
+        engine.append(0, [sig(space, "a")])
+        engine.append(1, [sig(space, "a")])
+        engine.close(0)
         assert engine.drain() is None
         assert engine.matched_pairs == 1
         assert engine.drain() is None
+        assert engine.open_ranks() == [1]
         engine.close(1)
         assert isinstance(engine.drain(), NoDeadlock)
 
     def test_load_twice_fails(self):
-        engine = Engine(Mode.ABSTRACT)
+        engine = Engine()
         engine.load(abstract_model("a", "a"))
         with pytest.raises(EngineError, match="already loaded"):
             engine.load(abstract_model("b", "b"))
@@ -245,7 +238,7 @@ class TestStreaming:
     def test_strict_engine_rejects_bare_occurrences(self):
         # occurrences enter only through load, where a strict one without an
         # envelope is illegal, as in a batch check
-        engine = Engine(Mode.STRICT)
+        engine = Engine()
         engine.load(Model([Sequence(0, [MessageOccurrence(0)])], Mode.STRICT, SignatureSpace()))
         verdict = engine.drain()
         assert isinstance(verdict, Illegal)
@@ -253,7 +246,7 @@ class TestStreaming:
         assert "no envelope" in verdict.reason.message
 
     def test_strict_role_mismatch_halts_illegal(self):
-        engine = Engine(Mode.STRICT)
+        engine = Engine()
         env = Envelope(tag=1, source=0, destination=1)
         space = SignatureSpace()
         rows = [Sequence(1, [MessageOccurrence(space.signature_for(env), Role.SEND, env)])]  # rank 1 is not the source
@@ -263,7 +256,7 @@ class TestStreaming:
         assert verdict.reason.message == "send at rank 1 pos 0 but envelope source is 0"
 
     def test_engines_are_independent(self):
-        a, b = Engine(Mode.ABSTRACT), Engine(Mode.ABSTRACT)
+        a, b = Engine(), Engine()
         space = abstract_model("").space
         a.append(0, [sig(space, "a")])
         b.append(0, [sig(space, "a")])
@@ -289,7 +282,7 @@ class TestInvariants:
                 rep = verdict.report
                 assert 2 * rep.matched_pairs + rep.residual == rep.message_count
                 for entry in rep.blocked:
-                    assert entry.position == engine.cursor(entry.rank)
+                    assert entry.position == engine._cursor[entry.rank]
             else:
                 assert 2 * engine.matched_pairs == model.message_count
 
@@ -322,56 +315,53 @@ class TestInvariants:
 
     def test_queue_holds_distinct_ready_unpending_ranks(self):
         # random models, most illegal, loaded or streamed in random chunks,
-        # with random step()/drain() calls between events
+        # with none, one or two drain() calls between events
         def assert_queue_ok(engine):
+            assert_one_pending_per_signature(engine)
             queue = list(engine._queue)
             assert len(set(queue)) == len(queue)
             pending = set(engine._table.values())
             for rank in queue:
-                assert engine.cursor(rank) < len(engine._col[rank])
+                assert engine._cursor[rank] < len(engine._col[rank])
                 assert rank not in pending
             # each matched pair took two head examinations, each pending rank one,
             # whether the pair was matched alone or in a forced run
             pending.discard(None)
             assert engine.steps == 2 * engine.matched_pairs + len(pending)
             # the table holds every signature examined: consumed or pending heads
-            examined = {sig for r, col in engine._col.items() for sig in col[:engine.cursor(r)]}
-            examined.update(engine._col[r][engine.cursor(r)] for r in pending)
+            examined = {sig for r, col in engine._col.items() for sig in col[:engine._cursor[r]]}
+            examined.update(engine._col[r][engine._cursor[r]] for r in pending)
             assert set(engine._table) == examined
 
-        def step_or_drain(engine, rng):
-            for _ in range(rng.randint(0, 3)):
-                if engine.finished:
-                    return
-                if rng.random() < 0.7:
-                    engine.step()
-                else:
-                    engine.drain()
+        def drain_sometimes(engine, rng):
+            verdict = None
+            for _ in range(rng.randint(0, 2)):
+                verdict = engine.drain()
                 assert_queue_ok(engine)
+            return verdict
 
         rng = random.Random(4)
         for _ in range(300):
             rows = random_rows(rng)
             model = model_from_tuples(rows)
-            engine = Engine(Mode.ABSTRACT)
+            engine = Engine()
             assert_queue_ok(engine)
             if rng.random() < 0.25:
                 order = [s.rank for s in model.sequences if s.occurrences]
                 rng.shuffle(order)
                 engine.load(model, order=order)
                 assert_queue_ok(engine)
-                while engine.step() is StepOutcome.PROGRESSED:
-                    assert_queue_ok(engine)
+                assert engine.drain() is not None
+                assert_queue_ok(engine)
                 continue
             for rank, start, end in interleaving(rng, rows):
-                if engine.finished:
-                    break
                 if start is None:
                     engine.close(rank)
                 else:
                     engine.append(rank, model.sequences[rank].signatures[start:end])
                 assert_queue_ok(engine)
-                step_or_drain(engine, rng)
+                if drain_sometimes(engine, rng) is not None:
+                    break
 
     def test_batch_stream_equivalence_randomized(self):
         rng = random.Random(77)
@@ -379,7 +369,7 @@ class TestInvariants:
             model = random_legal_abstract(rng)
             batch = check(model)
 
-            engine = Engine(Mode.ABSTRACT)
+            engine = Engine()
             pending = {
                 s.rank: list(s.signatures) for s in model.sequences
             }
@@ -497,16 +487,17 @@ def test_lockstep_runs_agree_with_cycle_check_batch_and_streamed():
         verdict, engine = check_with_engine(model)
         assert verdict == cycle_check(model).verdict
         for _ in range(2):
-            streamed = Engine(Mode.ABSTRACT)
+            streamed = Engine()
             rows = [seq.signatures for seq in model.sequences]
             for rank, start, end in interleaving(rng, rows):
                 if start is None:
                     streamed.close(rank)
                 else:
                     streamed.append(rank, rows[rank][start:end])
-                if streamed.drain() is not None:
+                streamed_verdict = streamed.drain()
+                if streamed_verdict is not None:
                     break
-            assert streamed.verdict == verdict
+            assert streamed_verdict == verdict
             if not isinstance(verdict, Illegal):  # an illegal stream halts where it is found
                 assert (streamed.steps, streamed.matched_pairs, streamed.table_size) == (
                     engine.steps, engine.matched_pairs, engine.table_size,

@@ -111,7 +111,7 @@ def test_duplicate_ranks_rejected_at_model_construction():
 def _abstracted(model: Model) -> Model:
     """The model with roles and envelopes dropped, keeping signatures."""
     seqs = [
-        Sequence(s.rank, [MessageOccurrence(sig) for sig in s.signatures], s.closed)
+        Sequence(s.rank, [MessageOccurrence(sig) for sig in s.signatures])
         for s in model.sequences
     ]
     return Model(sequences=seqs, mode=Mode.ABSTRACT, space=model.space)
