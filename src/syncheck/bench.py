@@ -135,6 +135,8 @@ def bench_run(spec: GenSpec, repetitions: int = 3, backends=("engine", "cycle"))
     Generation/parsing is excluded; one warm-up run per backend is discarded
     and the median of the remaining repetitions reported.
     """
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
     model = generate(spec)
     n = model.message_count
     rows = []

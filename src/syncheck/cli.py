@@ -112,35 +112,21 @@ def _integers(digit_runs: list, fields: tuple) -> list:
         raise ValueError(f"{field} has too many digits ({len(digits)})") from None
 
 
-def _parse_stream_token(token: str, rank: int, space: SignatureSpace) -> int:
-    """The signature of one strict token, checked field by field; the rank
-    must be an endpoint of its envelope.  Every malformed token is named here."""
-    parts = token.split(",")
-    if len(parts) not in (3, 4):
-        raise ValueError(f"expected tag,src,dst[,comm], got {token!r}")
-    # integers are runs of decimal digits, as in the DSL; int() alone
-    # would also take `+1`, `1_0` and `-0`
-    if "" in parts or not token.replace(",", "").isdecimal():
-        raise ValueError(f"expected decimal integers tag,src,dst[,comm], got {token!r}")
-    env = Envelope(*_integers(parts, Envelope._fields))
-    if rank != env.source and rank != env.destination:
-        raise ValueError(f"process {rank} is neither source nor destination of {token!r}")
-    return space.signature_for(env)
-
-
-# `\d` and str.isdecimal take the same digits, so this matches exactly the
-# tokens that pass `_parse_stream_token`'s field-count and decimal checks
+# integers are runs of decimal digits, as in the DSL (int() alone would also
+# take `+1`, `1_0` and `-0`); `\d` takes exactly the digits int() reads, so a
+# token with two or three commas that this misses has an empty or non-decimal field
 _STRICT_TOKEN_RE = re.compile(r"(\d+),(\d+),(\d+)(?:,(\d+))?")
 
 
 def _strict_signatures(tokens: list, rank: int, space: SignatureSpace, known: dict) -> list:
-    """The signatures of one append's strict tokens.
+    """The signatures of one append's strict tokens; `rank` must be an
+    endpoint of each token's envelope.
 
     `known` maps each token read so far in the session to its signature, so
     a repeated token costs a lookup and an endpoint test.  A new token is
-    read with one regex and interned through `signature_for`; anything
-    unusual (a malformed token, too many digits, a foreign rank, a
-    self-message) goes to `_parse_stream_token`, which names the error.
+    read with one regex and `_integers`, and interned through
+    `signature_for`, which rejects a self-message.  Every other malformed
+    token is named here.
     """
     entries = space.entries
     signatures = []
@@ -148,14 +134,14 @@ def _strict_signatures(tokens: list, rank: int, space: SignatureSpace, known: di
         sig = known.get(token)
         if sig is None or rank != entries[sig][1] and rank != entries[sig][2]:
             m = _STRICT_TOKEN_RE.fullmatch(token)
-            try:
-                env = None if m is None else Envelope(*map(int, m.groups("0")))
-            except ValueError:  # too many digits for int()
-                env = None
-            if env is not None and env.source != env.destination and rank in (env.source, env.destination):
-                sig = known[token] = space.signature_for(env)
-            else:
-                sig = _parse_stream_token(token, rank, space)
+            if m is None:
+                if token.count(",") not in (2, 3):
+                    raise ValueError(f"expected tag,src,dst[,comm], got {token!r}")
+                raise ValueError(f"expected decimal integers tag,src,dst[,comm], got {token!r}")
+            env = Envelope(*_integers(m.groups("0"), Envelope._fields))
+            if rank != env.source and rank != env.destination:
+                raise ValueError(f"process {rank} is neither source nor destination of {token!r}")
+            sig = known[token] = space.signature_for(env)
         signatures.append(sig)
     return signatures
 
@@ -215,6 +201,9 @@ def cmd_stream(args, out, err, stdin) -> int:
 
 
 def cmd_oracle(args, out, err) -> int:
+    if args.cap < 1:  # only simulate reads the cap, but it is wrong on either backend
+        print(f"usage error: argument --cap: must be >= 1, got {args.cap}", file=err)
+        return 1
     try:
         model = _parse_file(args.path, "auto")
     except (OSError, UnicodeDecodeError, ParseError) as exc:

@@ -103,8 +103,6 @@ class Engine:
         self._loaded = True
         self._space = model.space
         for seq, signatures in lower(model, self._legality):
-            if seq.rank in self._col:
-                raise EngineError(f"duplicate rank {seq.rank}")
             self.append(seq.rank, signatures)
             self.close(seq.rank)
         if order is not None:

@@ -134,11 +134,14 @@ class Illegal:
 
 
 class Legality:
-    """The membership rule: every signature occurs in exactly two distinct sequences.
+    """The membership and endpoint rules: every signature occurs in exactly
+    two distinct sequences, and every member rank of a signature in
+    `endpoints` is the source or destination of its envelope there.
 
     Occurrence-count imbalance between the two sequences is legal; it
-    surfaces as a deadlock at matching time.  Strict-mode rules hold by
-    construction for parsed and streamed occurrences; see `lower`.
+    surfaces as a deadlock at matching time.  Parsed and streamed members
+    are endpoints by construction, so `endpoints` is filled only by `lower`,
+    for occurrences built through the API, and stays empty otherwise.
 
     `add` records each occurrence's rank in O(1) and sets `violation` as
     soon as the signatures seen show one.  A signature with fewer than two
@@ -148,6 +151,7 @@ class Legality:
 
     def __init__(self) -> None:
         self.violation: Optional[IllegalReason] = None
+        self.endpoints: dict = {}  # signature -> envelope its members must be endpoints of
         # signature -> its first and its second member rank; int to int, so
         # the cyclic GC never scans them
         self._first: dict = {}
@@ -161,12 +165,21 @@ class Legality:
     def _add(self, rank: int, signatures) -> Optional[IllegalReason]:
         # membership changes at most twice per signature, so look at each
         # distinct signature once, in order of first appearance
-        first, second = self._first, self._second
+        first, second, endpoints = self._first, self._second, self.endpoints
         for sig in dict.fromkeys(signatures):
             member = first.setdefault(sig, rank)
             if member != rank and second.setdefault(sig, rank) != rank:
                 message = f"signature {sig} occurs in 3 sequences, expected exactly 2"
                 return IllegalReason(sig, tuple(sorted((member, second[sig], rank))), message)
+            if endpoints:  # empty for parsed and streamed input, which looks nothing up
+                env = endpoints.get(sig)
+                if env is not None and rank != env[1] and rank != env[2]:
+                    ranks = sorted({member, rank})
+                    message = (
+                        f"signature {sig} occurs in sequences {ranks} "
+                        f"but its envelope endpoints are {sorted((env[1], env[2]))}"
+                    )
+                    return IllegalReason(sig, tuple(ranks), message)
         return None
 
     def finish(self) -> Optional[IllegalReason]:
@@ -182,24 +195,22 @@ def lower(model: Model, legality: Legality) -> Iterator[Tuple[Sequence, object]]
     """Each sequence of `model`, in order, with its signatures, which the
     caller adds to `legality` before taking the next.
 
-    Occurrences built through the API enter here, so the strict-mode rules
-    are checked here: each occurrence has an envelope, a send sits at its
-    envelope's source and a recv at its destination, and each member rank
-    of a signature is an endpoint of the envelope first seen with it.  A
-    violation goes to `legality` in the order Legality.add meets its own.
+    Occurrences built through the API enter here, so in strict mode their
+    roles are checked here: each occurrence has an envelope, a send sits at
+    its envelope's source and a recv at its destination.  A role violation
+    goes to `legality` before the sequence's signatures are added, so it is
+    reported ahead of their membership and endpoint violations.  The first
+    envelope seen with each signature goes to `legality.endpoints`.
     """
     strict = model.mode is Mode.STRICT
-    first_envelope: dict = {}  # signature -> envelope it was first seen with
     for seq in model.sequences:
-        signatures = seq.signatures
         if strict and seq.column is None and legality.violation is None:
-            legality.violation = _strict_violation(seq, signatures, first_envelope, legality)
-        yield seq, signatures
+            legality.violation = _role_violation(seq, legality.endpoints)
+        yield seq, seq.signatures
 
 
-def _strict_violation(seq, signatures, first_envelope, legality) -> Optional[IllegalReason]:
+def _role_violation(seq: Sequence, endpoints: dict) -> Optional[IllegalReason]:
     rank, send, recv = seq.rank, Role.SEND, Role.RECV
-    stray = False  # a first envelope here lacks `rank` as an endpoint
     for pos, (sig, role, env) in enumerate(seq.occurrences):
         if env is None:
             message = f"strict-mode occurrence at rank {rank} pos {pos} has no envelope"
@@ -210,26 +221,7 @@ def _strict_violation(seq, signatures, first_envelope, legality) -> Optional[Ill
         if role is recv and rank != env[2]:
             message = f"recv at rank {rank} pos {pos} but envelope destination is {env.destination}"
             return IllegalReason(sig, (rank,), message)
-        first = first_envelope.setdefault(sig, env)
-        if rank != first[1] and rank != first[2]:
-            stray = True
-    if not stray:
-        return None
-    # each rank that joins a signature, met in the order Legality.add meets it
-    for sig in dict.fromkeys(signatures):
-        ranks = [r for r in (legality._first.get(sig), legality._second.get(sig)) if r is not None]
-        if rank in ranks:
-            continue
-        if len(ranks) == 2:
-            return None  # a third member: Legality.add reports it first
-        env = first_envelope[sig]
-        if rank != env.source and rank != env.destination:
-            ranks = sorted(ranks + [rank])
-            message = (
-                f"signature {sig} occurs in sequences {ranks} "
-                f"but its envelope endpoints are {sorted((env.source, env.destination))}"
-            )
-            return IllegalReason(sig, tuple(ranks), message)
+        endpoints.setdefault(sig, env)
     return None
 
 

@@ -87,6 +87,11 @@ class TestBenchRun:
         large = bench_run(GenSpec("pairs", 2, 1000), repetitions=1, backends=("engine",))[0]
         assert large.steps == 2 * small.steps
 
+    @pytest.mark.parametrize("repetitions", [0, -2])
+    def test_repetitions_below_one_rejected(self, repetitions):
+        with pytest.raises(ValueError, match="repetitions must be >= 1"):
+            bench_run(GenSpec("pairs", 2, 1), repetitions=repetitions)
+
     def test_csv_row_shape(self):
         row = BenchRow("engine", "pairs", 2, 5, 10, 1.2345, 10)
         assert row.csv() == "engine,pairs,2,5,10,1.234,10"

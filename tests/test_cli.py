@@ -331,6 +331,14 @@ class TestOracle:
         assert code == 4
         assert "cap" in err
 
+    @pytest.mark.parametrize("backend", ["simulate", "cycle"])
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_is_a_usage_error(self, tmp_path, backend, cap):
+        path = tmp_path / "m.txt"
+        path.write_text("a\na\n")
+        code, out, err = run_cli(["oracle", str(path), "--backend", backend, "--cap", cap])
+        assert (code, out, err) == (1, "", f"usage error: argument --cap: must be >= 1, got {cap}\n")
+
     def test_unpaired_shown(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("aa\na\n")
@@ -359,6 +367,11 @@ class TestBenchAndGen:
     def test_bench_bad_spec_exit_1(self):
         code, _, err = run_cli(["bench", "--pattern", "ring", "-P", "2", "-M", "1"])
         assert code == 1
+
+    @pytest.mark.parametrize("reps", ["0", "-2"])
+    def test_bench_reps_below_one_exit_1(self, reps):
+        code, out, err = run_cli(["bench", "--pattern", "pairs", "-M", "1", "--reps", reps])
+        assert (code, out, err) == (1, "", "bench: repetitions must be >= 1\n")
 
     def test_gen_unwritable_out_exit_1(self, tmp_path):
         path = tmp_path / "missing" / "m.dsl"

@@ -235,6 +235,14 @@ class TestStreaming:
         with pytest.raises(EngineError, match="already loaded"):
             engine.load(abstract_model("b", "b"))
 
+    def test_duplicate_rank_added_after_construction_fails_at_check(self):
+        # Model rejects duplicate ranks when it is built; one added later
+        # reaches the engine as an append to the rank's closed sequence
+        model = abstract_model("a", "a")
+        model.sequences.append(Sequence(0, column=array("l", [0])))
+        with pytest.raises(EngineError, match="append to closed sequence 0"):
+            check(model)
+
     def test_strict_engine_rejects_bare_occurrences(self):
         # occurrences enter only through load, where a strict one without an
         # envelope is illegal, as in a batch check

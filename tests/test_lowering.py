@@ -100,6 +100,13 @@ def test_role_inconsistent_api_model_is_illegal_through_check_and_validate_stati
          "signature 1 occurs in sequences [7] but its envelope endpoints are [1, 2]"),
         (Model([Sequence(0, [MessageOccurrence(0, send)])], Mode.STRICT, SignatureSpace()),
          "strict-mode occurrence at rank 0 pos 0 has no envelope"),
+        # an off-endpoint member met before a misplaced send of the same sequence
+        (_strict_model([(0, [(send, a)]), (5, [(unspecified, a), (send, b)]), (2, [(recv, b)])]),
+         "send at rank 5 pos 1 but envelope source is 1"),
+        # one signature under two envelopes: its members are held to the first
+        (Model([Sequence(0, [MessageOccurrence(0, send, a)]),
+                Sequence(2, [MessageOccurrence(0, send, Envelope(9, 2, 3))])], Mode.STRICT, SignatureSpace()),
+         "signature 0 occurs in sequences [0, 2] but its envelope endpoints are [0, 1]"),
     ]
     for model, message in cases:
         verdict = check(model)
