@@ -5,16 +5,30 @@ over cursor vectors, memoized.  `cycle_check` pairs the k-th occurrence of
 each signature in its two sequences, builds the message-order graph, and
 looks for a directed cycle.  Both are deliberately simple; the matching
 engine is checked against them, never the other way around.
+
+`cycle_check` keeps its graph in flat integer arrays rather than an object
+per node: one element id per occurrence, laid out sequence after sequence,
+and per node the two slots after its endpoints and one in-degree byte.  The
+order edges are implicit (a node's successors are the elements after its
+endpoints), so the check is linear in the occurrences, apart from one sort
+of the distinct signatures, and makes no Python object per occurrence or
+node; only the nodes of a witness become `OrderNode`s.
 """
 from __future__ import annotations
 
-from collections import deque
+from array import array
+from bisect import bisect_right
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import List, Optional, Tuple, Union
 
 from .model import Deadlock, Illegal, Model, NoDeadlock, deadlock_report, validate_static
 
 Verdict = Union[NoDeadlock, Deadlock, Illegal]
+
+_BOUNDARY = -2  # `cycle_check`'s slot before each sequence and after the last
+_UNPAIRED = -1  # `cycle_check`'s element of an occurrence with no partner
 
 
 class StateCapExceeded(Exception):
@@ -35,7 +49,10 @@ def simulate_exhaustive(model: Model, cap: int = 10**6) -> SimulationResult:
 
     NoDeadlock iff some maximal schedule consumes everything; the confluence
     flag records whether all maximal schedules agreed on that outcome.
+    `cap` bounds the cursor vectors visited and must be at least 1.
     """
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     reason = validate_static(model)
     if reason is not None:
         return SimulationResult(Illegal(reason), True, 0)
@@ -106,113 +123,152 @@ class CycleCheckResult:
 
 
 def cycle_check(model: Model) -> CycleCheckResult:
-    """Message-order-graph baseline: deadlock iff unpairable residue or a cycle."""
+    """Message-order-graph baseline: deadlock iff unpairable residue or a cycle.
+
+    The k-th occurrence of a signature in one of its sequences pairs with
+    the k-th in the other, as one node; node ids run through the signatures
+    in ascending order, a signature's k-th pair taking its base id + k.  The
+    graph lives in flat integer arrays: `elem` holds one element id per
+    occurrence, sequence after sequence in model order, each sequence after
+    a `_BOUNDARY` slot and an occurrence without partner `_UNPAIRED`.  A
+    node's successors are the elements after its two endpoints, so the
+    order edges need no storage: `lo` and `hi` hold, for each node, the slot
+    after its endpoint in its earlier and in its later sequence.  Kahn's
+    algorithm removes nodes with no waiting predecessor; a depth-first
+    search over what is left finds a cycle.  Time and memory are linear in
+    the occurrences, apart from sorting the distinct signatures, and only
+    the nodes of the witness become `OrderNode`s.
+    """
     reason = validate_static(model)
     if reason is not None:
         return CycleCheckResult(Illegal(reason), None, ())
 
-    # k-th occurrence of a signature pairs with the k-th in the other sequence
-    occ_by_sig: dict = {}  # sig -> {rank: [positions]}
-    for seq in model.sequences:
-        for pos, sig in enumerate(seq.signatures):
-            occ_by_sig.setdefault(sig, {}).setdefault(seq.rank, []).append(pos)
+    seqs = model.sequences
+    columns = [seq.signatures for seq in seqs]
 
-    nodes: List[OrderNode] = []
-    node_of: dict = {}  # (rank, position) -> element id; paired nodes only
+    # pairs of each signature: the lower of its two counts, 1 when it occurs
+    # once in either member
+    pairs: dict = {}
+    repeats = []  # per sequence: does a signature occur more than once
+    for column in columns:
+        counts = Counter(column)
+        repeats.append(len(counts) < len(column))
+        if repeats[-1]:
+            for sig, count in counts.items():
+                pairs[sig] = min(pairs.get(sig, count), count)
+        else:
+            pairs.update(dict.fromkeys(counts, 1))
+    sigs = sorted(pairs)
+    base = dict(zip(sigs, accumulate(map(pairs.__getitem__, sigs), initial=0)))
+    n_nodes = sum(pairs.values())
+
+    elem = array("l", [_BOUNDARY])
+    starts: List[int] = []
+    for column, repeated in zip(columns, repeats):
+        starts.append(len(elem))
+        if repeated:
+            # the k-th occurrence of sig here is node base + k, unpaired past its pairs
+            ids = {sig: iter(range(base[sig], base[sig] + pairs[sig])) for sig in dict.fromkeys(column)}
+            elem.extend(map(next, map(ids.__getitem__, column), repeat(_UNPAIRED)))
+        else:
+            elem.extend(map(base.__getitem__, column))
+        elem.append(_BOUNDARY)
+
+    def locate(g: int) -> Tuple[int, int]:
+        """The sequence index and position of slot `g` of `elem`."""
+        i = bisect_right(starts, g) - 1
+        return i, g - starts[i]
+
     unpaired: List[Tuple[int, int]] = []
-    for sig in sorted(occ_by_sig):
-        by_rank = occ_by_sig[sig]
-        (ra, pa), (rb, pb) = sorted(by_rank.items())
-        for k in range(min(len(pa), len(pb))):
-            nid = len(nodes)
-            nodes.append(OrderNode(sig, ((ra, pa[k]), (rb, pb[k]))))
-            node_of[(ra, pa[k])] = nid
-            node_of[(rb, pb[k])] = nid
-        longer_rank, longer = (ra, pa) if len(pa) > len(pb) else (rb, pb)
-        for k in range(min(len(pa), len(pb)), max(len(pa), len(pb))):
-            unpaired.append((longer_rank, longer[k]))
+    g = 0
+    for _ in range(elem.count(_UNPAIRED)):
+        g = elem.index(_UNPAIRED, g + 1)
+        i, pos = locate(g)
+        unpaired.append((seqs[i].rank, pos))
 
-    # element space: real nodes, then one pseudo-element per unpaired occurrence
-    n_nodes = len(nodes)
-    pseudo_of = {occ: n_nodes + i for i, occ in enumerate(unpaired)}
-    n_elems = n_nodes + len(unpaired)
-    succ: List[List[int]] = [[] for _ in range(n_elems)]
-    indeg = [0] * n_elems
+    # the slot after each node's endpoint, in its earlier sequence (`lo`) and
+    # its later one (`hi`): the slot of its successor there.  The last write
+    # of a node's id wins, so writing every slot's successor slot forwards
+    # leaves the later one, and backwards the earlier one.  Two spare slots
+    # at the end take the writes of the negative sentinels.
+    lo = array("l", [0]) * (n_nodes + 2)
+    hi = array("l", [0]) * (n_nodes + 2)
+    after = range(1, len(elem) + 1)
+    deque(map(hi.__setitem__, elem, after), maxlen=0)
+    deque(map(lo.__setitem__, reversed(elem), reversed(after)), maxlen=0)
+    sides = (lo, hi)
 
-    def elem(rank: int, pos: int) -> int:
-        nid = node_of.get((rank, pos))
-        return nid if nid is not None else pseudo_of[(rank, pos)]
-
-    elems_by_seq: dict = {}
-    for seq in model.sequences:
-        chain = [elem(seq.rank, pos) for pos in range(len(seq))]
-        elems_by_seq[seq.rank] = chain
-        for a, b in zip(chain, chain[1:]):
-            succ[a].append(b)
-            indeg[b] += 1
-
-    # Kahn over real nodes; pseudo-elements are never ready, so everything
-    # behind an unpairable occurrence stays stuck
-    ready = deque(i for i in range(n_nodes) if indeg[i] == 0)
-    removed = [False] * n_elems
-    matched = 0
+    # Kahn: `indeg` counts a node's predecessors not yet removed.  An unpaired
+    # occurrence is never removed, so everything behind it stays stuck, and
+    # a node is removed exactly when its count reaches 0.
+    indeg = bytearray([2]) * n_nodes
+    ready = []
+    for start in starts:
+        e = elem[start]
+        if e >= 0:
+            indeg[e] -= 1
+            if not indeg[e]:
+                ready.append(e)
     while ready:
-        nid = ready.popleft()
-        if removed[nid]:
-            continue
-        removed[nid] = True
-        matched += 1
-        for b in succ[nid]:
-            indeg[b] -= 1
-            if indeg[b] == 0 and b < n_nodes:
-                ready.append(b)
+        u = ready.pop()
+        for side in sides:
+            v = elem[side[u]]
+            if v >= 0:
+                indeg[v] -= 1
+                if not indeg[v]:
+                    ready.append(v)
 
-    if matched == n_nodes and not unpaired:
+    if indeg.count(0) == n_nodes and not unpaired:
         return CycleCheckResult(NoDeadlock(), None, ())
 
     # deadlock: derive per-sequence cursors (removals form a per-sequence prefix)
     cursors = {}
-    for rank, chain in elems_by_seq.items():
-        cur = 0
-        while cur < len(chain) and removed[chain[cur]]:
-            cur += 1
-        cursors[rank] = cur
-    columns = {seq.rank: seq.signatures for seq in model.sequences}
-    report = deadlock_report(columns, cursors, model.space)
-    witness = _find_cycle(n_nodes, succ, removed)
-    witness_nodes = tuple(nodes[i] for i in witness) if witness else None
+    for seq, start in zip(seqs, starts):
+        g = start
+        while elem[g] >= 0 and not indeg[elem[g]]:
+            g += 1
+        cursors[seq.rank] = g - start
+    report = deadlock_report({seq.rank: column for seq, column in zip(seqs, columns)}, cursors, model.space)
+
+    def order_node(u: int) -> OrderNode:
+        endpoints = []
+        for side in sides:
+            i, pos = locate(side[u] - 1)
+            endpoints.append((seqs[i].rank, pos))
+        return OrderNode(columns[i][pos], tuple(sorted(endpoints)))
+
+    witness = _find_cycle(elem, sides, indeg)
+    witness_nodes = tuple(map(order_node, witness)) if witness else None
     return CycleCheckResult(Deadlock(report), witness_nodes, tuple(sorted(unpaired)))
 
 
-def _find_cycle(n_nodes: int, succ: List[List[int]], removed: List[bool]) -> Optional[List[int]]:
-    """Iterative DFS over the surviving real nodes; returns one cycle's nodes."""
+def _find_cycle(elem: array, sides: tuple, indeg: bytearray) -> Optional[List[int]]:
+    """Iterative DFS over the nodes Kahn left (nonzero `indeg`); returns one
+    cycle's nodes.  Roots go in node-id order and a node's successors in
+    model order: the element in its `lo` slot, then the one in its `hi` slot."""
     WHITE, GREY, BLACK = 0, 1, 2
-    color = [WHITE] * n_nodes
+    n_nodes = len(indeg)
+    color = bytearray(n_nodes)
+    tried = bytearray(n_nodes)  # successors of a node already looked at
     for root in range(n_nodes):
-        if color[root] != WHITE or removed[root]:
+        if color[root] != WHITE or not indeg[root]:
             continue
-        path: List[int] = []
-        stack: List[Tuple[int, int]] = [(root, 0)]
         color[root] = GREY
-        path.append(root)
-        while stack:
-            node, idx = stack[-1]
-            advanced = False
-            for k in range(idx, len(succ[node])):
-                nxt = succ[node][k]
-                if nxt >= n_nodes or removed[nxt]:
-                    continue
-                stack[-1] = (node, k + 1)
-                if color[nxt] == GREY:
-                    return path[path.index(nxt):]
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    path.append(nxt)
-                    stack.append((nxt, 0))
-                    advanced = True
-                    break
-            if not advanced:
+        path = [root]
+        while path:
+            node = path[-1]
+            k = tried[node]
+            if k == len(sides):
                 color[node] = BLACK
                 path.pop()
-                stack.pop()
+                continue
+            tried[node] = k + 1
+            nxt = elem[sides[k][node]]
+            if nxt < 0 or not indeg[nxt]:
+                continue
+            if color[nxt] == GREY:
+                return path[path.index(nxt):]
+            if color[nxt] == WHITE:
+                color[nxt] = GREY
+                path.append(nxt)
     return None
