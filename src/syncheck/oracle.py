@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import List, Optional, Tuple, Union
 
-from .model import Deadlock, Illegal, Model, NoDeadlock, deadlock_report, validate_static
+from .model import Deadlock, Illegal, Legality, Model, NoDeadlock, deadlock_report, lower, validate_static
 
 Verdict = Union[NoDeadlock, Deadlock, Illegal]
 
@@ -139,12 +139,19 @@ def cycle_check(model: Model) -> CycleCheckResult:
     the occurrences, apart from sorting the distinct signatures, and only
     the nodes of the witness become `OrderNode`s.
     """
-    reason = validate_static(model)
+    # the legality pass of `validate_static`, keeping each sequence's
+    # signatures, lowered once, as its column
+    legality = Legality()
+    columns = []
+    for seq, signatures in lower(model, legality):
+        legality.add(seq.rank, signatures)
+        columns.append(signatures)
+    reason = legality.finish()
+    del legality  # its member dicts are as large as the graph: free them first
     if reason is not None:
         return CycleCheckResult(Illegal(reason), None, ())
 
     seqs = model.sequences
-    columns = [seq.signatures for seq in seqs]
 
     # pairs of each signature: the lower of its two counts, 1 when it occurs
     # once in either member

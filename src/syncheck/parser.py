@@ -19,15 +19,23 @@ Both parsers emit one ``array('l')`` column of signatures per process and
 no per-occurrence object: the envelope and the enclosing rank determine a
 DSL occurrence's role.
 
-The DSL is read one grammar unit at a time -- a process header, a statement,
-a closing brace -- each with one compiled regex, so a successful parse makes
-no token objects.  Only a unit whose regex fails is re-scanned token by
-token, to report the first token that does not fit.
+The DSL is read in bulk first.  One substitution removes the comments, and
+one ``findall`` per window of a process body (about 16 KiB, ending just
+after a ``;``) reads its statements, which become envelope tuples and
+signatures a window at a time, with no token or Match object.  The bulk
+reader declines anything that does not read: junk, a missing ``}``, a
+nonblank tail, a duplicate rank, a self-message or an integer too long for
+``int()``.  Only then does the unit-by-unit reader run, on the original
+text and only to name the error.  It reads one grammar unit at a time -- a
+process header, a statement, a closing brace -- each with one compiled
+regex, and re-scans the unit whose regex fails token by token, to report
+the first token that does not fit.
 """
 from __future__ import annotations
 
 import re
 from array import array
+from itertools import repeat
 from typing import List, NoReturn, Optional
 
 from .model import Mode, Model, Sequence
@@ -126,17 +134,90 @@ _END_RE = re.compile(rf"{_SKIP}\Z")
 _TOKEN_RE = re.compile(rf"{_SKIP}([A-Za-z_]\w*|\d+|[^\s#])")
 
 
+# The bulk reader's grammar, for text without comments.  A comment ends at a
+# line break, which stays, so no two tokens join and a keyword's `(?!\w)`
+# plus skipping before a word or a digit is `\s+`.
+_COMMENT_RE = re.compile(rf"#[^{_BREAKS}]*")
+_BULK_HEADER_RE = re.compile(r"\s*process\s+(\d+)\s*\{")
+# A statement, or junk (a character that starts none, up to the next `;`),
+# which leaves every group empty.  Each match sets its own groups, so
+# `(?(1)...)` reads this statement's verb.
+_BULK_STATEMENT_RE = re.compile(
+    r"\s*(?:(send)|recv)\s+tag\s*=\s*(\d+)\s*(?(1)to|from)\s+(\d+)(?:\s*comm\s*=\s*(\d+))?\s*;"
+    r"|\s*\S[^;]*"
+)
+_WINDOW = 1 << 14  # characters of a body per findall, so its tuples stay few
+
+
 def parse_dsl(text: str) -> Model:
-    header, close, statements = _HEADER_RE.match, _CLOSE_RE.match, _STATEMENT_RE.scanner
+    try:
+        model = _read_bulk(text)
+    except ValueError:
+        model = None
+    if model is None:
+        _raise_error(text)
+    return model
+
+
+def _read_bulk(text: str) -> Optional[Model]:
+    """The model of `text`, or None when anything in it does not read.
+
+    Junk, an integer with more digits than int() converts and a duplicate
+    rank, which Model rejects, raise ValueError instead."""
+    if "#" in text:
+        text = _COMMENT_RE.sub("", text)
     index: dict = {}  # envelope tuple -> signature; the space keeps only the envelopes
+    setdefault = index.setdefault
     sequences: List[Sequence] = []
+    pos = 0
+    while m := _BULK_HEADER_RE.match(text, pos):
+        rank, start = int(m[1]), m.end()
+        end = text.find("}", start)  # a body has no `}` once comments are gone
+        if end < 0:
+            return None
+        column = array("l")
+        append = column.append
+        # a send's envelope runs from this rank to the peer, a recv's back
+        sources, destinations = {"send": rank}, {"": rank}
+        while start < end:
+            # a window ends just after its last `;`, so it cuts no statement
+            stop = text.rfind(";", start, min(start + _WINDOW, end)) + 1
+            stop = stop or text.find(";", start, end) + 1 or end
+            found = _BULK_STATEMENT_RE.findall(text, start, stop)
+            start = stop
+            if not found:
+                continue
+            sends, tags, peers, comms = zip(*found)
+            peers = list(map(int, peers))  # junk's empty peer raises ValueError
+            if rank in peers:
+                return None
+            keys = zip(
+                map(int, tags),
+                map(sources.get, sends, peers),
+                map(destinations.get, sends, peers),
+                [int(c) if c else 0 for c in comms] if any(comms) else repeat(0),
+            )
+            for key in keys:
+                append(setdefault(key, len(index)))
+        sequences.append(Sequence(rank=rank, column=column))
+        pos = end + 1
+    if text[pos:].strip():
+        return None
+    return Model(sequences=sequences, mode=Mode.STRICT, space=SignatureSpace(list(index)))
+
+
+def _raise_error(text: str) -> NoReturn:
+    """Raise the ParseError of the first grammar unit of `text` that does not
+    read: a process header, a statement or a closing brace, each matched by
+    one regex and only re-scanned token by token when it fails."""
+    header, close, statements = _HEADER_RE.match, _CLOSE_RE.match, _STATEMENT_RE.scanner
     used_ranks: set = set()
     pos = 0  # always just past a token, or 0
     while True:
         m = header(text, pos)
         if m is None:
             if _END_RE.match(text, pos):
-                return Model(sequences=sequences, mode=Mode.STRICT, space=SignatureSpace(list(index)))
+                raise AssertionError("DSL text reads cleanly but the bulk reader declined it")
             _Rescan(text, pos).raise_header_error(used_ranks)
         try:
             rank = int(m[1])
@@ -145,8 +226,6 @@ def parse_dsl(text: str) -> Model:
         if rank in used_ranks:
             raise _duplicate_process(text, m.start(1), rank)
         used_ranks.add(rank)
-        column = array("l")
-        append = column.append
         # each match starts where the last one ended; None ends the body
         for m in iter(statements(text, m.end()).match, None):
             is_send, tag, peer, comm = m.groups()
@@ -158,14 +237,11 @@ def parse_dsl(text: str) -> Model:
                 where = "send to" if is_send else "recv from"
                 message = f"process {rank} cannot {where} itself"
                 raise ParseError(*_position(text, m.start(3)), message, "SelfMessage")
-            key = (tag, rank, peer, comm) if is_send else (tag, peer, rank, comm)
-            append(index.setdefault(key, len(index)))
         pos = m.end()  # of the last statement, or of the header
         m = close(text, pos)
         if m is None:
             _Rescan(text, pos).raise_statement_error()
         pos = m.end()
-        sequences.append(Sequence(rank=rank, column=column))
 
 
 def _position(text: str, offset: int) -> tuple:

@@ -9,6 +9,7 @@ from syncheck import (
     Deadlock,
     Illegal,
     NoDeadlock,
+    Sequence,
     StateCapExceeded,
     check,
     cycle_check,
@@ -141,6 +142,22 @@ class TestCycleCheck:
                 witness,
                 unpaired,
             )
+
+    def test_lowers_each_sequence_once(self):
+        # the legality pass and the graph share each sequence's signature list
+        reads = []
+
+        class CountingSequence(Sequence):
+            @property
+            def signatures(self):
+                reads.append(self.rank)
+                return super().signatures
+
+        model = generate(GenSpec("ring", 5, 3, seed=0))
+        model.sequences = [CountingSequence(rank=s.rank, occurrences=s.occurrences) for s in model.sequences]
+        result = cycle_check(model)
+        assert isinstance(result.verdict, Deadlock) and len(result.witness) == 5
+        assert reads == [0, 1, 2, 3, 4]
 
     def test_ring_witness_is_a_valid_cycle(self):
         for processes in (3, 4, 7, 16):

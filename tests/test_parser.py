@@ -8,15 +8,21 @@ from hypothesis import strategies as st
 
 from support import PAPER_DSL
 from syncheck import (
+    Envelope,
+    MessageOccurrence,
     Mode,
+    Model,
     ParseError,
     Role,
+    Sequence,
+    SignatureSpace,
     parse_abstract,
     parse_dsl,
     parse_model,
     render_abstract,
     render_dsl,
 )
+from syncheck import parser
 from syncheck.bench import GenSpec, generate
 from syncheck.parser import detect_format
 
@@ -385,3 +391,151 @@ def test_mutated_renderings_parse_or_raise_parse_error(base, edits):
             parse(text)
         except ParseError:
             pass
+
+
+def _bulk(text):
+    """The bulk reader's model of `text`, or None where it declines."""
+    try:
+        return parser._read_bulk(text)
+    except ValueError:  # parse_dsl reads this as declining too
+        return None
+
+
+def _entries(model):
+    return [(s.rank, s.column.tolist()) for s in model.sequences], model.space.entries
+
+
+_DSL_RENDERINGS = [
+    PAPER_DSL,
+    render_dsl(generate(GenSpec("random", 4, 3, seed=1))),
+    "process 0 {send tag=5 to 1 comm=2;} process 1 {recv tag=5 from 0 comm=0;}",
+    "# a } b\nprocess 0 { # ; }\n send tag = 05 to 1 comm=0 ; }\nprocess 01{recv tag=٥ from 0;}# end",
+]
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    base=st.sampled_from(_DSL_RENDERINGS),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(("insert", "delete", "replace")),
+            st.integers(0, 10**4),
+            st.characters(max_codepoint=0x3000)
+            | st.sampled_from(["#", "}", "{", ";", "\x85", "١", "0", " ", "\n", "comm=", " to "]),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_bulk_reader_declines_exactly_where_the_unit_reader_finds_an_error(base, edits):
+    """On edited renderings the bulk reader returns a model exactly when the
+    unit-by-unit reader finds no error, and parse_dsl returns that model;
+    otherwise parse_dsl raises the unit reader's ParseError."""
+    text = list(base)
+    for op, where, piece in edits:
+        i = where % (len(text) + 1)
+        if op == "insert":
+            text.insert(i, piece)
+        elif text:
+            i = min(i, len(text) - 1)
+            if op == "delete":
+                del text[i]
+            else:
+                text[i] = piece
+    text = "".join(text)
+    bulk = _bulk(text)
+    if bulk is None:
+        with pytest.raises(ParseError):
+            parse_dsl(text)
+    else:
+        with pytest.raises(AssertionError):
+            parser._raise_error(text)
+        assert _entries(parse_dsl(text)) == _entries(bulk)
+
+
+# Hostile but valid renderings: any whitespace and comments between tokens,
+# leading zeros, other Unicode decimal digits, and `comm=0` or no `comm`.
+_SPACES = (" ", "\t", "\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000")
+_COMMENT_ENDS = ("\n", "\r", "\r\n", "\x85", "\u2029")
+_COMMENTS = ("#", "# c }", "#;", "# } ; {", "#abstract")
+_DIGITS = ("0123456789", "٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９")
+
+
+def _hostile_dsl(model, rnd):
+    def gap(required=False):
+        parts = []
+        for _ in range(rnd.randint(int(required), 2)):
+            if rnd.random() < 0.3:
+                parts.append(rnd.choice(_COMMENTS) + rnd.choice(_COMMENT_ENDS))
+            else:
+                parts.append(rnd.choice(_SPACES))
+        return "".join(parts)
+
+    def number(value):
+        digits = rnd.choice(_DIGITS)
+        return "".join(digits[int(d)] for d in "0" * rnd.randint(0, 2) + str(value))
+
+    out = []
+    for seq in model.sequences:
+        out += [gap(), "process", gap(True), number(seq.rank), gap(), "{"]
+        for occ in seq.occurrences:
+            tag, src, dst, comm = occ.envelope
+            send = occ.role is Role.SEND
+            out += [gap(), "send" if send else "recv", gap(True), "tag", gap(), "=", gap(), number(tag), gap()]
+            out += ["to" if send else "from", gap(True), number(dst if send else src)]
+            if comm or rnd.random() < 0.5:
+                out += [gap(), "comm", gap(), "=", gap(), number(comm)]
+            out += [gap(), ";"]
+        out += [gap(), "}"]
+    return "".join(out + [gap()])
+
+
+@st.composite
+def _api_models(draw):
+    """A strict model built through the API: a few ranks, each with a few
+    statements whose peer is another rank."""
+    ranks = draw(st.lists(st.integers(0, 300), min_size=1, max_size=4, unique=True))
+    values = st.integers(0, 3) | st.integers(0, 10**30)
+    space = SignatureSpace()
+    sequences = []
+    for rank in ranks:
+        occurrences = []
+        for send, tag, peer, comm in draw(
+            st.lists(st.tuples(st.booleans(), values, st.integers(0, 300), st.sampled_from((0, 0, 1, 10**6)))),
+        ):
+            if peer == rank:
+                continue
+            env = Envelope(tag, rank, peer, comm) if send else Envelope(tag, peer, rank, comm)
+            role = Role.SEND if send else Role.RECV
+            occurrences.append(MessageOccurrence(space.signature_for(env), role, env))
+        sequences.append(Sequence(rank=rank, occurrences=occurrences))
+    return Model(sequences=sequences, mode=Mode.STRICT, space=space)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=_api_models(), rnd=st.randoms(use_true_random=False))
+def test_hostile_renderings_parse_to_the_api_model(model, rnd):
+    text = _hostile_dsl(model, rnd)
+    parsed = parse_dsl(text)
+    assert _bulk(text) is not None
+    assert [s.rank for s in parsed.sequences] == [s.rank for s in model.sequences]
+    for ours, theirs in zip(parsed.sequences, model.sequences):
+        assert list(map(parsed.space.envelope_of, ours.column)) == [o.envelope for o in theirs.occurrences]
+    # the same signatures as the plain rendering: spellings of a number merge
+    assert _entries(parsed) == _entries(parse_dsl(render_dsl(model)))
+
+
+def test_parse_peak_stays_at_most_120_bytes_per_occurrence():
+    # one body of 10^5 statements: the bulk reader's findall windows keep
+    # its transient tuples few, where one findall per body reaches ~190 B
+    text = render_dsl(generate(GenSpec("pairs", 2, 100_000)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model = parse_dsl(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert model.message_count == 200_000
+    assert peak / model.message_count <= 120
