@@ -3,7 +3,8 @@
 Abstract format: optional ``#abstract`` header; each nonblank, non-comment
 line is either ``P<rank>: <chars>`` or bare ``<chars>`` (bare lines get
 ranks 0,1,2,... in order).  Every non-whitespace character is one message
-occurrence.
+occurrence.  A comment is a whole line whose first nonblank character is
+``#``; a later ``#`` is an occurrence.
 
 DSL format (``#`` starts a comment that runs to the end of the line)::
 
@@ -19,24 +20,23 @@ Both parsers emit one ``array('l')`` column of signatures per process and
 no per-occurrence object: the envelope and the enclosing rank determine a
 DSL occurrence's role.
 
-The DSL is read in bulk first.  One substitution removes the comments, and
-one ``findall`` per window of a process body (about 16 KiB, ending just
-after a ``;``) reads its statements, which become envelope tuples and
-signatures a window at a time, with no token or Match object.  The bulk
-reader declines anything that does not read: junk, a missing ``}``, a
-nonblank tail, a duplicate rank, a self-message or an integer too long for
-``int()``.  Only then does the unit-by-unit reader run, on the original
-text and only to name the error.  It reads one grammar unit at a time -- a
-process header, a statement, a closing brace -- each with one compiled
-regex, and re-scans the unit whose regex fails token by token, to report
-the first token that does not fit.
+The DSL is read in bulk.  One substitution blanks the comments, and one
+``findall`` per window of a process body (about 16 KiB, ending just after a
+``;``) reads its statements, which become envelope tuples and signatures a
+window at a time, with no token or Match object.  The bulk reader declines
+anything that does not read: junk, a missing ``}``, a nonblank tail, a
+duplicate rank, a self-message or an integer too long for ``int()``.  It
+then reports the unit boundary where it stopped: the header, or the
+statement that does not read.  A token reader names the error from there,
+reading one token at a time in grammar order, and reports the first token
+that does not fit.
 """
 from __future__ import annotations
 
 import re
 from array import array
 from itertools import repeat
-from typing import List, NoReturn, Optional
+from typing import List, NoReturn, Optional, Union
 
 from .model import Mode, Model, Sequence
 from .signatures import SignatureSpace
@@ -53,14 +53,15 @@ class ParseError(Exception):
         super().__init__(f"{line}:{column}: {category}: {message}")
 
 
-# The line breaks of str.splitlines; a comment ends at any of them.
-_BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
-_LINE_BREAK_RE = re.compile(rf"\r\n|[{_BREAKS}]")
+# The line breaks of str.splitlines, which also reads `\r\n` as one; a
+# comment ends at any of them.  None is special in a regex character class.
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # Whitespace and comments.  The lookahead keeps backtracking from ending a
 # comment early and reading the rest of its line as code.
 _SKIP = rf"\s*(?:#[^{_BREAKS}]*(?![^{_BREAKS}])\s*)*"
-# `process` after whitespace and comments, unless an `#abstract` header leads.
-_DSL_START_RE = re.compile(rf"(?!\s*#abstract){_SKIP}process(?!\S)")
+# `process` after whitespace and comments, unless an `#abstract` header leads;
+# the header's keyword ends where an identifier would.
+_DSL_START_RE = re.compile(rf"(?!\s*#abstract(?!\w)){_SKIP}process(?!\S)")
 
 
 def detect_format(text: str) -> Mode:
@@ -122,21 +123,14 @@ def parse_abstract(text: str) -> Model:
     return Model(sequences=sequences, mode=Mode.ABSTRACT, space=SignatureSpace(list(index)))
 
 
-# A keyword ends where an identifier would: `sendx` is one token, not `send`.
-_HEADER_RE = re.compile(rf"{_SKIP}process(?!\w){_SKIP}(\d+){_SKIP}\{{")
-_STATEMENT_RE = re.compile(
-    rf"{_SKIP}(?:(send)|recv)(?!\w){_SKIP}tag(?!\w){_SKIP}={_SKIP}(\d+){_SKIP}"
-    rf"(?(1)to|from)(?!\w){_SKIP}(\d+)(?:{_SKIP}comm(?!\w){_SKIP}={_SKIP}(\d+))?{_SKIP};"
-)
-_CLOSE_RE = re.compile(rf"{_SKIP}\}}")
-_END_RE = re.compile(rf"{_SKIP}\Z")
 # `#` is never a token: without it, backtracking could un-skip a comment.
+# A keyword ends where an identifier would: `sendx` is one token, not `send`.
 _TOKEN_RE = re.compile(rf"{_SKIP}([A-Za-z_]\w*|\d+|[^\s#])")
 
 
-# The bulk reader's grammar, for text without comments.  A comment ends at a
-# line break, which stays, so no two tokens join and a keyword's `(?!\w)`
-# plus skipping before a word or a digit is `\s+`.
+# The bulk reader's grammar, for text whose comments are blanked.  A comment
+# ends at a line break, so no two tokens join and a keyword's `(?!\w)` plus
+# skipping before a word or a digit is `\s+`.
 _COMMENT_RE = re.compile(rf"#[^{_BREAKS}]*")
 _BULK_HEADER_RE = re.compile(r"\s*process\s+(\d+)\s*\{")
 # A statement, or junk (a character that starts none, up to the next `;`),
@@ -150,119 +144,99 @@ _WINDOW = 1 << 14  # characters of a body per findall, so its tuples stay few
 
 
 def parse_dsl(text: str) -> Model:
-    try:
-        model = _read_bulk(text)
-    except ValueError:
-        model = None
-    if model is None:
-        _raise_error(text)
-    return model
+    read = _read_bulk(text)
+    if isinstance(read, Model):
+        return read
+    pos, rank, ranks = read
+    _Rescan(text, pos).raise_error(rank, ranks)
 
 
-def _read_bulk(text: str) -> Optional[Model]:
-    """The model of `text`, or None when anything in it does not read.
+def _read_bulk(text: str) -> Union[Model, tuple]:
+    """The model of `text`, or where its first error is to be looked for.
 
-    Junk, an integer with more digits than int() converts and a duplicate
-    rank, which Model rejects, raise ValueError instead."""
-    if "#" in text:
-        text = _COMMENT_RE.sub("", text)
+    That is `(offset, rank, ranks)`: a unit boundary, the rank of the body
+    it lies in (None between bodies) and the ranks read before it.  Every
+    unit before it reads cleanly, so reading on from there token by token
+    finds the error that reading from the start would."""
+    if "#" in text:  # blanked, not removed, so offsets stay those of `text`
+        text = _COMMENT_RE.sub(lambda m: " " * len(m[0]), text)
     index: dict = {}  # envelope tuple -> signature; the space keeps only the envelopes
     setdefault = index.setdefault
     sequences: List[Sequence] = []
+    ranks: set = set()
     pos = 0
     while m := _BULK_HEADER_RE.match(text, pos):
-        rank, start = int(m[1]), m.end()
-        end = text.find("}", start)  # a body has no `}` once comments are gone
+        try:
+            rank = int(m[1])
+        except ValueError:  # more digits than int() converts
+            break
+        if rank in ranks:
+            break
+        ranks.add(rank)
+        start = m.end()
+        end = text.find("}", start)  # a body has no `}` once comments are blanked
         if end < 0:
-            return None
+            end = len(text)  # read on, to find the first statement that does not read
         column = array("l")
         append = column.append
         # a send's envelope runs from this rank to the peer, a recv's back
         sources, destinations = {"send": rank}, {"": rank}
+        window = _WINDOW
         while start < end:
-            # a window ends just after its last `;`, so it cuts no statement
-            stop = text.rfind(";", start, min(start + _WINDOW, end)) + 1
-            stop = stop or text.find(";", start, end) + 1 or end
-            found = _BULK_STATEMENT_RE.findall(text, start, stop)
-            start = stop
-            if not found:
+            # a window ends just after its last `;`, so it cuts no statement;
+            # a window of 0 characters holds one statement
+            stop = text.rfind(";", start, min(start + window, end)) + 1
+            stop = stop or text.find(";", start, end) + 1
+            if not stop:
+                # only blanks may follow the last `;`; findall would try a
+                # match at each blank in turn, in time quadratic in their count
+                if text[start:end].strip():
+                    return start, rank, ranks
+                break
+            try:
+                found = _BULK_STATEMENT_RE.findall(text, start, stop)
+                if found:
+                    sends, tags, peers, comms = zip(*found)
+                    peers = list(map(int, peers))  # junk's empty peer raises ValueError
+                    if rank in peers:
+                        raise ValueError("self-message")
+                    keys = zip(
+                        map(int, tags),
+                        map(sources.get, sends, peers),
+                        map(destinations.get, sends, peers),
+                        [int(c) if c else 0 for c in comms] if any(comms) else repeat(0),
+                    )
+                    for key in keys:
+                        append(setdefault(key, len(index)))
+            except ValueError:
+                if not window:
+                    return start, rank, ranks
+                window = 0  # read this window again a statement at a time
                 continue
-            sends, tags, peers, comms = zip(*found)
-            peers = list(map(int, peers))  # junk's empty peer raises ValueError
-            if rank in peers:
-                return None
-            keys = zip(
-                map(int, tags),
-                map(sources.get, sends, peers),
-                map(destinations.get, sends, peers),
-                [int(c) if c else 0 for c in comms] if any(comms) else repeat(0),
-            )
-            for key in keys:
-                append(setdefault(key, len(index)))
+            start = stop
+        if end == len(text):  # no `}`: the error follows the last statement
+            return start, rank, ranks
         sequences.append(Sequence(rank=rank, column=column))
         pos = end + 1
-    if text[pos:].strip():
-        return None
+    if m or text[pos:].strip():  # a header that does not read, or a nonblank tail
+        return pos, None, ranks
     return Model(sequences=sequences, mode=Mode.STRICT, space=SignatureSpace(list(index)))
-
-
-def _raise_error(text: str) -> NoReturn:
-    """Raise the ParseError of the first grammar unit of `text` that does not
-    read: a process header, a statement or a closing brace, each matched by
-    one regex and only re-scanned token by token when it fails."""
-    header, close, statements = _HEADER_RE.match, _CLOSE_RE.match, _STATEMENT_RE.scanner
-    used_ranks: set = set()
-    pos = 0  # always just past a token, or 0
-    while True:
-        m = header(text, pos)
-        if m is None:
-            if _END_RE.match(text, pos):
-                raise AssertionError("DSL text reads cleanly but the bulk reader declined it")
-            _Rescan(text, pos).raise_header_error(used_ranks)
-        try:
-            rank = int(m[1])
-        except ValueError:  # too many digits for int(); the re-scan names it
-            _Rescan(text, pos).raise_header_error(used_ranks)
-        if rank in used_ranks:
-            raise _duplicate_process(text, m.start(1), rank)
-        used_ranks.add(rank)
-        # each match starts where the last one ended; None ends the body
-        for m in iter(statements(text, m.end()).match, None):
-            is_send, tag, peer, comm = m.groups()
-            try:
-                tag, peer, comm = int(tag), int(peer), int(comm) if comm else 0
-            except ValueError:  # too many digits for int(); the re-scan names it
-                _Rescan(text, m.start()).raise_statement_error()
-            if peer == rank:
-                where = "send to" if is_send else "recv from"
-                message = f"process {rank} cannot {where} itself"
-                raise ParseError(*_position(text, m.start(3)), message, "SelfMessage")
-        pos = m.end()  # of the last statement, or of the header
-        m = close(text, pos)
-        if m is None:
-            _Rescan(text, pos).raise_statement_error()
-        pos = m.end()
 
 
 def _position(text: str, offset: int) -> tuple:
     """1-based (line, column) of `offset`, with lines as str.splitlines counts them."""
-    line, line_start = 1, 0
-    for m in _LINE_BREAK_RE.finditer(text, 0, offset):
-        line += 1
-        line_start = m.end()
-    return line, offset - line_start + 1
-
-
-def _duplicate_process(text: str, offset: int, rank: int) -> ParseError:
-    return ParseError(*_position(text, offset), f"process {rank} defined twice", "DuplicateProcess")
+    breaks = sum(text.count(c, 0, offset) for c in _BREAKS) - text.count("\r\n", 0, offset)
+    line_start = max(text.rfind(c, 0, offset) for c in _BREAKS) + 1
+    return breaks + 1, offset - line_start + 1
 
 
 class _Rescan:
-    """Token-by-token reading of one header or statement its regex rejected.
+    """Token-by-token reading of the DSL from where the bulk reader stopped.
 
-    The unit is read in grammar order, so the error names the first token
-    that does not fit.  The unit starts at `pos`, just past the previous
-    token, which is where an error at end of input points.
+    Units are read in grammar order, so the error names the first token
+    that does not fit.  Reading starts at `pos`, a unit boundary just past
+    the previous token (or 0), which is where an error at end of input
+    points.
     """
 
     def __init__(self, text: str, pos: int):
@@ -278,12 +252,10 @@ class _Rescan:
         if m:
             self.start, self.pos = m.start(1), m.end()
 
-    def take(self) -> int:
-        """Consume the current token; return its offset."""
-        start = self.start
-        self.end = start + len(self.tok)
+    def take(self) -> None:
+        """Consume the current token."""
+        self.end = self.start + len(self.tok)
         self._read()
-        return start
 
     def error(self, message: str, category: str = "Syntax") -> ParseError:
         if self.tok is None:
@@ -306,31 +278,50 @@ class _Rescan:
         self.take()
         return value
 
-    def raise_header_error(self, used_ranks: set) -> NoReturn:
+    def raise_error(self, rank: Optional[int], ranks: set) -> NoReturn:
+        """Read the statements of `rank`'s body up to its `}` (none when
+        `rank` is None), then process after process, up to the first error;
+        `ranks` are the ranks read so far."""
+        while True:
+            if rank is not None:
+                while self.tok != "}":
+                    self.statement(rank)
+                self.take()
+            if self.tok is None:
+                raise AssertionError("DSL text reads cleanly but the bulk reader declined it")
+            rank = self.header(ranks)
+
+    def header(self, ranks: set) -> int:
         self.expect("process")
         offset = self.start
         rank = self.integer("process rank")
-        if rank in used_ranks:
-            raise _duplicate_process(self.text, offset, rank)
+        if rank in ranks:
+            message = f"process {rank} defined twice"
+            raise ParseError(*_position(self.text, offset), message, "DuplicateProcess")
+        ranks.add(rank)
         self.expect("{")
-        raise AssertionError(f"process header at offset {offset} reads cleanly but did not match")
+        return rank
 
-    def raise_statement_error(self) -> NoReturn:
+    def statement(self, rank: int) -> None:
         verb = self.tok
         if verb not in ("send", "recv"):
             raise self.error(f"expected 'send' or 'recv', found {verb!r}")
-        offset = self.take()
+        self.take()
         self.expect("tag")
         self.expect("=")
         self.integer("tag")
         self.expect("to" if verb == "send" else "from")
-        self.integer("peer rank")
+        offset = self.start
+        peer = self.integer("peer rank")
         if self.tok == "comm":
             self.take()
             self.expect("=")
             self.integer("communicator")
         self.expect(";")
-        raise AssertionError(f"statement at offset {offset} reads cleanly but did not match")
+        if peer == rank:
+            where = "send to" if verb == "send" else "recv from"
+            message = f"process {rank} cannot {where} itself"
+            raise ParseError(*_position(self.text, offset), message, "SelfMessage")
 
 
 _ABSTRACT_ALPHABET = (

@@ -78,6 +78,24 @@ class TestCheck:
         assert report["verdict"] == "ok"
         assert report["stats"]["messages"] == 2
 
+    def test_leading_comment_that_starts_with_abstract_is_a_comment(self, tmp_path):
+        # only a whole `#abstract` keyword is the abstract header
+        path = tmp_path / "m.dsl"
+        path.write_text("#abstractions are not used here\nprocess 0 {send tag=1 to 1;}\nprocess 1 {recv tag=1 from 0;}\n")
+        code, out, _ = run_cli(["check", str(path), "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["stats"]["messages"] == 2
+
+    def test_inline_hash_in_abstract_is_an_occurrence(self, tmp_path):
+        # `# note` after a rank is seven occurrences, each unpaired
+        path = tmp_path / "m.txt"
+        path.write_text("P0: ab # note\nP1: ab\n")
+        code, out, _ = run_cli(["check", str(path), "--format", "json"])
+        assert code == 3
+        report = json.loads(out)
+        assert report["verdict"] == "illegal"
+        assert report["stats"]["messages"] == 9
+
     def test_forced_mode(self, tmp_path):
         # force abstract: 'process' etc. become character soup but still parse
         path = tmp_path / "m.txt"

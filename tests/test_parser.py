@@ -1,6 +1,8 @@
 import gc
+import time
 import tracemalloc
 from array import array
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,12 @@ class TestAbstract:
     def test_header_and_comments_skipped(self):
         model = parse_abstract("#abstract\n# comment\na\na\n")
         assert len(model.sequences) == 2
+
+    def test_only_a_whole_line_is_a_comment(self):
+        # after a rank or a character, `#` and the rest of the line are occurrences
+        model = parse_abstract("# c\nP0: ab # note\n  # c")
+        assert [s.rank for s in model.sequences] == [0]
+        assert model.space.entries == ["a", "b", "#", "n", "o", "t", "e"]
 
     def test_roles_are_unspecified(self):
         # a parsed sequence is its signature column; characters have no envelope
@@ -281,11 +289,18 @@ class TestDetectionAndRoundTrip:
         assert detect_format("# two ranks\nprocess 0 {}") is Mode.STRICT
         assert detect_format("  # a\n\t# b\x85process 0 {}") is Mode.STRICT
         assert detect_format("#\nprocess 0 {}") is Mode.STRICT
+        # the header keyword ends where an identifier would
+        assert detect_format("#abstractions are not used here\nprocess 0 {}") is Mode.STRICT
+        assert detect_format("#abstract_2\nprocess 0 {}") is Mode.STRICT
+        assert detect_format("  #abstract2 # c\nprocess 0 {}") is Mode.STRICT
 
     def test_detect_abstract(self):
         assert detect_format("#abstract\nab") is Mode.ABSTRACT
         assert detect_format("#abstract\nprocess 0 {}") is Mode.ABSTRACT
         assert detect_format("  #abstract\n# c\nprocess 0 {}") is Mode.ABSTRACT
+        assert detect_format("#abstract # two ranks\nprocess 0 {}") is Mode.ABSTRACT
+        assert detect_format("#abstract-pairs\nprocess 0 {}") is Mode.ABSTRACT
+        assert detect_format("#abstract") is Mode.ABSTRACT
         assert detect_format("# c\nab\nba") is Mode.ABSTRACT
         assert detect_format("# process 0 {}\nab") is Mode.ABSTRACT
         assert detect_format("ab\nbc") is Mode.ABSTRACT
@@ -395,14 +410,23 @@ def test_mutated_renderings_parse_or_raise_parse_error(base, edits):
 
 def _bulk(text):
     """The bulk reader's model of `text`, or None where it declines."""
-    try:
-        return parser._read_bulk(text)
-    except ValueError:  # parse_dsl reads this as declining too
-        return None
+    read = parser._read_bulk(text)
+    return read if isinstance(read, Model) else None
 
 
 def _entries(model):
     return [(s.rank, s.column.tolist()) for s in model.sequences], model.space.entries
+
+
+def _error_from_the_start(text):
+    """The ParseError of the token reader run over all of `text`, or None
+    where it reads cleanly (and raises AssertionError)."""
+    try:
+        parser._Rescan(text, 0).raise_error(None, set())
+    except ParseError as err:
+        return (err.category, err.line, err.column, err.message)
+    except AssertionError:
+        return None
 
 
 _DSL_RENDERINGS = [
@@ -410,6 +434,8 @@ _DSL_RENDERINGS = [
     render_dsl(generate(GenSpec("random", 4, 3, seed=1))),
     "process 0 {send tag=5 to 1 comm=2;} process 1 {recv tag=5 from 0 comm=0;}",
     "# a } b\nprocess 0 { # ; }\n send tag = 05 to 1 comm=0 ; }\nprocess 01{recv tag=٥ from 0;}# end",
+    # a comment on every line, holding the characters that end units
+    "".join(f"{line} # c }} ; {{\n" for line in render_dsl(generate(GenSpec("random", 3, 4, seed=2))).splitlines()),
 ]
 
 
@@ -426,11 +452,14 @@ _DSL_RENDERINGS = [
         min_size=1,
         max_size=4,
     ),
+    window=st.sampled_from((parser._WINDOW, 30)),
 )
-def test_bulk_reader_declines_exactly_where_the_unit_reader_finds_an_error(base, edits):
+def test_bulk_reader_declines_exactly_where_reading_from_the_start_finds_an_error(base, edits, window):
     """On edited renderings the bulk reader returns a model exactly when the
-    unit-by-unit reader finds no error, and parse_dsl returns that model;
-    otherwise parse_dsl raises the unit reader's ParseError."""
+    token reader, run from offset 0, reads the text cleanly, and parse_dsl
+    returns that model; otherwise parse_dsl, which resumes the token reader
+    where the bulk reader stopped, raises the error read from the start.
+    Windows of 30 characters cut every body many times."""
     text = list(base)
     for op, where, piece in edits:
         i = where % (len(text) + 1)
@@ -443,14 +472,46 @@ def test_bulk_reader_declines_exactly_where_the_unit_reader_finds_an_error(base,
             else:
                 text[i] = piece
     text = "".join(text)
-    bulk = _bulk(text)
-    if bulk is None:
-        with pytest.raises(ParseError):
-            parse_dsl(text)
-    else:
-        with pytest.raises(AssertionError):
-            parser._raise_error(text)
-        assert _entries(parse_dsl(text)) == _entries(bulk)
+    expected = _error_from_the_start(text)
+    with patch.object(parser, "_WINDOW", window):
+        bulk = _bulk(text)
+        if expected is None:
+            assert bulk is not None
+            assert _entries(parse_dsl(text)) == _entries(bulk)
+        else:
+            assert bulk is None
+            assert _error_of(parse_dsl, text) == expected
+
+
+def test_error_reader_reads_as_many_tokens_at_n_as_at_4n(monkeypatch):
+    """The token reader resumes at the statement where the bulk reader
+    stopped, not at the body's header, so an error in the last statement of
+    a long body, or a missing last `}`, costs a few tokens at any n."""
+    reads = []
+
+    class CountingTokenRe:
+        def match(self, text, pos):
+            reads.append(pos)
+            return token_re.match(text, pos)
+
+    token_re = parser._TOKEN_RE
+    monkeypatch.setattr(parser, "_TOKEN_RE", CountingTokenRe())
+    counts = {}
+    for m in (4_000, 16_000):
+        text = render_dsl(generate(GenSpec("pairs", 2, m)))
+        tag = text.rindex("tag=") + len("tag=")
+        line = text.count("\n", 0, tag) + 1
+        line_start = text.rindex("\n", 0, tag) + 1
+        for name, bad, expected in [
+            ("bad tag", text[:tag] + "x" + text[tag:], ("BadInteger", line, tag - line_start + 1)),
+            # at end of input, the error points just past the last `;`
+            ("no last }", text[: text.rindex("}")], ("Syntax", line, text.index(";", tag) - line_start + 2)),
+        ]:
+            reads.clear()
+            assert _error_of(parse_dsl, bad)[:3] == expected
+            counts[name, m] = len(reads)
+    for name in ("bad tag", "no last }"):
+        assert counts[name, 4_000] == counts[name, 16_000] < 1000
 
 
 # Hostile but valid renderings: any whitespace and comments between tokens,
@@ -523,6 +584,16 @@ def test_hostile_renderings_parse_to_the_api_model(model, rnd):
         assert list(map(parsed.space.envelope_of, ours.column)) == [o.envelope for o in theirs.occurrences]
     # the same signatures as the plain rendering: spellings of a number merge
     assert _entries(parsed) == _entries(parse_dsl(render_dsl(model)))
+
+
+@pytest.mark.parametrize("gap", [" " * 20_000, "# " + "c" * 20_000 + "\n"], ids=["blanks", "comment"])
+def test_long_gap_before_a_brace_parses_in_linear_time(gap):
+    # findall over a blank run with nothing after it tries a match at each
+    # blank, in time quadratic in the run (3 s for 10,000 on a 2-CPU VM)
+    text = "process 0 { send tag=1 to 1; " + gap + "}\nprocess 1 { recv tag=1 from 0; }"
+    started = time.perf_counter()
+    assert parse_dsl(text).message_count == 2
+    assert time.perf_counter() - started < 1.0
 
 
 def test_parse_peak_stays_at_most_120_bytes_per_occurrence():
