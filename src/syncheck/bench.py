@@ -17,6 +17,8 @@ PATTERNS = ("pairs", "ring", "random")
 
 CSV_HEADER = "backend,pattern,P,M,n,median_ms,steps"
 
+SHUFFLE_WINDOW = 2  # random pattern: each occurrence swaps with one at most this far after it
+
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -24,7 +26,6 @@ class GenSpec:
     processes: int
     messages_per_process: int
     seed: int = 0
-    shuffle_window: int = 2  # random pattern only
 
     def __post_init__(self) -> None:
         if self.pattern not in PATTERNS:
@@ -49,7 +50,7 @@ def generate(spec: GenSpec) -> Model:
     except process 0 which sends both its messages first; the resulting wait
     cycle deadlocks for any P >= 3.
     random: (P*M)//2 rendezvous between random process pairs with fresh
-    signatures, tails optionally jittered within a bounded window; legal by
+    signatures, tails jittered within a window of `SHUFFLE_WINDOW`; legal by
     construction, verdict not known a priori.
     """
     space = SignatureSpace()
@@ -100,12 +101,10 @@ def generate(spec: GenSpec) -> Model:
             if dst >= src:
                 dst += 1
             rendezvous(src, dst)
-        w = spec.shuffle_window
-        if w > 0:
-            for lst in occs:
-                for i in range(len(lst)):
-                    j = rng.randint(i, min(i + w, len(lst) - 1))
-                    lst[i], lst[j] = lst[j], lst[i]
+        for lst in occs:
+            for i in range(len(lst)):
+                j = rng.randint(i, min(i + SHUFFLE_WINDOW, len(lst) - 1))
+                lst[i], lst[j] = lst[j], lst[i]
 
     sequences = [Sequence(rank=i, occurrences=lst) for i, lst in enumerate(occs)]
     return Model(sequences=sequences, mode=Mode.STRICT, space=space)

@@ -73,7 +73,7 @@ def _emit(report: dict, fmt: str, out) -> None:
 
 
 def _parse_file(path: str, mode: str):
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:  # a leading BOM is not text
         text = f.read()
     if mode == "strict":
         return parse_dsl(text)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .model import Deadlock, Illegal, Legality, Model, NoDeadlock, deadlock_report, lower
 
@@ -92,12 +92,9 @@ class Engine:
 
     # -- construction -------------------------------------------------------
 
-    def load(self, model: Model, order: Optional[Iterable[int]] = None) -> None:
-        """Append and close every model sequence in a fresh engine, with the model's space.
-
-        `order` optionally fixes the initial ready-queue order (a permutation
-        of the nonempty ranks); default is model order.
-        """
+    def load(self, model: Model) -> None:
+        """Append and close every model sequence, in model order, in a fresh
+        engine, with the model's space."""
         if self._loaded or self._col:
             raise EngineError("engine already loaded")
         self._loaded = True
@@ -105,11 +102,6 @@ class Engine:
         for seq, signatures in lower(model, self._legality):
             self.append(seq.rank, signatures)
             self.close(seq.rank)
-        if order is not None:
-            order = list(order)
-            if sorted(order) != sorted(self._queue):  # the nonempty ranks
-                raise EngineError("order must be a permutation of the nonempty ranks")
-            self._queue = deque(order)
 
     def append(self, rank: int, signatures) -> None:
         """Streaming append of signatures (a list or an `array('l')`); creates the sequence on first use."""
@@ -217,15 +209,15 @@ class Engine:
         return self._verdict
 
 
-def check(model: Model, order: Optional[Iterable[int]] = None) -> Verdict:
+def check(model: Model) -> Verdict:
     """One-shot batch check: load and drain."""
-    return check_with_engine(model, order=order)[0]
+    return check_with_engine(model)[0]
 
 
-def check_with_engine(model: Model, order: Optional[Iterable[int]] = None):
+def check_with_engine(model: Model):
     """Like :func:`check` but also returns the engine for stats inspection."""
     engine = Engine()
-    engine.load(model, order=order)
+    engine.load(model)
     verdict = engine.drain()
     assert verdict is not None
     return verdict, engine

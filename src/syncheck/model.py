@@ -225,12 +225,20 @@ def _role_violation(seq: Sequence, endpoints: dict) -> Optional[IllegalReason]:
     return None
 
 
-def validate_static(model: Model) -> Optional[IllegalReason]:
-    """The model's first legality violation, or None when it is legal."""
+def lowered(model: Model) -> Tuple[list, Optional[IllegalReason]]:
+    """Each sequence's signatures, lowered once, in model order, and the
+    model's first legality violation, or None when it is legal."""
     legality = Legality()
+    columns = []
     for seq, signatures in lower(model, legality):
         legality.add(seq.rank, signatures)
-    return legality.finish()
+        columns.append(signatures)
+    return columns, legality.finish()
+
+
+def validate_static(model: Model) -> Optional[IllegalReason]:
+    """The model's first legality violation, or None when it is legal."""
+    return lowered(model)[1]
 
 
 def deadlock_report(columns: dict, cursors: dict, space) -> DeadlockReport:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import List, Optional, Tuple, Union
 
-from .model import Deadlock, Illegal, Legality, Model, NoDeadlock, deadlock_report, lower, validate_static
+from .model import Deadlock, Illegal, Model, NoDeadlock, deadlock_report, lowered
 
 Verdict = Union[NoDeadlock, Deadlock, Illegal]
 
@@ -53,12 +53,11 @@ def simulate_exhaustive(model: Model, cap: int = 10**6) -> SimulationResult:
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    reason = validate_static(model)
+    sigs, reason = lowered(model)
     if reason is not None:
         return SimulationResult(Illegal(reason), True, 0)
 
     seqs = model.sequences
-    sigs = [s.signatures for s in seqs]
     lengths = [len(x) for x in sigs]
     total = sum(lengths)
 
@@ -139,15 +138,7 @@ def cycle_check(model: Model) -> CycleCheckResult:
     the occurrences, apart from sorting the distinct signatures, and only
     the nodes of the witness become `OrderNode`s.
     """
-    # the legality pass of `validate_static`, keeping each sequence's
-    # signatures, lowered once, as its column
-    legality = Legality()
-    columns = []
-    for seq, signatures in lower(model, legality):
-        legality.add(seq.rank, signatures)
-        columns.append(signatures)
-    reason = legality.finish()
-    del legality  # its member dicts are as large as the graph: free them first
+    columns, reason = lowered(model)
     if reason is not None:
         return CycleCheckResult(Illegal(reason), None, ())
 

@@ -38,6 +38,13 @@ def model_from_tuples(seqs) -> Model:
     return Model(sequences=sequences, mode=Mode.ABSTRACT, space=space)
 
 
+def in_order(model: Model, order) -> Model:
+    """The model with its sequences listed in `order`, a permutation of its
+    ranks, so that `Engine.load` appends and closes them in that order."""
+    by_rank = {seq.rank: seq for seq in model.sequences}
+    return Model(sequences=[by_rank[r] for r in order], mode=model.mode, space=model.space)
+
+
 def classify(verdict) -> str:
     if isinstance(verdict, NoDeadlock):
         return "ok"

@@ -134,6 +134,26 @@ class TestCheck:
         assert out == ""
         assert err.startswith(f"{path}: 1:9: BadInteger: ")
 
+    @pytest.mark.parametrize(
+        "text, args",
+        [
+            (PAPER_DSL, []),
+            (PAPER_DSL, ["--mode", "strict"]),
+            ("ab\nbc\nca\n", []),
+            ("ab\nbc\nca\n", ["--mode", "abstract"]),
+            ("P0: a\nP1: a\n", []),
+        ],
+        ids=["dsl", "dsl-strict", "abstract", "abstract-forced", "abstract-ranked"],
+    )
+    def test_leading_bom_is_ignored(self, tmp_path, text, args):
+        # a UTF-8 byte order mark is not an occurrence, nor a token before `process`
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        results = [run_cli(["check", str(path), "--format", "json"] + args) for path in (plain, marked)]
+        assert results[0] == results[1]
+        assert results[0][0] in (0, 2)
+
     @pytest.mark.parametrize("args", [["check"], ["check", "--validate-only"], ["oracle"]])
     def test_non_utf8_file_exit_1(self, tmp_path, args):
         # reported as an unreadable file is, not as a traceback

@@ -17,9 +17,33 @@ from syncheck import (
     parse_dsl,
     render_dsl,
     simulate_exhaustive,
+    validate_static,
 )
 from syncheck.bench import GenSpec, generate
 from syncheck.oracle import OrderNode
+
+
+@pytest.mark.parametrize("oracle", [cycle_check, simulate_exhaustive, validate_static], ids=lambda f: f.__name__)
+def test_lowers_each_sequence_once(oracle):
+    # the legality pass and the oracle share each sequence's signature list
+    reads = []
+
+    class CountingSequence(Sequence):
+        @property
+        def signatures(self):
+            reads.append(self.rank)
+            return super().signatures
+
+    model = generate(GenSpec("ring", 5, 3, seed=0))
+    model.sequences = [CountingSequence(rank=s.rank, occurrences=s.occurrences) for s in model.sequences]
+    result = oracle(model)
+    assert reads == [0, 1, 2, 3, 4]
+    if oracle is cycle_check:
+        assert isinstance(result.verdict, Deadlock) and len(result.witness) == 5
+    elif oracle is simulate_exhaustive:
+        assert isinstance(result.verdict, Deadlock)
+    else:
+        assert result is None  # legal
 
 
 class TestSimulator:
@@ -142,22 +166,6 @@ class TestCycleCheck:
                 witness,
                 unpaired,
             )
-
-    def test_lowers_each_sequence_once(self):
-        # the legality pass and the graph share each sequence's signature list
-        reads = []
-
-        class CountingSequence(Sequence):
-            @property
-            def signatures(self):
-                reads.append(self.rank)
-                return super().signatures
-
-        model = generate(GenSpec("ring", 5, 3, seed=0))
-        model.sequences = [CountingSequence(rank=s.rank, occurrences=s.occurrences) for s in model.sequences]
-        result = cycle_check(model)
-        assert isinstance(result.verdict, Deadlock) and len(result.witness) == 5
-        assert reads == [0, 1, 2, 3, 4]
 
     def test_ring_witness_is_a_valid_cycle(self):
         for processes in (3, 4, 7, 16):
