@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from itertools import chain
 from typing import List, Optional
 
 from . import bench as bench_mod
@@ -153,7 +154,10 @@ def cmd_stream(args, out, err, stdin) -> int:
     # the token format; under auto, the first append sets it
     mode = {"strict": Mode.STRICT, "abstract": Mode.ABSTRACT, "auto": None}[args.mode]
 
-    for lineno, raw in enumerate(stdin, start=1):
+    # a leading BOM is not an event; only the first line can start with one
+    lines = iter(stdin)
+    first = next(lines, "").removeprefix("\ufeff")
+    for lineno, raw in enumerate(chain((first,), lines), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -6,7 +6,7 @@ until none is left and, once every sequence is closed, returns the verdict.
 check is `load` plus one `drain`, and a stream drains after each event.
 
 An occurrence is its signature, an int: each rank's signatures are kept in
-one `array('l')` column, appended as parsed or streamed, or lowered once
+one `array('i')` column, appended as parsed or streamed, or lowered once
 from a model built through the API (`model.lower`).  Each ready
 sequence's head is examined once: the signature's matcher either already
 holds a pending head from the other member sequence (match both, advance
@@ -24,7 +24,7 @@ from array import array
 from collections import deque
 from typing import Optional, Union
 
-from .model import Deadlock, Illegal, Legality, Model, NoDeadlock, deadlock_report, lower
+from .model import COLUMN_TYPECODE, Deadlock, Illegal, Legality, Model, NoDeadlock, deadlock_report, lower
 
 Verdict = Union[NoDeadlock, Deadlock, Illegal]
 
@@ -63,7 +63,7 @@ class Engine:
     def __init__(self, space=None):
         self._space = space  # SignatureSpace of the signatures; gives a report its envelopes
         # per-rank state kept as primitive maps; the matching loop is hot
-        self._col: dict = {}  # rank -> array('l') of its signatures
+        self._col: dict = {}  # rank -> array('i') of its signatures
         self._cursor: dict = {}  # rank -> int
         self._open: set = set()  # ranks not yet closed; drain() reads it on every event
         self._total = 0  # occurrences loaded or appended
@@ -104,20 +104,23 @@ class Engine:
             self.close(seq.rank)
 
     def append(self, rank: int, signatures) -> None:
-        """Streaming append of signatures (a list or an `array('l')`); creates the sequence on first use."""
+        """Streaming append of signatures (a list or an array); creates the sequence on first use."""
         if self._verdict is not None:
             raise EngineError("append after finalization")
         col = self._col.get(rank)
         if col is None:
-            col = self._col[rank] = array("l")
+            col = self._col[rank] = array(COLUMN_TYPECODE)
             self._cursor[rank] = 0
             self._open.add(rank)
         elif rank not in self._open:
             raise EngineError(f"append to closed sequence {rank}")
         start = len(col)
-        # fromlist converts a list ~1.6x faster than extend(), item by item
+        # fromlist converts a list ~1.6x faster than extend(), item by item;
+        # extend() takes only an array of the column's own typecode
         if type(signatures) is list:
             col.fromlist(signatures)
+        elif isinstance(signatures, array) and signatures.typecode != COLUMN_TYPECODE:
+            col.fromlist(signatures.tolist())
         else:
             col.extend(signatures)
         self._legality.add(rank, signatures)
@@ -167,10 +170,11 @@ class Engine:
                 # match each other.  Neither rank is pending now, and the
                 # final cursors do not depend on match order, so the whole
                 # common run is matched here, counted as two steps per pair,
-                # its signatures entered in the table as if examined one by one.
+                # its signatures entered in the table as if examined one by one
+                # (nothing iterates the table, so their order does not matter).
                 if pos < len(col) and other_pos < len(other_col) and col[pos] == other_col[other_pos]:
                     run = _common_run(col, pos, other_col, other_pos)
-                    table.update(dict.fromkeys(col[pos:pos + run]))
+                    table.update(dict.fromkeys(set(col[pos:pos + run])))
                     pos += run
                     other_pos += run
                     matched += run

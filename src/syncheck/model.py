@@ -2,7 +2,7 @@
 
 A "signature" is a plain nonnegative int issued densely by a
 :class:`~syncheck.signatures.SignatureSpace`.  A parsed sequence is one
-``array('l')`` column of signatures, each occurrence's envelope its
+``array('i')`` column of signatures, each occurrence's envelope its
 signature's entry in the space and its role taken from the rank: a send
 sits at its envelope's source.  API-built sequences list
 :class:`MessageOccurrence` objects, which :func:`lower` checks and lowers.
@@ -13,6 +13,12 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple, Optional, Tuple
+
+# The typecode of every signature column.  Signatures are dense, below the
+# size of their space, so 4 bytes hold every one a process can issue.
+COLUMN_TYPECODE = "i"
+if array(COLUMN_TYPECODE).itemsize != 4:
+    raise ImportError(f"array({COLUMN_TYPECODE!r}) items are not 4 bytes wide on this platform")
 
 
 class Role(Enum):
@@ -147,6 +153,16 @@ class Legality:
     soon as the signatures seen show one.  A signature with fewer than two
     member ranks can only be judged by `finish`, once every sequence is
     closed.  The first violation found is kept.
+
+    `add` reads a chunk as a set, which C builds and iterates fastest.
+    Only when that pass finds a violation does it read the chunk again in
+    order of first appearance, to name the violation that comes first.
+    The two passes give the result of one ordered pass.  A signature's
+    verdict depends only on its own state, and the first pass changes that
+    state only by recording `rank` as a member, after which looking at the
+    signature again gives the same verdict and changes nothing.  So the
+    second pass finds the violation that one ordered pass would find, with
+    the same ranks.
     """
 
     def __init__(self) -> None:
@@ -159,14 +175,14 @@ class Legality:
 
     def add(self, rank: int, signatures) -> None:
         """Record `signatures`, the next occurrences of sequence `rank`."""
-        if self.violation is None:
-            self.violation = self._add(rank, signatures)
+        if self.violation is None and self._add(rank, set(signatures)) is not None:
+            self.violation = self._add(rank, dict.fromkeys(signatures))
 
-    def _add(self, rank: int, signatures) -> Optional[IllegalReason]:
+    def _add(self, rank: int, distinct) -> Optional[IllegalReason]:
         # membership changes at most twice per signature, so look at each
-        # distinct signature once, in order of first appearance
+        # distinct signature once
         first, second, endpoints = self._first, self._second, self.endpoints
-        for sig in dict.fromkeys(signatures):
+        for sig in distinct:
             member = first.setdefault(sig, rank)
             if member != rank and second.setdefault(sig, rank) != rank:
                 message = f"signature {sig} occurs in 3 sequences, expected exactly 2"

@@ -16,9 +16,13 @@ DSL format (``#`` starts a comment that runs to the end of the line)::
 appear between any two tokens; error positions count lines as
 ``str.splitlines`` does.
 
-Both parsers emit one ``array('l')`` column of signatures per process and
+Both parsers emit one ``array('i')`` column of signatures per process and
 no per-occurrence object: the envelope and the enclosing rank determine a
 DSL occurrence's role.
+
+An abstract line becomes its column in C: ``str.translate`` maps each
+character to the character whose code point is its signature, and the
+result, encoded as native-order UTF-32, is the column's bytes.
 
 The DSL is read in bulk.  One substitution blanks the comments, and one
 ``findall`` per window of a process body (about 16 KiB, ending just after a
@@ -34,11 +38,12 @@ that does not fit.
 from __future__ import annotations
 
 import re
+import sys
 from array import array
 from itertools import repeat
 from typing import List, NoReturn, Optional, Union
 
-from .model import Mode, Model, Sequence
+from .model import COLUMN_TYPECODE, Mode, Model, Sequence
 from .signatures import SignatureSpace
 
 
@@ -77,6 +82,10 @@ def parse_model(text: str) -> Model:
 
 
 _RANKED_LINE_RE = re.compile(r"^P(\S*)\s*:\s*(.*)$")
+# UTF-32 in the byte order of an array's items.  A signature is below
+# 0x110000, since there are no more distinct characters than that, and
+# surrogatepass encodes the signatures from 0xD800 to 0xDFFF.
+_UTF32_NATIVE = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
 
 
 def _abstract_rank(rank_text: str, lineno: int) -> int:
@@ -101,7 +110,7 @@ def parse_abstract(text: str) -> Model:
     sequences: List[Sequence] = []
     used_ranks: set = set()
     auto_rank = 0
-    index: dict = {}  # character -> signature, in order of first appearance
+    table: dict = {}  # code point -> signature, in order of first appearance
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -117,10 +126,12 @@ def parse_abstract(text: str) -> Model:
             raise ParseError(lineno, 1, f"process {rank} defined twice", "DuplicateProcess")
         used_ranks.add(rank)
         chars = "".join(body.split())
-        for ch in dict.fromkeys(chars):
-            index.setdefault(ch, len(index))
-        sequences.append(Sequence(rank=rank, column=array("l", list(map(index.__getitem__, chars)))))
-    return Model(sequences=sequences, mode=Mode.ABSTRACT, space=SignatureSpace(list(index)))
+        for code in map(ord, dict.fromkeys(chars)):
+            table.setdefault(code, len(table))
+        column = array(COLUMN_TYPECODE)
+        column.frombytes(chars.translate(table).encode(_UTF32_NATIVE, "surrogatepass"))
+        sequences.append(Sequence(rank=rank, column=column))
+    return Model(sequences=sequences, mode=Mode.ABSTRACT, space=SignatureSpace(list(map(chr, table))))
 
 
 # `#` is never a token: without it, backtracking could un-skip a comment.
@@ -177,7 +188,7 @@ def _read_bulk(text: str) -> Union[Model, tuple]:
         end = text.find("}", start)  # a body has no `}` once comments are blanked
         if end < 0:
             end = len(text)  # read on, to find the first statement that does not read
-        column = array("l")
+        column = array(COLUMN_TYPECODE)
         append = column.append
         # a send's envelope runs from this rank to the peer, a recv's back
         sources, destinations = {"send": rank}, {"": rank}

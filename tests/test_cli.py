@@ -312,6 +312,28 @@ class TestStream:
         assert streamed == batch
         assert batch[0] == 2
 
+    @pytest.mark.parametrize(
+        "events",
+        [
+            "append 0 1,0,1\nappend 1 1,0,1 2,1,0\nappend 0 2,1,0\nclose 0\nclose 1\nend\n",
+            "append 0 ab\nappend 1 ba\nclose 0\nclose 1\nend\n",
+            "# a comment\nappend 0 a\nappend 1 a\nappend 2 a\nend\n",
+            "",
+        ],
+        ids=["strict", "abstract-deadlock", "comment-then-illegal", "empty"],
+    )
+    def test_leading_bom_is_ignored(self, events):
+        # a UTF-8 byte order mark on stdin is not part of the first event
+        plain = run_cli(["stream", "--format", "json"], events)
+        marked = run_cli(["stream", "--format", "json"], "﻿" + events)
+        assert marked == plain
+        assert plain[0] in (0, 2, 3)
+
+    def test_bom_after_the_first_line_is_an_event(self):
+        code, _, err = run_cli(["stream"], "append 0 a\n﻿append 1 a\nend\n")
+        assert code == 1
+        assert err == "stdin:2: unknown event '\\ufeffappend 1 a'\n"
+
     def test_illegal_detected_mid_stream(self):
         events = "append 0 a\nappend 1 a\nappend 2 a\nend\n"
         code, out, _ = run_cli(["stream"], events)

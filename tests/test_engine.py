@@ -170,6 +170,35 @@ class TestStreaming:
         engine.close(1)
         assert isinstance(engine.drain(), NoDeadlock)
 
+    @pytest.mark.parametrize(
+        "as_chunk",
+        [list, lambda c: array("i", c), lambda c: array("l", c), lambda c: array("q", c), lambda c: array("h", c)],
+        ids=["list", "array-i", "array-l", "array-q", "array-h"],
+    )
+    def test_append_reads_a_list_or_an_array_of_any_typecode(self, as_chunk):
+        # ab/ba deadlocks after a and b run in lockstep; c lies in one sequence
+        rows = {0: [0, 1, 0, 1, 2], 1: [0, 1, 1, 0], 2: [3], 3: [3]}
+        engine = Engine()
+        for rank, row in rows.items():
+            engine.append(rank, as_chunk(row[:2]))
+            engine.append(rank, as_chunk(row[2:]))
+            assert engine.drain() is None
+        for rank in rows:
+            engine.close(rank)
+        verdict = engine.drain()
+        assert [col.typecode for col in engine._col.values()] == ["i"] * 4
+        assert {rank: col.tolist() for rank, col in engine._col.items()} == rows
+        assert isinstance(verdict, Illegal)
+        assert (verdict.reason.signature, verdict.reason.ranks) == (2, (0,))
+        assert (engine.steps, engine.matched_pairs, engine.message_count) == (8, 3, 11)
+
+    def test_loaded_columns_are_4_bytes_wide(self):
+        model = model_from_tuples(["ab", "ab", "c", "c"])
+        model.sequences[2:] = [Sequence(2, column=array("l", [2])), Sequence(3, column=array("i", [2]))]
+        verdict, engine = check_with_engine(model)
+        assert isinstance(verdict, NoDeadlock)
+        assert [col.typecode for col in engine._col.values()] == ["i"] * 4
+
     def test_exhausted_idle_sequence_requeued_on_append(self):
         engine = Engine()
         space = abstract_model("").space

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from support import PAPER_DSL, abstract_model
+from support import PAPER_DSL, abstract_model, interleaving, random_rows
 from syncheck import (
     Envelope,
     MessageOccurrence,
@@ -12,10 +12,11 @@ from syncheck import (
     Sequence,
     SignatureSpace,
     check,
+    parse_abstract,
     parse_dsl,
     validate_static,
 )
-from syncheck.model import check_envelope
+from syncheck.model import Legality, check_envelope, lower
 
 
 class TestEnvelope:
@@ -130,3 +131,98 @@ def test_report_conservation_is_enforced():
 
     with pytest.raises(AssertionError):
         DeadlockReport(blocked=(), matched_pairs=1, residual=1, message_count=4)
+
+
+class _OrderedLegality:
+    """The membership and endpoint rules, each chunk read one distinct
+    signature at a time in order of first appearance."""
+
+    def __init__(self, endpoints: dict):
+        self.endpoints = endpoints
+        self.first: dict = {}
+        self.second: dict = {}
+        self.violation = None
+
+    def add(self, rank, signatures):
+        if self.violation is None:
+            self.violation = self._add(rank, signatures)
+
+    def _add(self, rank, signatures):
+        for sig in dict.fromkeys(signatures):
+            member = self.first.setdefault(sig, rank)
+            if member != rank and self.second.setdefault(sig, rank) != rank:
+                ranks = tuple(sorted((member, self.second[sig], rank)))
+                return sig, ranks, f"signature {sig} occurs in 3 sequences, expected exactly 2"
+            env = self.endpoints.get(sig)
+            if env is not None and rank not in (env.source, env.destination):
+                ranks = sorted({member, rank})
+                endpoints = sorted((env.source, env.destination))
+                return sig, tuple(ranks), f"signature {sig} occurs in sequences {ranks} but its envelope endpoints are {endpoints}"
+        return None
+
+    def finish(self):
+        lonely = [sig for sig in self.first if sig not in self.second]
+        if self.violation is None and lonely:
+            sig = min(lonely)
+            self.violation = sig, (self.first[sig],), f"signature {sig} occurs in 1 sequences, expected exactly 2"
+        return self.violation
+
+
+def _random_strict_model(rng):
+    """An API-built strict model whose members sit mostly, not always, at
+    their envelope's endpoints, in two sequences mostly, not always."""
+    procs = rng.randint(2, 6)
+    space = SignatureSpace()
+    rows = [[] for _ in range(procs)]
+    for tag in range(rng.randint(1, 30)):
+        src, dst = rng.sample(range(procs), 2)
+        env = Envelope(tag, src, dst)
+        occ = MessageOccurrence(space.signature_for(env), Role.UNSPECIFIED, env)
+        members = [src, dst]
+        if rng.random() < 0.1:
+            members[rng.randrange(2)] = rng.randrange(procs)  # off the endpoints, or lonely
+        if rng.random() < 0.1:
+            members.append(rng.randrange(procs))  # maybe a third member
+        for rank in members:
+            rows[rank].extend([occ] * rng.randint(1, 3))
+    for row in rows:
+        rng.shuffle(row)
+    return Model([Sequence(rank, row) for rank, row in enumerate(rows)], Mode.STRICT, space)
+
+
+def _as_tuple(reason):
+    return None if reason is None else (reason.signature, reason.ranks, reason.message)
+
+
+def test_legality_names_the_violation_an_ordered_pass_names():
+    # random chunkings of abstract models (a third member, a lonely
+    # signature, or both, in two of three) and of strict API-built models
+    # whose endpoints are set
+    rng = random.Random(14)
+    violations = 0
+    for trial in range(3000):
+        if trial % 2:
+            model = _random_strict_model(rng)
+        else:
+            rows = random_rows(rng)
+            model = parse_abstract("".join(f"P{rank}: {''.join(row)}\n" for rank, row in enumerate(rows)))
+        legality = Legality()
+        rows = [list(signatures) for _, signatures in lower(model, legality)]  # ranks 0, 1, ...
+        assert legality.violation is None  # unspecified roles: lower finds nothing
+        reference = _OrderedLegality(dict(legality.endpoints))
+        for rank, start, end in interleaving(rng, rows):
+            if start is not None:  # not a close
+                legality.add(rank, rows[rank][start:end])
+                reference.add(rank, rows[rank][start:end])
+                assert _as_tuple(legality.violation) == reference.violation
+        assert _as_tuple(legality.finish()) == reference.finish()
+        violations += reference.violation is not None
+    assert 1000 < violations < 2500
+
+
+def test_legality_names_the_first_violation_where_set_order_differs():
+    # `ba` on a third rank: b (signature 1) comes first in order, a
+    # (signature 0) first in the set
+    assert next(iter({1, 0})) == 0
+    reason = validate_static(abstract_model("ab", "ab", "ba"))
+    assert _as_tuple(reason) == (1, (0, 1, 2), "signature 1 occurs in 3 sequences, expected exactly 2")

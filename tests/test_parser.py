@@ -1,4 +1,5 @@
 import gc
+import random
 import time
 import tracemalloc
 from array import array
@@ -27,6 +28,14 @@ from syncheck import (
 from syncheck import parser
 from syncheck.bench import GenSpec, generate
 from syncheck.parser import detect_format
+
+
+def _wide_rows(rng, distinct):
+    """Two rows over the same `distinct` non-space characters, non-BMP ones
+    included, each in its own random order."""
+    codes = [c for c in range(0x21, 0x10000) if not 0xD800 <= c < 0xE000 and not chr(c).isspace()]
+    chars = [chr(c) for c in codes[: distinct - 100] + list(range(0x10F000, 0x10F064))]
+    return ["".join(rng.sample(chars, len(chars))) for _ in range(2)]
 
 
 def _error_of(parse, text):
@@ -86,12 +95,32 @@ class TestAbstract:
         assert len(model.sequences[0]) == 2
 
     def test_repeated_characters_share_one_occurrence(self):
-        # one signature per character, in one array('l') column per sequence
+        # one signature per character, in one array('i') column per sequence
         model = parse_abstract("abab\nba")
         first, second = model.sequences
-        assert first.column == array("l", [0, 1, 0, 1])
-        assert second.column == array("l", [1, 0])
+        assert first.column == array("i", [0, 1, 0, 1])
+        assert second.column == array("i", [1, 0])
         assert len(model.space) == 2
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # more distinct characters than 0xD800, so some signatures are
+            # surrogate code points, and non-BMP characters among them
+            _wide_rows(random.Random(1), 0xD800 + 700),
+            _wide_rows(random.Random(2), 0xD800 + 5000),
+            # a lone surrogate is a character like any other
+            ["a\ud800b\U0001f600", "\U0001f600\ud800ba"],
+        ],
+        ids=["wide", "wider", "lone-surrogate"],
+    )
+    def test_column_holds_the_signature_of_each_character(self, rows):
+        model = parse_abstract("".join(f"P{rank}: {row}\n" for rank, row in enumerate(rows)))
+        sig_of = {ch: sig for sig, ch in enumerate(model.space.entries)}
+        assert model.space.entries == list(dict.fromkeys("".join(rows)))
+        for seq, row in zip(model.sequences, rows):
+            assert seq.column.typecode == "i"
+            assert seq.column.tolist() == [sig_of[ch] for ch in row]
 
     # (category, line, column, message); one row per message the parser emits
     @pytest.mark.parametrize(
@@ -279,6 +308,29 @@ def test_parsed_model_retains_at_most_100_bytes_per_occurrence():
         tracemalloc.stop()
     assert model.message_count == 200_000
     assert kept / model.message_count <= 100
+
+
+def test_abstract_parse_peak_stays_at_most_10_bytes_per_occurrence():
+    # the column (4 B per occurrence) is built from its UTF-32 bytes (4 B);
+    # a list of signatures converted to the column peaked at ~14 B
+    text = "P0: " + "ab" * 100_000 + "\nP1: " + "ba" * 100_000 + "\n"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model = parse_abstract(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert model.message_count == 400_000
+    assert peak / model.message_count <= 10
+
+
+def test_every_column_is_4_bytes_wide():
+    abstract = parse_abstract("ab\nba\n")
+    dsl = parse_dsl(PAPER_DSL)
+    assert [s.column.typecode for s in abstract.sequences + dsl.sequences] == ["i"] * 5
+    assert array("i").itemsize == 4
 
 
 class TestDetectionAndRoundTrip:
