@@ -8,15 +8,15 @@ check is `load` plus one `drain`, and a stream drains after each event.
 An occurrence is its signature, an int: each rank's signatures are kept in
 one `array('i')` column, appended as parsed or streamed, or lowered once
 from a model built through the API (`model.lower`).  Each ready
-sequence's head is examined once: the signature's matcher either already
-holds a pending head from the other member sequence (match both, advance
-both cursors) or records this head as pending.  After a match, the run of
-equal signatures that follows in both sequences is forced, so it is
-consumed at once by slice compares; `steps` still counts two head
-examinations per matched pair.  A `Legality` fed at each append decides
-legality, so no third member rank is matched.  Total steps are bounded by
-the number of occurrences examined, so a batch check is linear in the
-message count.
+sequence's head is examined once: the signature's matcher either holds a
+pending head from the other member sequence (match both, advance both
+cursors, drop the pending head) or records this head as pending, so the
+table holds at most one pending head per sequence.  After a match, the
+run of equal signatures that follows in both sequences is forced and
+consumed at once by slice compares.  A `Legality` fed at each append
+decides legality, so no third member rank is matched.  Total steps are
+bounded by the number of occurrences examined, so a batch check is linear
+in the message count.
 """
 from __future__ import annotations
 
@@ -67,12 +67,11 @@ class Engine:
         self._cursor: dict = {}  # rank -> int
         self._open: set = set()  # ranks not yet closed; drain() reads it on every event
         self._total = 0  # occurrences loaded or appended
-        self._table: dict = {}  # signature -> pending rank, or None
+        self._table: dict = {}  # signature -> the rank pending on it
         self._legality = Legality()
         # a rank joins the queue only when it gains a head while idle or right
         # after its head matched, so no rank is queued twice or while pending
         self._queue: deque = deque()
-        self.steps = 0
         self.matched_pairs = 0
         self._verdict: Optional[Verdict] = None
         self._loaded = False
@@ -81,7 +80,13 @@ class Engine:
 
     @property
     def table_size(self) -> int:
+        """Pending heads: the blocked ranks at a deadlock, 0 on completion."""
         return len(self._table)
+
+    @property
+    def steps(self) -> int:
+        """Head examinations: two per matched pair, one per pending head."""
+        return 2 * self.matched_pairs + len(self._table)
 
     @property
     def message_count(self) -> int:
@@ -146,7 +151,6 @@ class Engine:
         col_map = self._col
         cur_map = self._cursor
         table = self._table
-        steps = self.steps
         matched = self.matched_pairs
         try:
             while queue:
@@ -154,12 +158,10 @@ class Engine:
                 col = col_map[rank]
                 pos = cur_map[rank]
                 sig = col[pos]
-                steps += 1
-                other = table.get(sig)
+                other = table.pop(sig, None)
                 if other is None:  # a queued rank is never the pending one
                     table[sig] = rank
                     continue
-                table[sig] = None
                 matched += 1
                 pos += 1
                 other_col = col_map[other]
@@ -169,16 +171,12 @@ class Engine:
                 # matching, so equal next heads of `rank` and `other` can only
                 # match each other.  Neither rank is pending now, and the
                 # final cursors do not depend on match order, so the whole
-                # common run is matched here, counted as two steps per pair,
-                # its signatures entered in the table as if examined one by one
-                # (nothing iterates the table, so their order does not matter).
+                # common run is matched here.
                 if pos < len(col) and other_pos < len(other_col) and col[pos] == other_col[other_pos]:
                     run = _common_run(col, pos, other_col, other_pos)
-                    table.update(dict.fromkeys(set(col[pos:pos + run])))
                     pos += run
                     other_pos += run
                     matched += run
-                    steps += 2 * run
                 cur_map[rank] = pos
                 cur_map[other] = other_pos
                 # re-enqueue in ascending rank order for reproducible runs
@@ -187,7 +185,6 @@ class Engine:
                     if cur_map[nxt] < len(col_map[nxt]):
                         queue.append(nxt)
         finally:
-            self.steps = steps
             self.matched_pairs = matched
 
     def drain(self) -> Optional[Verdict]:

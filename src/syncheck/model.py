@@ -185,16 +185,14 @@ class Legality:
         for sig in distinct:
             member = first.setdefault(sig, rank)
             if member != rank and second.setdefault(sig, rank) != rank:
-                message = f"signature {sig} occurs in 3 sequences, expected exactly 2"
+                message = "occurs in 3 sequences, expected exactly 2"
                 return IllegalReason(sig, tuple(sorted((member, second[sig], rank))), message)
             if endpoints:  # empty for parsed and streamed input, which looks nothing up
                 env = endpoints.get(sig)
                 if env is not None and rank != env[1] and rank != env[2]:
                     ranks = sorted({member, rank})
-                    message = (
-                        f"signature {sig} occurs in sequences {ranks} "
-                        f"but its envelope endpoints are {sorted((env[1], env[2]))}"
-                    )
+                    ends = sorted((env[1], env[2]))
+                    message = f"occurs in sequences {ranks} but its envelope endpoints are {ends}"
                     return IllegalReason(sig, tuple(ranks), message)
         return None
 
@@ -202,7 +200,7 @@ class Legality:
         """Judge the model as complete: every signature must have two members."""
         if self.violation is None and len(self._first) > len(self._second):
             sig = min(sig for sig in self._first if sig not in self._second)
-            message = f"signature {sig} occurs in 1 sequences, expected exactly 2"
+            message = "occurs in 1 sequence, expected exactly 2"
             self.violation = IllegalReason(sig, (self._first[sig],), message)
         return self.violation
 

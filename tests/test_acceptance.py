@@ -145,7 +145,7 @@ def test_criterion_5_linearity():
         assert n == 1_000_000
         assert classify(verdict) == "ok"
         assert engine.steps <= n + spec.processes
-        assert engine.table_size <= len(model.space)
+        assert engine.table_size <= len(model.sequences)
         assert elapsed < 5.0
 
         # wall-time doubling ratio across n = 2^17 .. 2^21

@@ -83,6 +83,7 @@ def _assert_stream_agrees(rows, batch_code, batch_out, code, out, err):
         assert streamed["reason"]["signature"] == batch["reason"]["signature"] == ch, rows
         if len(ranks) <= 3:
             assert streamed["reason"]["processes"] == batch["reason"]["processes"] == ranks
+            assert streamed["reason"] == batch["reason"], rows  # the message names no dense signature
 
 
 def _chunks(rng, chars) -> list:

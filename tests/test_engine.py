@@ -83,12 +83,11 @@ class TestBatchFixtures:
 
 
 def assert_one_pending_per_signature(engine):
-    # the table maps a signature to its one pending rank (or None), and that
-    # rank is blocked on the signature; members live in Legality
+    # the table maps a signature to its one pending rank, and that rank is
+    # blocked on the signature; members live in Legality
     for signature, pending in engine._table.items():
-        if pending is not None:
-            assert engine._col[pending][engine._cursor[pending]] == signature
-            assert pending not in engine._queue
+        assert engine._col[pending][engine._cursor[pending]] == signature
+        assert pending not in engine._queue
     first, second = engine._legality._first, engine._legality._second
     assert all(first[sig] != rank for sig, rank in second.items())
 
@@ -324,12 +323,12 @@ class TestInvariants:
             else:
                 assert 2 * engine.matched_pairs == model.message_count
 
-    def test_table_size_bounded_by_distinct_signatures(self):
+    def test_table_size_bounded_by_sequence_count(self):
         rng = random.Random(23)
         for _ in range(50):
             model = random_legal_abstract(rng)
             _, engine = check_with_engine(model)
-            assert engine.table_size <= len(model.space)
+            assert engine.table_size <= len(model.sequences)
             assert len(model.space) <= max(model.message_count, 1)
 
     def test_order_invariance(self):
@@ -359,12 +358,10 @@ class TestInvariants:
                 assert rank not in pending
             # each matched pair took two head examinations, each pending rank one,
             # whether the pair was matched alone or in a forced run
-            pending.discard(None)
             assert engine.steps == 2 * engine.matched_pairs + len(pending)
-            # the table holds every signature examined: consumed or pending heads
-            examined = {sig for r, col in engine._col.items() for sig in col[:engine._cursor[r]]}
-            examined.update(engine._col[r][engine._cursor[r]] for r in pending)
-            assert set(engine._table) == examined
+            # every rank with a head left is queued or pending, never both
+            headed = {r for r, col in engine._col.items() if engine._cursor[r] < len(col)}
+            assert headed == set(queue) | pending
 
         def drain_sometimes(engine, rng):
             verdict = None
@@ -535,6 +532,9 @@ def test_lockstep_runs_agree_with_cycle_check_batch_and_streamed():
                 assert (streamed.steps, streamed.matched_pairs, streamed.table_size) == (
                     engine.steps, engine.matched_pairs, engine.table_size,
                 )
+            if isinstance(verdict, Deadlock):  # the table is exactly the blocked heads
+                blocked = {b.signature: b.rank for b in verdict.report.blocked}
+                assert engine._table == blocked and streamed._table == blocked
 
 
 @settings(max_examples=150, deadline=None)

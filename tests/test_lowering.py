@@ -92,12 +92,12 @@ def test_role_inconsistent_api_model_is_illegal_through_check_and_validate_stati
          "recv at rank 1 pos 1 but envelope destination is 2"),
         # an unspecified role off the envelope's endpoints
         (_strict_model([(0, [(send, a)]), (5, [(unspecified, a)])]),
-         "signature 0 occurs in sequences [0, 5] but its envelope endpoints are [0, 1]"),
+         "occurs in sequences [0, 5] but its envelope endpoints are [0, 1]"),
         # a third member met before a later signature's wrong endpoint, and after
         (_strict_model([(0, [(send, a)]), (1, [(recv, a)]), (2, [(unspecified, a), (unspecified, b)])]),
-         "signature 0 occurs in 3 sequences, expected exactly 2"),
+         "occurs in 3 sequences, expected exactly 2"),
         (_strict_model([(0, [(send, a)]), (1, [(recv, a)]), (7, [(unspecified, b), (unspecified, a)])]),
-         "signature 1 occurs in sequences [7] but its envelope endpoints are [1, 2]"),
+         "occurs in sequences [7] but its envelope endpoints are [1, 2]"),
         (Model([Sequence(0, [MessageOccurrence(0, send)])], Mode.STRICT, SignatureSpace()),
          "strict-mode occurrence at rank 0 pos 0 has no envelope"),
         # an off-endpoint member met before a misplaced send of the same sequence
@@ -106,7 +106,7 @@ def test_role_inconsistent_api_model_is_illegal_through_check_and_validate_stati
         # one signature under two envelopes: its members are held to the first
         (Model([Sequence(0, [MessageOccurrence(0, send, a)]),
                 Sequence(2, [MessageOccurrence(0, send, Envelope(9, 2, 3))])], Mode.STRICT, SignatureSpace()),
-         "signature 0 occurs in sequences [0, 2] but its envelope endpoints are [0, 1]"),
+         "occurs in sequences [0, 2] but its envelope endpoints are [0, 1]"),
     ]
     for model, message in cases:
         verdict = check(model)

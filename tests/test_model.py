@@ -152,19 +152,19 @@ class _OrderedLegality:
             member = self.first.setdefault(sig, rank)
             if member != rank and self.second.setdefault(sig, rank) != rank:
                 ranks = tuple(sorted((member, self.second[sig], rank)))
-                return sig, ranks, f"signature {sig} occurs in 3 sequences, expected exactly 2"
+                return sig, ranks, "occurs in 3 sequences, expected exactly 2"
             env = self.endpoints.get(sig)
             if env is not None and rank not in (env.source, env.destination):
                 ranks = sorted({member, rank})
                 endpoints = sorted((env.source, env.destination))
-                return sig, tuple(ranks), f"signature {sig} occurs in sequences {ranks} but its envelope endpoints are {endpoints}"
+                return sig, tuple(ranks), f"occurs in sequences {ranks} but its envelope endpoints are {endpoints}"
         return None
 
     def finish(self):
         lonely = [sig for sig in self.first if sig not in self.second]
         if self.violation is None and lonely:
             sig = min(lonely)
-            self.violation = sig, (self.first[sig],), f"signature {sig} occurs in 1 sequences, expected exactly 2"
+            self.violation = sig, (self.first[sig],), "occurs in 1 sequence, expected exactly 2"
         return self.violation
 
 
@@ -225,4 +225,4 @@ def test_legality_names_the_first_violation_where_set_order_differs():
     # (signature 0) first in the set
     assert next(iter({1, 0})) == 0
     reason = validate_static(abstract_model("ab", "ab", "ba"))
-    assert _as_tuple(reason) == (1, (0, 1, 2), "signature 1 occurs in 3 sequences, expected exactly 2")
+    assert _as_tuple(reason) == (1, (0, 1, 2), "occurs in 3 sequences, expected exactly 2")
