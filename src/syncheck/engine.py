@@ -6,8 +6,8 @@ until none is left and, once every sequence is closed, returns the verdict.
 check is `load` plus one `drain`, and a stream drains after each event.
 
 An occurrence is its signature, an int: each rank's signatures are kept in
-one `array('i')` column, appended as parsed or streamed, or lowered once
-from a model built through the API (`model.lower`).  Each ready
+one `array('i')` column.  `load` adopts a model's column of that type and
+converts any other (`model.lower`); a streamed `append` copies.  Each ready
 sequence's head is examined once: the signature's matcher either holds a
 pending head from the other member sequence (match both, advance both
 cursors, drop the pending head) or records this head as pending, so the
@@ -105,11 +105,14 @@ class Engine:
         self._loaded = True
         self._space = model.space
         for seq, signatures in lower(model, self._legality):
-            self.append(seq.rank, signatures)
+            self._append(seq.rank, signatures, adopt=True)
             self.close(seq.rank)
 
     def append(self, rank: int, signatures) -> None:
         """Streaming append of signatures (a list or an array); creates the sequence on first use."""
+        self._append(rank, signatures, adopt=False)
+
+    def _append(self, rank: int, signatures, adopt: bool) -> None:
         if self._verdict is not None:
             raise EngineError("append after finalization")
         col = self._col.get(rank)
@@ -126,8 +129,10 @@ class Engine:
             col.fromlist(signatures)
         elif isinstance(signatures, array) and signatures.typecode != COLUMN_TYPECODE:
             col.fromlist(signatures.tolist())
+        elif adopt and isinstance(signatures, array):  # load closes it at once, so nothing writes to it
+            col = self._col[rank] = signatures
         else:
-            col.extend(signatures)
+            col.extend(signatures)  # a streamed array stays its caller's, so it is copied
         self._legality.add(rank, signatures)
         if self._cursor[rank] == start < len(col):  # idle, so not queued
             self._queue.append(rank)

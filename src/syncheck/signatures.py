@@ -11,6 +11,14 @@ from typing import Optional, Union
 from .model import Envelope, check_envelope
 
 
+class _Interner(dict):
+    """Entry -> signature; the first lookup of an entry issues it the next one, `len(self)`."""
+
+    def __missing__(self, entry) -> int:
+        sig = self[entry] = len(self)
+        return sig
+
+
 class SignatureSpace:
     def __init__(self, entries: Optional[list] = None) -> None:
         self._entries: list = [] if entries is None else entries  # signature -> envelope tuple | str; adopted

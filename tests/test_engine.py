@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 from array import array
 
 import pytest
@@ -32,7 +34,9 @@ from syncheck import (
     check,
     check_with_engine,
     cycle_check,
+    parse_abstract,
     parse_dsl,
+    parse_model,
 )
 from syncheck.bench import GenSpec, generate
 from syncheck.engine import _common_run
@@ -301,6 +305,66 @@ class TestStreaming:
         assert a.drain() is None and b.drain() is None
         assert a.matched_pairs == 1 and b.matched_pairs == 0
         assert a._table is not b._table
+
+
+class TestColumnAdoption:
+    """`load` adopts a model's `array('i')` columns; every other column, and
+    every streamed array, is copied into one the engine owns."""
+
+    @pytest.mark.parametrize("text", ["P0: xyzab\nP1: xyzba\n", PAPER_DSL], ids=["abstract", "dsl"])
+    def test_a_check_leaves_the_parsed_columns_as_they_were(self, text):
+        model = parse_model(text)
+        before = [seq.column.tobytes() for seq in model.sequences]
+        verdict, engine = check_with_engine(model)
+        assert all(engine._col[seq.rank] is seq.column for seq in model.sequences)
+        assert [seq.column.tobytes() for seq in model.sequences] == before
+        assert isinstance(verdict, Deadlock)
+        assert check(model) == verdict
+
+    def test_a_streamed_array_is_copied(self):
+        # ab / ba deadlocks at both heads; rewritten to ba / ba, it would complete
+        chunk = array("i", [0, 1])
+        engine = Engine()
+        engine.append(0, chunk)
+        engine.append(1, array("i", [1, 0]))
+        chunk[0], chunk[1] = 1, 0
+        engine.close(0)
+        engine.close(1)
+        verdict = engine.drain()
+        assert engine._col[0] is not chunk
+        assert isinstance(verdict, Deadlock)
+        assert [(b.rank, b.position, b.signature) for b in verdict.report.blocked] == [(0, 0, 0), (1, 0, 1)]
+
+    def test_list_columns_and_other_typecodes_are_converted(self):
+        model = model_from_tuples(["ab", "ab", "c", "c"])
+        model.sequences[1:] = [
+            Sequence(1, column=[0, 1]),
+            Sequence(2, column=array("l", [2])),
+            Sequence(3, column=array("i", [2])),
+        ]
+        verdict, engine = check_with_engine(model)
+        assert isinstance(verdict, NoDeadlock)
+        assert [engine._col[seq.rank] is seq.column for seq in model.sequences] == [False, False, False, True]
+        assert [col.typecode for col in engine._col.values()] == ["i"] * 4
+        assert [col.tolist() for col in engine._col.values()] == [[0, 1], [0, 1], [2], [2]]
+
+
+def test_check_of_a_parsed_abstract_model_peaks_below_1_5_bytes_per_occurrence():
+    # the parsed columns are adopted; copying them alone took 4 B per
+    # occurrence.  What is left is mostly the forced runs' slice compares.
+    rows = [(a + b) * 12_500 for a, b in ("ab", "cd", "ef", "gh") for _ in range(2)]
+    model = parse_abstract("".join(f"P{rank}: {row}\n" for rank, row in enumerate(rows)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        verdict, _ = check_with_engine(model)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert isinstance(verdict, NoDeadlock)
+    assert model.message_count == 200_000
+    assert peak / model.message_count < 1.5
 
 
 class TestInvariants:

@@ -111,8 +111,21 @@ class TestAbstract:
             _wide_rows(random.Random(2), 0xD800 + 5000),
             # a lone surrogate is a character like any other
             ["a\ud800b\U0001f600", "\U0001f600\ud800ba"],
+            ["\udc00a\ud800", "\ud800\udc00a", "\udfff", "\udfff"],
+            # ASCII, Latin-1, BMP and astral characters in one line
+            ["a\xe9\u4e2d\U0001f600b", "\U0001f600b\u4e2da\xe9"],
+            # a new ASCII character after the first non-ASCII one
+            ["ab\xe9cd", "dc\xe9ba"],
+            # an ASCII line whose signatures pass 127 at `c`: str.translate
+            # leaves its ASCII fast path there, and new ASCII characters follow
+            ["".join(map(chr, range(0x100, 0x17E))), "abaaacdcefg"],
+            # more than 128 distinct characters in one line
+            _wide_rows(random.Random(3), 400),
         ],
-        ids=["wide", "wider", "lone-surrogate"],
+        ids=[
+            "wide", "wider", "lone-surrogate", "lone-surrogates",
+            "mixed", "ascii-after-non-ascii", "fast-path-left", "over-128",
+        ],
     )
     def test_column_holds_the_signature_of_each_character(self, rows):
         model = parse_abstract("".join(f"P{rank}: {row}\n" for rank, row in enumerate(rows)))
@@ -414,6 +427,21 @@ class TestDetectionAndRoundTrip:
         assert [s.rank for s in abstract.sequences] == ranks
         assert [s.column.tolist() for s in abstract.sequences] == signatures
         assert len(abstract.space) == len(dsl.space) == len(model.space)
+
+
+@pytest.mark.parametrize("pattern", ["random", "ring", "pairs"])
+@pytest.mark.parametrize("seed", range(4))
+def test_dsl_signatures_follow_first_appearance(pattern, seed):
+    # bodies of about 30 KB, so each is read in more than one window
+    model = generate(GenSpec(pattern, 4, 1000, seed=seed))
+    index: dict = {}
+    columns = [
+        [index.setdefault(tuple(occ.envelope), len(index)) for occ in seq.occurrences]
+        for seq in model.sequences
+    ]
+    parsed = parse_dsl(render_dsl(model))
+    assert parsed.space.entries == list(index)
+    assert [seq.column.tolist() for seq in parsed.sequences] == columns
 
 
 _RENDERINGS = [

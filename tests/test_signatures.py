@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncheck import Envelope, SignatureSpace
+from syncheck.signatures import _Interner
 
 
 def test_first_issue_is_zero():
@@ -100,3 +101,13 @@ def test_density_and_idempotence(quads):
     assert len(space) == len(issued)
     for env, sig in issued.items():
         assert space.envelope_of(sig) == env
+
+
+def test_interner_issues_signatures_in_order_of_first_lookup():
+    index = _Interner()
+    assert [index[key] for key in "xyxz"] == [0, 1, 0, 2]
+    assert list(index) == ["x", "y", "z"]
+    # str.translate looks up each code point, so one pass interns a line
+    table = _Interner()
+    assert "b\xe9b\U0001f600".translate(table) == "\x00\x01\x00\x02"
+    assert list(table) == [ord("b"), 0xE9, 0x1F600]
