@@ -131,8 +131,8 @@ class BenchRow:
 def bench_run(spec: GenSpec, repetitions: int = 3, backends=("engine", "cycle")) -> List[BenchRow]:
     """Time engine and cycle-detector checks on one generated model.
 
-    Generation/parsing is excluded; one warm-up run per backend is discarded
-    and the median of the remaining repetitions reported.
+    Generation, which role-checks the model, is excluded; one warm-up run
+    per backend is discarded and the median of the rest reported.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")

@@ -6,8 +6,8 @@ until none is left and, once every sequence is closed, returns the verdict.
 check is `load` plus one `drain`, and a stream drains after each event.
 
 An occurrence is its signature, an int: each rank's signatures are kept in
-one `array('i')` column.  `load` adopts a model's column of that type and
-converts any other (`model.lower`); a streamed `append` copies.  Each ready
+one `array('i')` column.  `load` adopts each model sequence's column, the
+`array('i')` made with its `Sequence`; a streamed `append` copies.  Each ready
 sequence's head is examined once: the signature's matcher either holds a
 pending head from the other member sequence (match both, advance both
 cursors, drop the pending head) or records this head as pending, so the
@@ -24,7 +24,7 @@ from array import array
 from collections import deque
 from typing import Optional, Union
 
-from .model import COLUMN_TYPECODE, Deadlock, Illegal, Legality, Model, NoDeadlock, deadlock_report, lower
+from .model import COLUMN_TYPECODE, Deadlock, Illegal, Legality, Model, NoDeadlock, deadlock_report
 
 Verdict = Union[NoDeadlock, Deadlock, Illegal]
 
@@ -99,20 +99,22 @@ class Engine:
 
     def load(self, model: Model) -> None:
         """Append and close every model sequence, in model order, in a fresh
-        engine, with the model's space."""
+        engine, with the model's space; closed at once, a column is adopted."""
         if self._loaded or self._col:
             raise EngineError("engine already loaded")
         self._loaded = True
         self._space = model.space
-        for seq, signatures in lower(model, self._legality):
-            self._append(seq.rank, signatures, adopt=True)
-            self.close(seq.rank)
+        for index, seq in enumerate(model.sequences):
+            if seq.rank in self._col:  # a rank added to the model after it was built
+                raise EngineError(f"append to closed sequence {seq.rank}")
+            self._legality.add_sequence(model, index)
+            self._col[seq.rank] = seq.column
+        self._cursor = dict.fromkeys(self._col, 0)
+        self._queue.extend(rank for rank, column in self._col.items() if column)
+        self._total = model.message_count
 
     def append(self, rank: int, signatures) -> None:
         """Streaming append of signatures (a list or an array); creates the sequence on first use."""
-        self._append(rank, signatures, adopt=False)
-
-    def _append(self, rank: int, signatures, adopt: bool) -> None:
         if self._verdict is not None:
             raise EngineError("append after finalization")
         col = self._col.get(rank)
@@ -129,10 +131,8 @@ class Engine:
             col.fromlist(signatures)
         elif isinstance(signatures, array) and signatures.typecode != COLUMN_TYPECODE:
             col.fromlist(signatures.tolist())
-        elif adopt and isinstance(signatures, array):  # load closes it at once, so nothing writes to it
-            col = self._col[rank] = signatures
         else:
-            col.extend(signatures)  # a streamed array stays its caller's, so it is copied
+            col.extend(signatures)  # the array stays its caller's, so it is copied
         self._legality.add(rank, signatures)
         if self._cursor[rank] == start < len(col):  # idle, so not queued
             self._queue.append(rank)

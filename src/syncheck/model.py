@@ -1,18 +1,18 @@
 """Core domain types: envelopes, occurrences, sequences, models, verdicts.
 
 A "signature" is a plain nonnegative int issued densely by a
-:class:`~syncheck.signatures.SignatureSpace`.  A parsed sequence is one
-``array('i')`` column of signatures, each occurrence's envelope its
-signature's entry in the space and its role taken from the rank: a send
-sits at its envelope's source.  API-built sequences list
-:class:`MessageOccurrence` objects, which :func:`lower` checks and lowers.
+:class:`~syncheck.signatures.SignatureSpace`.  Every sequence is one
+``array('i')`` column of signatures; a parsed occurrence's envelope is its
+signature's entry in the space and its role follows from the rank (a send
+sits at its envelope's source).  API-built :class:`MessageOccurrence` lists
+become columns when built, role-checked once by their strict `Model`.
 """
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 # The typecode of every signature column.  Signatures are dense, below the
 # size of their space, so 4 bytes hold every one a process can issue.
@@ -60,26 +60,27 @@ class MessageOccurrence(NamedTuple):
 
 @dataclass
 class Sequence:
-    """One process's complete, ordered occurrences: either `MessageOccurrence`s
-    (built through the API) or a `column` of signatures (parsed).  A sequence
-    that is still growing lives only in an `Engine`, fed by `append`."""
+    """One process's complete, ordered occurrences: a `column` of signatures, an
+    `array('i')` made here from any other column or from API-built `occurrences`,
+    kept for the `Model`'s role check.  A growing sequence lives only in an `Engine`."""
 
     rank: int
     occurrences: Optional[list] = None  # list[MessageOccurrence]
     column: Optional[array] = None
 
-    def __len__(self) -> int:
-        return len(self.occurrences if self.column is None else self.column)
+    def __post_init__(self) -> None:
+        column = self.column if self.occurrences is None else [occ.signature for occ in self.occurrences]
+        if type(column) is not array or column.typecode != COLUMN_TYPECODE:
+            self.column = array(COLUMN_TYPECODE, column)
 
-    @property
-    def signatures(self):
-        """The signatures in order: the column, or a list made from the occurrences."""
-        return self.column if self.column is not None else [occ.signature for occ in self.occurrences]
+    def __len__(self) -> int:
+        return len(self.column)
 
 
 @dataclass
 class Model:
-    """A set of sequences with pairwise-distinct ranks plus their signature space."""
+    """A set of sequences with pairwise-distinct ranks plus their signature
+    space.  In strict mode its occurrences are role-checked once, here."""
 
     sequences: list  # list[Sequence]
     mode: Mode
@@ -89,6 +90,23 @@ class Model:
         ranks = [s.rank for s in self.sequences]
         if len(set(ranks)) != len(ranks):
             raise ValueError(f"duplicate process ranks in model: {ranks}")
+        # the first sequence that breaks a role or the endpoint rule, by index:
+        # its role violation, or the first envelopes whose endpoints it is off
+        self._role_violations: dict = {}
+        self._endpoints: dict = {}
+        strict, first = self.mode is Mode.STRICT, {}  # first: signature -> the first envelope seen with it
+        for index, seq in enumerate(self.sequences):
+            if strict and seq.occurrences is not None:
+                reason = _role_violation(seq, first)
+                if reason is not None:
+                    self._role_violations[index] = reason
+                    return
+            if first:  # no envelope is known before a sequence built from occurrences
+                rank, pairs = seq.rank, zip(seq.column, map(first.get, seq.column))
+                off = {sig: env for sig, env in pairs if env is not None and rank != env[1] and rank != env[2]}
+                if off:  # so legality finds a violation in this sequence at the latest
+                    self._endpoints[index] = off
+                    return
 
     @property
     def message_count(self) -> int:
@@ -146,8 +164,8 @@ class Legality:
 
     Occurrence-count imbalance between the two sequences is legal; it
     surfaces as a deadlock at matching time.  Parsed and streamed members
-    are endpoints by construction, so `endpoints` is filled only by `lower`,
-    for occurrences built through the API, and stays empty otherwise.
+    are endpoints by construction, so `endpoints` is filled only by
+    `add_sequence`, where an API-built model breaks the rule.
 
     `add` records each occurrence's rank in O(1) and sets `violation` as
     soon as the signatures seen show one.  A signature with fewer than two
@@ -172,6 +190,13 @@ class Legality:
         # the cyclic GC never scans them
         self._first: dict = {}
         self._second: dict = {}
+
+    def add_sequence(self, model: Model, index: int) -> None:
+        """Record sequence `index` of complete `model`: its role violation,
+        unless one came earlier, its endpoint trace, then its column."""
+        self.violation = self.violation or model._role_violations.get(index)
+        self.endpoints.update(model._endpoints.get(index, ()))
+        self.add(model.sequences[index].rank, model.sequences[index].column)
 
     def add(self, rank: int, signatures) -> None:
         """Record `signatures`, the next occurrences of sequence `rank`."""
@@ -205,24 +230,6 @@ class Legality:
         return self.violation
 
 
-def lower(model: Model, legality: Legality) -> Iterator[Tuple[Sequence, object]]:
-    """Each sequence of `model`, in order, with its signatures, which the
-    caller adds to `legality` before taking the next.
-
-    Occurrences built through the API enter here, so in strict mode their
-    roles are checked here: each occurrence has an envelope, a send sits at
-    its envelope's source and a recv at its destination.  A role violation
-    goes to `legality` before the sequence's signatures are added, so it is
-    reported ahead of their membership and endpoint violations.  The first
-    envelope seen with each signature goes to `legality.endpoints`.
-    """
-    strict = model.mode is Mode.STRICT
-    for seq in model.sequences:
-        if strict and seq.column is None and legality.violation is None:
-            legality.violation = _role_violation(seq, legality.endpoints)
-        yield seq, seq.signatures
-
-
 def _role_violation(seq: Sequence, endpoints: dict) -> Optional[IllegalReason]:
     rank, send, recv = seq.rank, Role.SEND, Role.RECV
     for pos, (sig, role, env) in enumerate(seq.occurrences):
@@ -239,20 +246,12 @@ def _role_violation(seq: Sequence, endpoints: dict) -> Optional[IllegalReason]:
     return None
 
 
-def lowered(model: Model) -> Tuple[list, Optional[IllegalReason]]:
-    """Each sequence's signatures, lowered once, in model order, and the
-    model's first legality violation, or None when it is legal."""
-    legality = Legality()
-    columns = []
-    for seq, signatures in lower(model, legality):
-        legality.add(seq.rank, signatures)
-        columns.append(signatures)
-    return columns, legality.finish()
-
-
 def validate_static(model: Model) -> Optional[IllegalReason]:
-    """The model's first legality violation, or None when it is legal."""
-    return lowered(model)[1]
+    """The model's first legality violation, in model order, or None when it is legal."""
+    legality = Legality()
+    for index in range(len(model.sequences)):
+        legality.add_sequence(model, index)
+    return legality.finish()
 
 
 def deadlock_report(columns: dict, cursors: dict, space) -> DeadlockReport:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import List, Optional, Tuple, Union
 
-from .model import Deadlock, Illegal, Model, NoDeadlock, deadlock_report, lowered
+from .model import Deadlock, Illegal, Model, NoDeadlock, deadlock_report, validate_static
 
 Verdict = Union[NoDeadlock, Deadlock, Illegal]
 
@@ -53,11 +53,12 @@ def simulate_exhaustive(model: Model, cap: int = 10**6) -> SimulationResult:
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    sigs, reason = lowered(model)
+    reason = validate_static(model)
     if reason is not None:
         return SimulationResult(Illegal(reason), True, 0)
 
     seqs = model.sequences
+    sigs = [seq.column for seq in seqs]
     lengths = [len(x) for x in sigs]
     total = sum(lengths)
 
@@ -98,7 +99,7 @@ def simulate_exhaustive(model: Model, cap: int = 10**6) -> SimulationResult:
         verdict: Verdict = NoDeadlock()
     else:
         assert stuck_terminal is not None
-        columns = {seq.rank: column for seq, column in zip(seqs, sigs)}
+        columns = {seq.rank: seq.column for seq in seqs}
         cursors = {seq.rank: cur for seq, cur in zip(seqs, stuck_terminal)}
         verdict = Deadlock(deadlock_report(columns, cursors, model.space))
     confluent = not (success_terminal and stuck_terminal is not None)
@@ -138,11 +139,12 @@ def cycle_check(model: Model) -> CycleCheckResult:
     the occurrences, apart from sorting the distinct signatures, and only
     the nodes of the witness become `OrderNode`s.
     """
-    columns, reason = lowered(model)
+    reason = validate_static(model)
     if reason is not None:
         return CycleCheckResult(Illegal(reason), None, ())
 
     seqs = model.sequences
+    columns = [seq.column for seq in seqs]
 
     # pairs of each signature: the lower of its two counts, 1 when it occurs
     # once in either member
@@ -226,7 +228,7 @@ def cycle_check(model: Model) -> CycleCheckResult:
         while elem[g] >= 0 and not indeg[elem[g]]:
             g += 1
         cursors[seq.rank] = g - start
-    report = deadlock_report({seq.rank: column for seq, column in zip(seqs, columns)}, cursors, model.space)
+    report = deadlock_report({seq.rank: seq.column for seq in seqs}, cursors, model.space)
 
     def order_node(u: int) -> OrderNode:
         endpoints = []

@@ -346,7 +346,7 @@ def render_abstract(model: Model) -> str:
     (strict-model envelopes) are relabeled from a 62-character alphabet, so
     only models with at most 62 such signatures can be rendered.
     """
-    rows = [seq.signatures for seq in model.sequences]
+    rows = [seq.column for seq in model.sequences]
     labels: dict = {}
     taken = set()
     for row in rows:
@@ -378,18 +378,16 @@ def render_abstract(model: Model) -> str:
 def render_dsl(model: Model) -> str:
     if model.mode is not Mode.STRICT:
         raise ValueError("only strict models render as DSL")
+    entries = model.space.entries
     lines = []
     for seq in model.sequences:
         lines.append(f"process {seq.rank} {{")
-        if seq.column is None:
-            envelopes = [occ.envelope for occ in seq.occurrences]
-        else:
-            envelopes = map(model.space.envelope_of, seq.column)
-        for env in envelopes:
-            comm = f" comm={env.communicator}" if env.communicator != 0 else ""
-            if env.source == seq.rank:  # a send sits at its envelope's source
-                lines.append(f"  send tag={env.tag} to {env.destination}{comm};")
+        for sig in seq.column:
+            tag, src, dst, comm = entries[sig]
+            comm = f" comm={comm}" if comm != 0 else ""
+            if src == seq.rank:  # a send sits at its envelope's source
+                lines.append(f"  send tag={tag} to {dst}{comm};")
             else:
-                lines.append(f"  recv tag={env.tag} from {env.source}{comm};")
+                lines.append(f"  recv tag={tag} from {src}{comm};")
         lines.append("}")
     return "\n".join(lines) + "\n"

@@ -48,7 +48,7 @@ def test_engine_stream_agrees_with_check():
             if start is None:
                 engine.close(rank)
             else:
-                engine.append(rank, model.sequences[rank].signatures[start:end])
+                engine.append(rank, model.sequences[rank].column[start:end])
             if engine.drain() is not None:
                 break
         streamed = engine.drain()

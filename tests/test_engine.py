@@ -198,9 +198,10 @@ class TestStreaming:
     def test_loaded_columns_are_4_bytes_wide(self):
         model = model_from_tuples(["ab", "ab", "c", "c"])
         model.sequences[2:] = [Sequence(2, column=array("l", [2])), Sequence(3, column=array("i", [2]))]
+        assert [seq.column.typecode for seq in model.sequences] == ["i"] * 4  # from construction
         verdict, engine = check_with_engine(model)
         assert isinstance(verdict, NoDeadlock)
-        assert [col.typecode for col in engine._col.values()] == ["i"] * 4
+        assert [engine._col[seq.rank] is seq.column for seq in model.sequences] == [True] * 4
 
     def test_exhausted_idle_sequence_requeued_on_append(self):
         engine = Engine()
@@ -308,8 +309,9 @@ class TestStreaming:
 
 
 class TestColumnAdoption:
-    """`load` adopts a model's `array('i')` columns; every other column, and
-    every streamed array, is copied into one the engine owns."""
+    """`load` adopts every model sequence's column, which is an `array('i')`
+    from the sequence's construction; every streamed array is copied into
+    one the engine owns."""
 
     @pytest.mark.parametrize("text", ["P0: xyzab\nP1: xyzba\n", PAPER_DSL], ids=["abstract", "dsl"])
     def test_a_check_leaves_the_parsed_columns_as_they_were(self, text):
@@ -336,16 +338,20 @@ class TestColumnAdoption:
         assert [(b.rank, b.position, b.signature) for b in verdict.report.blocked] == [(0, 0, 0), (1, 0, 1)]
 
     def test_list_columns_and_other_typecodes_are_converted(self):
+        # converted when the sequence is built, so load adopts every column,
+        # the one made from occurrences too
         model = model_from_tuples(["ab", "ab", "c", "c"])
+        given = array("i", [2])
         model.sequences[1:] = [
             Sequence(1, column=[0, 1]),
             Sequence(2, column=array("l", [2])),
-            Sequence(3, column=array("i", [2])),
+            Sequence(3, column=given),
         ]
+        assert [seq.column.typecode for seq in model.sequences] == ["i"] * 4
+        assert model.sequences[3].column is given
         verdict, engine = check_with_engine(model)
         assert isinstance(verdict, NoDeadlock)
-        assert [engine._col[seq.rank] is seq.column for seq in model.sequences] == [False, False, False, True]
-        assert [col.typecode for col in engine._col.values()] == ["i"] * 4
+        assert [engine._col[seq.rank] is seq.column for seq in model.sequences] == [True] * 4
         assert [col.tolist() for col in engine._col.values()] == [[0, 1], [0, 1], [2], [2]]
 
 
@@ -452,7 +458,7 @@ class TestInvariants:
                 if start is None:
                     engine.close(rank)
                 else:
-                    engine.append(rank, model.sequences[rank].signatures[start:end])
+                    engine.append(rank, model.sequences[rank].column[start:end])
                 assert_queue_ok(engine)
                 if drain_sometimes(engine, rng) is not None:
                     break
@@ -465,7 +471,7 @@ class TestInvariants:
 
             engine = Engine()
             pending = {
-                s.rank: list(s.signatures) for s in model.sequences
+                s.rank: list(s.column) for s in model.sequences
             }
             open_ranks = set(pending)
             for rank in open_ranks:
@@ -582,7 +588,7 @@ def test_lockstep_runs_agree_with_cycle_check_batch_and_streamed():
         assert verdict == cycle_check(model).verdict
         for _ in range(2):
             streamed = Engine()
-            rows = [seq.signatures for seq in model.sequences]
+            rows = [seq.column for seq in model.sequences]
             for rank, start, end in interleaving(rng, rows):
                 if start is None:
                     streamed.close(rank)

@@ -1,11 +1,18 @@
 """A parsed model checks exactly as the API-built model it was rendered from.
 
-Parsed models are signature columns; API-built models list
-`MessageOccurrence`s, lowered (and, in strict mode, role-checked) by
-`model.lower`.  Both must give the same verdict, report and step count.
+Every sequence is a signature column.  An API-built sequence gets its
+column from its `MessageOccurrence`s when it is constructed, and in strict
+mode its `Model` checks their roles once, when it is built.  Both kinds
+must give the same verdict, report and step count, and every consumer must
+name the violation that the in-order lowering kept here as a reference
+names.
 """
+import gc
+import itertools
 import random
+import tracemalloc
 
+from support import model_from_tuples
 from syncheck import (
     Envelope,
     Illegal,
@@ -15,14 +22,17 @@ from syncheck import (
     Role,
     Sequence,
     SignatureSpace,
+    StateCapExceeded,
     check,
     check_with_engine,
     cycle_check,
     parse_dsl,
     render_dsl,
+    simulate_exhaustive,
     validate_static,
 )
 from syncheck.bench import GenSpec, generate
+from syncheck.model import IllegalReason, Legality
 from syncheck.report import build_report, to_json
 
 
@@ -66,7 +76,7 @@ def test_parsed_model_checks_as_the_api_built_one():
         kind, rows = _perturbed(rng, generate(GenSpec(pattern, processes, rng.randint(2, 12), seed=seed)))
         built = _strict_model(enumerate(rows))
         parsed = parse_dsl(render_dsl(built))
-        assert all(seq.column is not None and seq.occurrences is None for seq in parsed.sequences)
+        assert all(seq.occurrences is None for seq in parsed.sequences)
 
         verdict, report = _report(built)
         assert _report(parsed) == (verdict, report), rows
@@ -114,3 +124,175 @@ def test_role_inconsistent_api_model_is_illegal_through_check_and_validate_stati
         assert verdict.reason.message == message
         assert validate_static(model) == verdict.reason
         assert cycle_check(model).verdict == verdict
+
+
+def _reference_roles(seq):
+    """The strict role check of `seq`'s occurrences, as an in-order pass
+    made it: the first violation, and the first envelope of each signature
+    in order, up to that violation."""
+    rank, envelopes = seq.rank, {}
+    for pos, (sig, role, env) in enumerate(seq.occurrences):
+        if env is None:
+            message = f"strict-mode occurrence at rank {rank} pos {pos} has no envelope"
+        elif role is Role.SEND and rank != env.source:
+            message = f"send at rank {rank} pos {pos} but envelope source is {env.source}"
+        elif role is Role.RECV and rank != env.destination:
+            message = f"recv at rank {rank} pos {pos} but envelope destination is {env.destination}"
+        else:
+            envelopes.setdefault(sig, env)
+            continue
+        return IllegalReason(sig, (rank,), message), envelopes
+    return None, envelopes
+
+
+def _reference_reason(model):
+    """The model's first legality violation, found by lowering each sequence
+    in model order: its roles are checked (strict mode, occurrences) while no
+    violation is known, and the first envelopes seen so far are the ones the
+    endpoint rule reads when its signatures are added."""
+    legality = Legality()
+    for seq in model.sequences:
+        if seq.occurrences is None:
+            signatures = seq.column
+        else:
+            signatures = [occ.signature for occ in seq.occurrences]
+            if model.mode is Mode.STRICT and legality.violation is None:
+                reason, envelopes = _reference_roles(seq)
+                for sig, env in envelopes.items():
+                    legality.endpoints.setdefault(sig, env)
+                legality.violation = reason
+        legality.add(seq.rank, signatures)
+    return legality.finish()
+
+
+def _reasons(model):
+    """The violation named by `validate_static`, `check`, `cycle_check` and
+    `simulate_exhaustive`, each None for a legal model."""
+    def reason(verdict):
+        return verdict.reason if isinstance(verdict, Illegal) else None
+
+    try:
+        simulated = reason(simulate_exhaustive(model, cap=2000).verdict)
+    except StateCapExceeded:  # an illegal model returns before it explores
+        simulated = None
+    return [validate_static(model), reason(check(model)), reason(cycle_check(model).verdict), simulated]
+
+
+def _random_api_model(rng):
+    """A strict API-built model whose members mostly send and receive at
+    their envelope's endpoints.  Some occurrences have no role, no envelope,
+    a wrong role or an envelope other than their signature's first; some
+    signatures have a member off the endpoints or a third member; some
+    sequences are bare columns, and the sequences come in a random order."""
+    procs = rng.randint(2, 5)
+    space = SignatureSpace()
+    rows = [[] for _ in range(procs)]
+    for tag in range(rng.randint(1, 10)):
+        src, dst = rng.sample(range(procs), 2)
+        env = Envelope(tag, src, dst)
+        sig = space.signature_for(env)
+        members = [(src, Role.SEND), (dst, Role.RECV)]
+        if rng.random() < 0.1:
+            members[rng.randrange(2)] = (rng.randrange(procs), Role.UNSPECIFIED)  # maybe off the endpoints
+        if rng.random() < 0.1:
+            members.append((rng.randrange(procs), rng.choice(list(Role))))  # maybe a third member
+        for rank, role in members:
+            occ_env, kind = env, rng.random()
+            if kind < 0.04:
+                occ_env = None
+            elif kind < 0.08:
+                role = Role.RECV if role is Role.SEND else Role.SEND  # maybe off its envelope
+            elif kind < 0.2:
+                other = rng.choice([r for r in range(procs) if r != rank] or [procs])
+                occ_env = Envelope(100 + tag, rank, other)  # another envelope, with `rank` its source
+                role = rng.choice((Role.SEND, Role.UNSPECIFIED))
+            elif kind < 0.3:
+                role = Role.UNSPECIFIED
+            rows[rank].extend([MessageOccurrence(sig, role, occ_env)] * rng.randint(1, 2))
+    for row in rows:
+        for i in range(len(row)):
+            j = rng.randint(i, min(i + 2, len(row) - 1))
+            row[i], row[j] = row[j], row[i]
+    bare = rng.random() < 0.4
+    sequences = [
+        Sequence(rank, column=[occ.signature for occ in row])
+        if bare and rng.random() < 0.3
+        else Sequence(rank, row)
+        for rank, row in enumerate(rows)
+    ]
+    rng.shuffle(sequences)
+    return Model(sequences, Mode.STRICT, space)
+
+
+def test_every_consumer_names_the_violation_in_order_lowering_names():
+    send, recv = Role.SEND, Role.RECV
+    a = Envelope(1, 1, 2)
+    fixed = [
+        # a bare column meets the signature's first envelope only later, so
+        # its rank is not held to that envelope's endpoints (legal) ...
+        (Model([Sequence(0, column=[0]), Sequence(1, [MessageOccurrence(0, send, a)])], Mode.STRICT, None), None),
+        # ... but after it, it is
+        (Model([Sequence(1, [MessageOccurrence(0, send, a)]), Sequence(0, column=[0])], Mode.STRICT, None),
+         "occurs in sequences [0, 1] but its envelope endpoints are [1, 2]"),
+        # a third member after both, so it is named, not the first column's rank
+        (Model([Sequence(0, column=[0]), Sequence(1, [MessageOccurrence(0, send, a)]), Sequence(3, column=[0])],
+               Mode.STRICT, None), "occurs in 3 sequences, expected exactly 2"),
+        # a send and a recv of one envelope, and a role violation behind a
+        # membership one of an earlier sequence
+        (Model([Sequence(1, [MessageOccurrence(0, send, a)]), Sequence(2, [MessageOccurrence(0, recv, a)])],
+               Mode.STRICT, None), None),
+        (Model([Sequence(0, column=[1]), Sequence(1, [MessageOccurrence(1, send, a)]), Sequence(2, column=[1]),
+                Sequence(3, [MessageOccurrence(0, recv, a)])], Mode.STRICT, None),
+         "occurs in 3 sequences, expected exactly 2"),
+    ]
+    for model, message in fixed:
+        reference = _reference_reason(model)
+        assert (reference and reference.message) == message
+        assert _reasons(model) == [reference] * 4, message
+
+    rng = random.Random(17)
+    kinds = ("no envelope", "send at", "recv at", "occurs in 3", "occurs in 1", "endpoints are")
+    seen = set()
+    for _ in range(3000):
+        model = _random_api_model(rng)
+        reference = _reference_reason(model)
+        assert _reasons(model) == [reference] * 4, model
+        seen.add(next((kind for kind in kinds if reference and kind in reference.message), None))
+    assert seen == {None, *kinds}  # legal models and every kind of violation occur
+
+
+def test_criterion_3_models_name_the_violation_in_order_lowering_names():
+    strings = [""] + ["".join(t) for length in (1, 2, 3) for t in itertools.product("abc", repeat=length)]
+    illegal = 0
+    for nseq in (0, 1, 2, 3):
+        for combo in itertools.product(strings, repeat=nseq):
+            model = model_from_tuples(combo)
+            reference = _reference_reason(model)
+            assert _reasons(model) == [reference] * 4, combo
+            illegal += reference is not None
+    assert 0 < illegal < 1 + 40 + 40**2 + 40**3
+
+
+def test_a_strict_api_model_keeps_its_columns_and_no_envelope_per_signature():
+    # 8000 sequences of 12 sends and receives, each of 48000 envelopes its
+    # signature's first: every member is an endpoint by its role, so the
+    # model keeps nothing for the endpoint rule
+    generated = generate(GenSpec("pairs", 8000, 12))
+    rows = [(seq.rank, seq.occurrences) for seq in generated.sequences]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model = Model([Sequence(rank, occurrences) for rank, occurrences in rows], Mode.STRICT, generated.space)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    n, processes = model.message_count, len(model.sequences)
+    assert (n, processes, len(model.space)) == (96_000, 8000, 48_000)
+    assert model._endpoints == {} and model._role_violations == {}
+    assert all(seq.column.itemsize == 4 for seq in model.sequences)
+    # the columns' 4 B per occurrence plus a fixed cost per sequence (190-260 B
+    # on Python 3.10-3.12: the Sequence, its array's header, a list slot);
+    # a dict entry per signature would add about 2.6 MB, over 30 B per
+    # occurrence here
+    assert kept <= 4 * n + 400 * processes, (kept, kept / n)

@@ -9,7 +9,6 @@ from syncheck import (
     Deadlock,
     Illegal,
     NoDeadlock,
-    Sequence,
     StateCapExceeded,
     check,
     cycle_check,
@@ -19,26 +18,32 @@ from syncheck import (
     simulate_exhaustive,
     validate_static,
 )
+from syncheck import model as model_module
 from syncheck.bench import GenSpec, generate
 from syncheck.oracle import OrderNode
 
 
-@pytest.mark.parametrize("oracle", [cycle_check, simulate_exhaustive, validate_static], ids=lambda f: f.__name__)
-def test_lowers_each_sequence_once(oracle):
-    # the legality pass and the oracle share each sequence's signature list
-    reads = []
+@pytest.mark.parametrize(
+    "oracle", [check, cycle_check, simulate_exhaustive, validate_static], ids=lambda f: f.__name__
+)
+def test_lowers_each_sequence_once(oracle, monkeypatch):
+    # an API-built sequence is role-checked once, when its model is built;
+    # the engine and the oracles read only its column
+    checked = []
+    role_violation = model_module._role_violation
 
-    class CountingSequence(Sequence):
-        @property
-        def signatures(self):
-            reads.append(self.rank)
-            return super().signatures
+    def counting(seq, endpoints):
+        checked.append(seq.rank)
+        return role_violation(seq, endpoints)
 
+    monkeypatch.setattr(model_module, "_role_violation", counting)
     model = generate(GenSpec("ring", 5, 3, seed=0))
-    model.sequences = [CountingSequence(rank=s.rank, occurrences=s.occurrences) for s in model.sequences]
+    assert checked == [0, 1, 2, 3, 4]
     result = oracle(model)
-    assert reads == [0, 1, 2, 3, 4]
-    if oracle is cycle_check:
+    assert checked == [0, 1, 2, 3, 4]
+    if oracle is check:
+        assert isinstance(result, Deadlock)
+    elif oracle is cycle_check:
         assert isinstance(result.verdict, Deadlock) and len(result.witness) == 5
     elif oracle is simulate_exhaustive:
         assert isinstance(result.verdict, Deadlock)
@@ -150,7 +155,7 @@ class TestCycleCheck:
         by_rank = {seq.rank: seq for seq in model.sequences}
         for node in result.witness:
             for rank, pos in node.endpoints:
-                assert by_rank[rank].signatures[pos] == node.signature
+                assert by_rank[rank].column[pos] == node.signature
 
     def test_matches_an_object_per_node_reference(self):
         rng = random.Random(59)
@@ -210,7 +215,7 @@ def _reference_cycle_check(model):
     the same pairing, node order, Kahn and DFS order, for comparison."""
     occ = {}  # sig -> {rank: [positions]}
     for seq in model.sequences:
-        for pos, sig in enumerate(seq.signatures):
+        for pos, sig in enumerate(seq.column):
             occ.setdefault(sig, {}).setdefault(seq.rank, []).append(pos)
     nodes, node_of, unpaired = [], {}, []
     for sig in sorted(occ):
@@ -264,7 +269,7 @@ def _reference_cycle_check(model):
 def _assert_valid_witness(model, result):
     """The witness is a wait cycle of the model's message-order graph,
     checked from the model alone."""
-    columns = {seq.rank: list(seq.signatures) for seq in model.sequences}
+    columns = {seq.rank: list(seq.column) for seq in model.sequences}
     witness = result.witness
     assert isinstance(result.verdict, Deadlock) and witness
     assert len(set(witness)) == len(witness)
