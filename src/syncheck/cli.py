@@ -14,9 +14,9 @@ from typing import List, Optional
 from . import bench as bench_mod
 from . import engine as engine_mod
 from .engine import Engine, EngineError
-from .model import Envelope, Illegal, Mode, NoDeadlock, validate_static
+from .model import Envelope, Illegal, Mode, Model, NoDeadlock, validate_static
 from .oracle import StateCapExceeded, cycle_check, simulate_exhaustive
-from .parser import ParseError, parse_abstract, parse_dsl, parse_model, render_abstract, render_dsl
+from .parser import ParseError, decimal, parse_abstract, parse_dsl, parse_model, render_abstract, render_dsl
 from .report import build_report, exit_code_for, to_json, to_text
 from .signatures import SignatureSpace
 
@@ -35,21 +35,24 @@ def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="syncheck", description="Static deadlock checker for synchronous message-passing models.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", parents=[], help="check a model file")
+    p_check = sub.add_parser("check", help="check a model file")
     p_check.add_argument("path")
     p_check.add_argument("--format", choices=("text", "json"), default="text")
     p_check.add_argument("--mode", choices=("auto", "strict", "abstract"), default="auto")
     p_check.add_argument("--validate-only", action="store_true")
+    p_check.set_defaults(run=cmd_check)
 
     p_stream = sub.add_parser("stream", help="check append/close events from stdin")
     p_stream.add_argument("--format", choices=("text", "json"), default="text")
     p_stream.add_argument("--mode", choices=("auto", "strict", "abstract"), default="auto")
+    p_stream.set_defaults(run=cmd_stream)
 
     p_oracle = sub.add_parser("oracle", help="run a ground-truth backend on a model file")
     p_oracle.add_argument("path")
     p_oracle.add_argument("--backend", choices=("simulate", "cycle"), default="simulate")
     p_oracle.add_argument("--cap", type=int, default=10**6)
     p_oracle.add_argument("--format", choices=("text", "json"), default="text")
+    p_oracle.set_defaults(run=cmd_oracle, mode="auto")  # either format
 
     p_bench = sub.add_parser("bench", help="time the engine against the cycle detector")
     p_bench.add_argument("--pattern", choices=bench_mod.PATTERNS, default="pairs")
@@ -58,6 +61,7 @@ def _build_parser() -> _ArgumentParser:
     p_bench.add_argument("--seeds", type=int, nargs="+", default=[0])
     p_bench.add_argument("--reps", type=int, default=3)
     p_bench.add_argument("--csv", action="store_true")
+    p_bench.set_defaults(run=cmd_bench)
 
     p_gen = sub.add_parser("gen", help="write a generated model")
     p_gen.add_argument("--pattern", choices=bench_mod.PATTERNS, default="pairs")
@@ -66,6 +70,7 @@ def _build_parser() -> _ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", default=None)
     p_gen.add_argument("--gen-format", choices=("dsl", "abstract"), default="dsl")
+    p_gen.set_defaults(run=cmd_gen)
     return parser
 
 
@@ -83,34 +88,31 @@ def _parse_file(path: str, mode: str):
     return parse_model(text)
 
 
-def cmd_check(args, out, err) -> int:
+def _read_model(args, err) -> Optional[Model]:
+    """The model in `args.path`, read in `args.mode`, or None once the error
+    that stops it is printed."""
     try:
-        model = _parse_file(args.path, args.mode)
+        return _parse_file(args.path, args.mode)
     except (OSError, UnicodeDecodeError, ParseError) as exc:
         print(f"{args.path}: {exc}", file=err)
+        return None
+
+
+def cmd_check(args, out, err, stdin) -> int:
+    model = _read_model(args, err)
+    if model is None:
         return 1
     if args.validate_only:
         reason = validate_static(model)
-        if reason is None:
-            report = build_report(NoDeadlock(), model.space, messages=model.message_count)
-            report["matchedPairs"] = 0  # nothing has been matched, only validated
-        else:
-            report = build_report(Illegal(reason), model.space, messages=model.message_count)
-        _emit(report, args.format, out)
-        return exit_code_for(report)
-    verdict, eng = engine_mod.check_with_engine(model)
-    report = build_report(verdict, model.space, messages=model.message_count, steps=eng.steps)
+        verdict, steps = (NoDeadlock() if reason is None else Illegal(reason)), None
+    else:
+        verdict, eng = engine_mod.check_with_engine(model)
+        steps = eng.steps
+    report = build_report(verdict, model.space, messages=model.message_count, steps=steps)
+    if args.validate_only and isinstance(verdict, NoDeadlock):
+        report["matchedPairs"] = 0  # nothing has been matched, only validated
     _emit(report, args.format, out)
     return exit_code_for(report)
-
-
-def _integers(digit_runs: list, fields: tuple) -> list:
-    """Runs of decimal digits as ints; one too long for int() is named, as in the DSL."""
-    try:
-        return list(map(int, digit_runs))
-    except ValueError:  # the digits are checked, so only too many of them fail
-        field, digits = next(fd for fd in zip(fields, digit_runs) if len(fd[1]) > sys.get_int_max_str_digits())
-        raise ValueError(f"{field} has too many digits ({len(digits)})") from None
 
 
 # integers are runs of decimal digits, as in the DSL (int() alone would also
@@ -125,7 +127,7 @@ def _strict_signatures(tokens: list, rank: int, space: SignatureSpace, known: di
 
     `known` maps each token read so far in the session to its signature, so
     a repeated token costs a lookup and an endpoint test.  A new token is
-    read with one regex and `_integers`, and interned through
+    read with one regex and `decimal`, and interned through
     `signature_for`, which rejects a self-message.  Every other malformed
     token is named here.
     """
@@ -139,7 +141,7 @@ def _strict_signatures(tokens: list, rank: int, space: SignatureSpace, known: di
                 if token.count(",") not in (2, 3):
                     raise ValueError(f"expected tag,src,dst[,comm], got {token!r}")
                 raise ValueError(f"expected decimal integers tag,src,dst[,comm], got {token!r}")
-            env = Envelope(*_integers(m.groups("0"), Envelope._fields))
+            env = Envelope(*map(decimal, m.groups("0"), Envelope._fields))
             if rank != env.source and rank != env.destination:
                 raise ValueError(f"process {rank} is neither source nor destination of {token!r}")
             sig = known[token] = space.signature_for(env)
@@ -172,10 +174,7 @@ def cmd_stream(args, out, err, stdin) -> int:
                 raise ValueError(f"unknown event {line!r}")
             if not fields[1].isdecimal():
                 raise ValueError(f"expected a decimal rank, got {fields[1]!r}")
-            try:
-                rank = int(fields[1])
-            except ValueError:  # too many digits for int(); _integers names the field
-                (rank,) = _integers(fields[1:2], ("rank",))
+            rank = decimal(fields[1], "rank")
             if kind == "append":
                 if len(fields) < 3:
                     raise ValueError("append needs at least one token")
@@ -204,14 +203,12 @@ def cmd_stream(args, out, err, stdin) -> int:
     return exit_code_for(report)
 
 
-def cmd_oracle(args, out, err) -> int:
+def cmd_oracle(args, out, err, stdin) -> int:
     if args.cap < 1:  # only simulate reads the cap, but it is wrong on either backend
         print(f"usage error: argument --cap: must be >= 1, got {args.cap}", file=err)
         return 1
-    try:
-        model = _parse_file(args.path, "auto")
-    except (OSError, UnicodeDecodeError, ParseError) as exc:
-        print(f"{args.path}: {exc}", file=err)
+    model = _read_model(args, err)
+    if model is None:
         return 1
     if args.backend == "simulate":
         try:
@@ -219,36 +216,24 @@ def cmd_oracle(args, out, err) -> int:
         except StateCapExceeded as exc:
             print(f"{args.path}: {exc}", file=err)
             return 4
-        report = build_report(
-            result.verdict,
-            model.space,
-            messages=model.message_count,
-            confluence=result.confluence_agreed,
-        )
+        extra = {"confluence": result.confluence_agreed}
     else:
         result = cycle_check(model)
-        report = build_report(
-            result.verdict,
-            model.space,
-            messages=model.message_count,
-            witness=result.witness,
-            unpaired=result.unpaired,
-        )
+        extra = {"witness": result.witness, "unpaired": result.unpaired}
+    report = build_report(result.verdict, model.space, messages=model.message_count, **extra)
     _emit(report, args.format, out)
     return exit_code_for(report)
 
 
-def cmd_bench(args, out, err) -> int:
+def _gen_spec(args, seed: int) -> bench_mod.GenSpec:
+    return bench_mod.GenSpec(args.pattern, args.processes, args.messages, seed)
+
+
+def cmd_bench(args, out, err, stdin) -> int:
     rows = []
     try:
         for seed in args.seeds:
-            spec = bench_mod.GenSpec(
-                pattern=args.pattern,
-                processes=args.processes,
-                messages_per_process=args.messages,
-                seed=seed,
-            )
-            rows.extend(bench_mod.bench_run(spec, repetitions=args.reps))
+            rows.extend(bench_mod.bench_run(_gen_spec(args, seed), repetitions=args.reps))
     except ValueError as exc:
         print(f"bench: {exc}", file=err)
         return 1
@@ -268,15 +253,9 @@ def cmd_bench(args, out, err) -> int:
     return 0
 
 
-def cmd_gen(args, out, err) -> int:
+def cmd_gen(args, out, err, stdin) -> int:
     try:
-        spec = bench_mod.GenSpec(
-            pattern=args.pattern,
-            processes=args.processes,
-            messages_per_process=args.messages,
-            seed=args.seed,
-        )
-        model = bench_mod.generate(spec)
+        model = bench_mod.generate(_gen_spec(args, args.seed))
         text = render_dsl(model) if args.gen_format == "dsl" else render_abstract(model)
     except ValueError as exc:
         print(f"gen: {exc}", file=err)
@@ -303,17 +282,7 @@ def main(argv: Optional[List[str]] = None, *, stdin=None, stdout=None, stderr=No
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return 1
-    if args.command == "check":
-        return cmd_check(args, out, err)
-    if args.command == "stream":
-        return cmd_stream(args, out, err, stdin)
-    if args.command == "oracle":
-        return cmd_oracle(args, out, err)
-    if args.command == "bench":
-        return cmd_bench(args, out, err)
-    if args.command == "gen":
-        return cmd_gen(args, out, err)
-    raise AssertionError(args.command)
+    return args.run(args, out, err, stdin)
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 
 Sequences grow by `append` and end by `close`; `drain` matches ready heads
 until none is left and, once every sequence is closed, returns the verdict.
-`load` appends and closes every sequence of a complete model, so a batch
-check is `load` plus one `drain`, and a stream drains after each event.
+`load` adopts every sequence of a complete model as a closed one, so a
+batch check is `load` plus one `drain`, and a stream drains after each event.
 
 An occurrence is its signature, an int: each rank's signatures are kept in
 one `array('i')` column.  `load` adopts each model sequence's column, the
@@ -98,8 +98,9 @@ class Engine:
     # -- construction -------------------------------------------------------
 
     def load(self, model: Model) -> None:
-        """Append and close every model sequence, in model order, in a fresh
-        engine, with the model's space; closed at once, a column is adopted."""
+        """Adopt every model sequence's column as a closed sequence, in model
+        order, in a fresh engine, with the model's space; neither `append`
+        nor `close` is called."""
         if self._loaded or self._col:
             raise EngineError("engine already loaded")
         self._loaded = True
@@ -125,14 +126,7 @@ class Engine:
         elif rank not in self._open:
             raise EngineError(f"append to closed sequence {rank}")
         start = len(col)
-        # fromlist converts a list ~1.6x faster than extend(), item by item;
-        # extend() takes only an array of the column's own typecode
-        if type(signatures) is list:
-            col.fromlist(signatures)
-        elif isinstance(signatures, array) and signatures.typecode != COLUMN_TYPECODE:
-            col.fromlist(signatures.tolist())
-        else:
-            col.extend(signatures)  # the array stays its caller's, so it is copied
+        col.fromlist(list(signatures))  # any ints, faster than extend() of an array('i')
         self._legality.add(rank, signatures)
         if self._cursor[rank] == start < len(col):  # idle, so not queued
             self._queue.append(rank)

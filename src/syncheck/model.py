@@ -42,7 +42,18 @@ class Envelope(NamedTuple):
 
 
 def check_envelope(env: Envelope) -> None:
-    """Reject envelopes with non-integer fields, negatives, or self-messages."""
+    """Reject a non-`Envelope`, and envelopes with non-integer fields,
+    negatives, or self-messages; plain ints pass a quick test first."""
+    if type(env) is Envelope:
+        tag, src, dst, comm = env
+        if (
+            type(tag) is type(src) is type(dst) is type(comm) is int
+            and tag >= 0 and src >= 0 and dst >= 0 and comm >= 0
+            and src != dst
+        ):
+            return
+    elif not isinstance(env, Envelope):
+        raise TypeError(f"expected an Envelope, got {type(env).__name__} {env!r}")
     for name, value in zip(env._fields, env):
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ValueError(f"envelope {name} must be a nonnegative integer, got {value!r}")
@@ -60,15 +71,18 @@ class MessageOccurrence(NamedTuple):
 
 @dataclass
 class Sequence:
-    """One process's complete, ordered occurrences: a `column` of signatures, an
-    `array('i')` made here from any other column or from API-built `occurrences`,
-    kept for the `Model`'s role check.  A growing sequence lives only in an `Engine`."""
+    """One process's complete, ordered occurrences, given as exactly one of a
+    `column` of signatures and API-built `occurrences`, which are kept for the
+    `Model`'s role check.  Either way `column` becomes an `array('i')` here.
+    A growing sequence lives only in an `Engine`."""
 
     rank: int
     occurrences: Optional[list] = None  # list[MessageOccurrence]
     column: Optional[array] = None
 
     def __post_init__(self) -> None:
+        if (self.occurrences is None) == (self.column is None):
+            raise ValueError(f"Sequence {self.rank} takes exactly one of occurrences and column")
         column = self.column if self.occurrences is None else [occ.signature for occ in self.occurrences]
         if type(column) is not array or column.typecode != COLUMN_TYPECODE:
             self.column = array(COLUMN_TYPECODE, column)

@@ -40,7 +40,7 @@ from __future__ import annotations
 import re
 import sys
 from array import array
-from itertools import repeat
+from itertools import chain, repeat
 from typing import List, NoReturn, Optional, Union
 
 from .model import COLUMN_TYPECODE, Mode, Model, Sequence
@@ -86,6 +86,15 @@ _RANKED_LINE_RE = re.compile(r"^P(\S*)\s*:\s*(.*)$")
 # 0x110000, since there are no more distinct characters than that, and
 # surrogatepass encodes the signatures from 0xD800 to 0xDFFF.
 _UTF32_NATIVE = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
+
+
+def decimal(digits: str, what: str) -> int:
+    """The value of `digits`, a run of decimal digits; a ValueError names
+    `what` when there are more digits than int() converts."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(f"{what} has too many digits ({len(digits)})") from None
 
 
 def _abstract_rank(rank_text: str, lineno: int) -> int:
@@ -282,9 +291,9 @@ class _Rescan:
         if tok is None or not tok.isdecimal():
             raise self.error(f"expected {what} (nonnegative integer), found {tok!r}", "BadInteger")
         try:
-            value = int(tok)
-        except ValueError:  # more digits than int() converts
-            raise self.error(f"{what} has too many digits ({len(tok)})", "BadInteger") from None
+            value = decimal(tok, what)
+        except ValueError as exc:
+            raise self.error(str(exc), "BadInteger") from None
         self.take()
         return value
 
@@ -346,32 +355,20 @@ def render_abstract(model: Model) -> str:
     (strict-model envelopes) are relabeled from a 62-character alphabet, so
     only models with at most 62 such signatures can be rendered.
     """
-    rows = [seq.column for seq in model.sequences]
-    labels: dict = {}
-    taken = set()
-    for row in rows:
-        for sig in row:
-            if sig in labels:
-                continue
-            label = model.space.label_of(sig)
-            if len(label) == 1:
-                labels[sig] = label
-                taken.add(label)
-    next_char = iter(c for c in _ABSTRACT_ALPHABET if c not in taken)
-    for row in rows:
-        for sig in row:
-            if sig not in labels:
-                label = next(next_char, None)
-                if label is None:
-                    raise ValueError(
-                        "too many distinct signatures to render as abstract "
-                        f"(alphabet has {len(_ABSTRACT_ALPHABET)} characters)"
-                    )
-                labels[sig] = label
-    lines = [
-        f"P{seq.rank}: {''.join(map(labels.__getitem__, row))}"
-        for seq, row in zip(model.sequences, rows)
-    ]
+    label_of = model.space.label_of
+    signatures = dict.fromkeys(chain.from_iterable(seq.column for seq in model.sequences))
+    labels = {sig: label_of(sig) for sig in signatures}  # in order of first appearance
+    taken = set(labels.values())  # a label of other than one character is no alphabet character
+    free = (c for c in _ABSTRACT_ALPHABET if c not in taken)
+    for sig, label in labels.items():
+        if len(label) != 1:
+            labels[sig] = next(free, None)
+            if labels[sig] is None:
+                raise ValueError(
+                    "too many distinct signatures to render as abstract "
+                    f"(alphabet has {len(_ABSTRACT_ALPHABET)} characters)"
+                )
+    lines = [f"P{seq.rank}: {''.join(map(labels.__getitem__, seq.column))}" for seq in model.sequences]
     return "\n".join(lines) + "\n"
 
 

@@ -33,28 +33,9 @@ class SignatureSpace:
         return self._entries
 
     def signature_for(self, env: Envelope) -> int:
-        """Create-or-retrieve the signature of an envelope.
-
-        Every call validates the envelope, also when an equal one is
-        already interned; plain nonnegative ints between distinct endpoints
-        pass the quick test, anything else gets the full check.
-        """
-        plain = type(env) is Envelope
-        if plain:
-            tag, src, dst, comm = env
-            plain = (
-                type(tag) is int
-                and type(src) is int
-                and type(dst) is int
-                and type(comm) is int
-                and tag >= 0
-                and src >= 0
-                and dst >= 0
-                and comm >= 0
-                and src != dst
-            )
-        if not plain:
-            check_envelope(env)
+        """Create-or-retrieve the signature of an envelope, which every call
+        validates, also when an equal one is already interned."""
+        check_envelope(env)
         return self._intern(env)
 
     def intern_character(self, ch: str) -> int:

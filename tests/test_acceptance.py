@@ -9,6 +9,7 @@ import io
 import itertools
 import json
 import random
+import statistics
 import time
 from contextlib import contextmanager
 
@@ -29,7 +30,7 @@ from syncheck import (
     parse_dsl,
     simulate_exhaustive,
 )
-from syncheck.bench import GenSpec, bench_run, generate
+from syncheck.bench import GenSpec, generate
 from syncheck.cli import main as cli_main
 from syncheck.report import build_report
 
@@ -155,19 +156,26 @@ def test_criterion_5_linearity():
         assert engine.table_size <= len(model.sequences)
         assert elapsed < 5.0
 
-        # wall-time doubling ratio across n = 2^17 .. 2^21
+        # wall-time doubling ratio across n = 2^17 .. 2^21, each time the
+        # engine's median over 5 runs after a discarded warm-up, as
+        # `bench_run` times it; the sweep leaves out its cycle-detector runs
         times = {}
         step_counts = {}
         for exp in range(17, 22):
             n = 2**exp
-            row = bench_run(
-                GenSpec("pairs", processes=2, messages_per_process=n // 2),
-                repetitions=5,
-                backends=("engine",),
-            )[0]
-            assert row.steps <= n + 2
-            times[n] = row.median_ms
-            step_counts[n] = row.steps
+            model = generate(GenSpec("pairs", processes=2, messages_per_process=n // 2))
+            runs = []
+            for _ in range(1 + 5):
+                gc.disable()
+                try:
+                    start = time.perf_counter()
+                    _, engine = check_with_engine(model)
+                    runs.append(time.perf_counter() - start)
+                finally:
+                    gc.enable()
+            assert engine.steps <= n + 2
+            times[n] = statistics.median(runs[1:])
+            step_counts[n] = engine.steps
         for exp in range(17, 21):
             # steps double exactly; wall time roughly so (median over the
             # sweep, since individual ratios jitter with machine noise)

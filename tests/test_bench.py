@@ -75,16 +75,14 @@ class TestBenchRun:
         assert rows[1].steps is None
 
     def test_engine_steps_linear_on_pairs(self):
-        row = bench_run(
-            GenSpec("pairs", processes=2, messages_per_process=1000),
-            repetitions=1,
-            backends=("engine",),
-        )[0]
+        row = bench_run(GenSpec("pairs", processes=2, messages_per_process=1000), repetitions=1)[0]
+        assert row.backend == "engine"
         assert row.steps <= row.n + 2
 
     def test_doubling_n_doubles_steps_on_pairs(self):
-        small = bench_run(GenSpec("pairs", 2, 500), repetitions=1, backends=("engine",))[0]
-        large = bench_run(GenSpec("pairs", 2, 1000), repetitions=1, backends=("engine",))[0]
+        small = bench_run(GenSpec("pairs", 2, 500), repetitions=1)[0]
+        large = bench_run(GenSpec("pairs", 2, 1000), repetitions=1)[0]
+        assert small.backend == large.backend == "engine"
         assert large.steps == 2 * small.steps
 
     @pytest.mark.parametrize("repetitions", [0, -2])

@@ -100,6 +100,16 @@ class TestValidateStatic:
         assert "no envelope" in reason.message
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"occurrences": [MessageOccurrence(1)], "column": [0]}, {"occurrences": [], "column": []}],
+    ids=["neither", "both", "both-empty"],
+)
+def test_sequence_takes_exactly_one_of_occurrences_and_column(kwargs):
+    with pytest.raises(ValueError, match="Sequence 0 takes exactly one of occurrences and column"):
+        Sequence(0, **kwargs)
+
+
 def test_duplicate_ranks_rejected_at_model_construction():
     with pytest.raises(ValueError, match="duplicate"):
         Model(

@@ -32,6 +32,26 @@ def test_self_message_envelope_rejected():
         space.signature_for(Envelope(tag=1, source=4, destination=4))
 
 
+@pytest.mark.parametrize("entry", [(1, 0, 1, 0), [1, 0, 1, 0], "1,0,1,0", None], ids=["tuple", "list", "str", "None"])
+def test_non_envelope_is_a_type_error_that_names_it(entry):
+    space = SignatureSpace()
+    with pytest.raises(TypeError, match=rf"expected an Envelope, got {type(entry).__name__} "):
+        space.signature_for(entry)
+    assert len(space) == 0
+
+
+def test_quick_test_leaves_odd_fields_to_the_full_check():
+    space = SignatureSpace()
+    for env, message in [
+        (Envelope(True, 0, 1), "tag must be a nonnegative integer, got True"),
+        (Envelope(1, 0, 1, -1), "communicator must be a nonnegative integer, got -1"),
+        (Envelope(1, 0.0, 1), "source must be a nonnegative integer, got 0.0"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            space.signature_for(env)
+    assert len(space) == 0
+
+
 def test_round_trip_envelope_of():
     space = SignatureSpace()
     env = Envelope(tag=7, source=0, destination=2, communicator=0)
