@@ -25,10 +25,20 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    """`-h`/`--help` was given; the argument is the help text."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     # exit code 2 means "deadlock" here, so usage errors must not use it
     def error(self, message):
         raise _UsageError(message)
+
+    # `main` writes to the streams it is given and returns its exit code, so
+    # the help action, the one caller, hands its text to `main` and neither
+    # prints to sys.stdout nor exits
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def _build_parser() -> _ArgumentParser:
@@ -282,6 +292,9 @@ def main(argv: Optional[List[str]] = None, *, stdin=None, stdout=None, stderr=No
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return 1
+    except _HelpRequested as exc:
+        out.write(str(exc))
+        return 0
     return args.run(args, out, err, stdin)
 
 

@@ -38,12 +38,11 @@ that does not fit.
 from __future__ import annotations
 
 import re
-import sys
 from array import array
 from itertools import chain, repeat
 from typing import List, NoReturn, Optional, Union
 
-from .model import COLUMN_TYPECODE, Mode, Model, Sequence
+from .model import _UTF32_NATIVE, COLUMN_TYPECODE, Mode, Model, Sequence
 from .signatures import SignatureSpace, _Interner
 
 
@@ -82,10 +81,6 @@ def parse_model(text: str) -> Model:
 
 
 _RANKED_LINE_RE = re.compile(r"^P(\S*)\s*:\s*(.*)$")
-# UTF-32 in the byte order of an array's items.  A signature is below
-# 0x110000, since there are no more distinct characters than that, and
-# surrogatepass encodes the signatures from 0xD800 to 0xDFFF.
-_UTF32_NATIVE = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
 
 
 def decimal(digits: str, what: str) -> int:

@@ -8,6 +8,7 @@ import pytest
 from support import PAPER_DSL
 from syncheck.bench import GenSpec, generate
 from syncheck.cli import main
+from syncheck.parser import render_dsl
 
 
 def run_cli(args, stdin_text=""):
@@ -470,3 +471,61 @@ class TestBenchAndGen:
         assert code == 0
         code, _, _ = run_cli(["check", str(path)])
         assert code == 0
+
+
+class TestHelp:
+    @pytest.mark.parametrize(
+        "args, usage",
+        [
+            (["--help"], "usage: syncheck [-h]"),
+            (["check", "--help"], "usage: syncheck check [-h]"),
+            (["gen", "--help"], "usage: syncheck gen [-h]"),
+        ],
+    )
+    def test_help_goes_to_the_given_stdout_and_exits_0(self, args, usage):
+        # argparse's own help action prints to sys.stdout and raises
+        # SystemExit; `main` keeps to its streams and its return code
+        code, out, err = run_cli(args)
+        assert (code, err) == (0, "")
+        assert out.startswith(usage)
+        assert out.endswith("\n")
+
+
+def _abstract_pairs(n: int) -> str:
+    # the perfbench check-abstract-pairs shape: 8 ranks, 4 pairs, each
+    # repeating its own two characters
+    return "".join(f"P{rank}: {'abcdefgh'[rank // 2 * 2:rank // 2 * 2 + 2] * (n // 16)}\n" for rank in range(8))
+
+
+class TestCheckMemory:
+    # Whole in-process `check` calls, text read included.  Each bound is at
+    # most 15% above the peak measured at this n (Python 3.11, tracemalloc):
+    # abstract pairs P=8 7.0 B per occurrence at n = 4*10^5, DSL random P=64
+    # 153.9 at n = 12,800 and DSL pairs P=2 192.6 at n = 10,000.  A first call
+    # is made beforehand, so one-time costs (lazy imports, caches), about
+    # 200 KB, do not count per occurrence.
+    @pytest.mark.parametrize(
+        "name, make, n, bound",
+        [
+            ("pairs.txt", lambda: _abstract_pairs(400_000), 400_000, 8),
+            ("random.dsl", lambda: render_dsl(generate(GenSpec("random", 64, 200))), 12_800, 176),
+            ("pairs.dsl", lambda: render_dsl(generate(GenSpec("pairs", 2, 5000))), 10_000, 221),
+        ],
+        ids=["abstract-pairs", "dsl-random", "dsl-pairs"],
+    )
+    def test_check_peak_per_occurrence(self, tmp_path, name, make, n, bound):
+        path = tmp_path / name
+        path.write_text(make())
+        run_cli(["check", str(path), "--format", "json"])
+        out = io.StringIO()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            code = main(["check", str(path), "--format", "json"], stdout=out, stderr=io.StringIO())
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert code in (0, 2)
+        assert json.loads(out.getvalue())["stats"]["messages"] == n
+        assert peak / n <= bound

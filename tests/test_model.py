@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 
@@ -8,6 +9,7 @@ from syncheck import (
     MessageOccurrence,
     Mode,
     Model,
+    NoDeadlock,
     Role,
     Sequence,
     SignatureSpace,
@@ -16,7 +18,8 @@ from syncheck import (
     parse_dsl,
     validate_static,
 )
-from syncheck.model import Legality, check_envelope
+from syncheck import model as model_mod
+from syncheck.model import _TRACKED_MIN, Legality, _tracked_distinct, check_envelope
 
 
 class TestEnvelope:
@@ -231,6 +234,83 @@ def test_legality_names_the_violation_an_ordered_pass_names():
         assert _as_tuple(legality.finish()) == reference.finish()
         violations += reference.violation is not None
     assert 1000 < violations < 2500
+    # long complete columns whose distinct signatures one C pass finds
+    for model in _long_ascii_models():
+        assert all(_tracked_distinct(seq.column) is not None for seq in model.sequences)
+        endpoints = {}
+        for seq in model.sequences:
+            for occ in seq.occurrences or ():
+                endpoints.setdefault(occ.signature, occ.envelope)
+        reference = _OrderedLegality(endpoints)
+        for seq in model.sequences:
+            reference.add(seq.rank, list(seq.column))
+        reason = reference.finish()
+        assert reason is not None
+        assert _as_tuple(validate_static(model)) == reason
+
+
+def _long_ascii_models():
+    """Illegal models whose columns hold 10^5 occurrences of signatures below
+    128: third members late in a line (b, signature 1, comes first in order
+    and a, signature 0, first in a set), a lone signature, and an API-built
+    strict model whose third rank is off a signature's endpoints."""
+    line = "ab" * 50_000
+    yield abstract_model(line, line, "c" * 99_998 + "ba", "c" * 100_000)
+    yield abstract_model(line, line, "c" * 99_999 + "d", "c" * 100_000)
+    space = SignatureSpace()
+    x, y = Envelope(0, 0, 1), Envelope(1, 0, 1)
+    ox = MessageOccurrence(space.signature_for(x), Role.UNSPECIFIED, x)
+    oy = MessageOccurrence(space.signature_for(y), Role.UNSPECIFIED, y)
+    rows = [[ox] * 99_999 + [oy], [ox] * 100_000, [oy] * 100_000]
+    yield Model([Sequence(rank, row) for rank, row in enumerate(rows)], Mode.STRICT, space)
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        [],
+        [5, 3] * (_TRACKED_MIN // 2) + [127, 0],
+        list(range(128)) * 16,
+        [1, 2] * (_TRACKED_MIN // 2) + [128],
+        [1, 2] * (_TRACKED_MIN // 2) + [-7],
+        [1, 2] * (_TRACKED_MIN // 2) + [2**31 - 1],
+        [1, 2] * (_TRACKED_MIN // 2) + list(range(0xD800, 0xE000)),
+        [1, 2] * (_TRACKED_MIN // 2 - 1) + [3],
+    ],
+    ids=["empty", "ascii", "all-128", "ends-128", "ends-negative", "ends-int-max", "surrogates", "short"],
+)
+def test_legality_sees_the_distinct_signatures_of_a_column(column):
+    column = array("i", column)
+    tracked = _tracked_distinct(column)
+    takes_translate = len(column) >= _TRACKED_MIN and all(0 <= sig < 128 for sig in column)
+    assert (tracked is not None) == takes_translate
+    if tracked is not None:
+        assert list(tracked) == list(dict.fromkeys(column))  # in order of first appearance
+    legality = Legality()
+    legality.add(0, column)
+    legality.add(1, column)
+    assert set(legality._first) == set(legality._second) == set(column)
+    assert legality.finish() is None
+
+
+def test_a_parsed_long_ascii_column_takes_the_translate_path(monkeypatch):
+    # and a short one or one past 127 a set: a refactor must not lose either
+    results = []
+
+    def spy(signatures):
+        results.append((len(signatures), _tracked_distinct(signatures)))
+        return results[-1][1]
+
+    monkeypatch.setattr(model_mod, "_tracked_distinct", spy)
+    # signatures in order of first appearance: a b 0-1, c d 2-3, the 124
+    # characters from U+0100 4-127 (non-ASCII, so the signatures decide), e 128
+    long, short = "ab" * 50_000, "cd"
+    wide = "".join(map(chr, range(0x100, 0x17C))) * 100
+    assert isinstance(check(abstract_model(long, long, short, short, wide, wide, "e" * 10_000, "e" * 10_000)), NoDeadlock)
+    assert [(n, None if d is None else list(d)) for n, d in results] == [
+        (100_000, [0, 1]), (100_000, [0, 1]), (2, None), (2, None),
+        (12_400, list(range(4, 128))), (12_400, list(range(4, 128))), (10_000, None), (10_000, None),
+    ]
 
 
 def test_legality_names_the_first_violation_where_set_order_differs():
