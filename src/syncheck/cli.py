@@ -6,6 +6,7 @@ Exit codes are a stable contract: 0 ok, 1 usage/parse/protocol error,
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from itertools import chain
@@ -41,6 +42,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _HelpRequested(self.format_help())
 
 
+@functools.cache  # one parser for every call: parsing and the commands mutate neither it nor a default
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="syncheck", description="Static deadlock checker for synchronous message-passing models.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -166,16 +168,17 @@ def cmd_stream(args, out, err, stdin) -> int:
     # the token format; under auto, the first append sets it
     mode = {"strict": Mode.STRICT, "abstract": Mode.ABSTRACT, "auto": None}[args.mode]
 
-    # a leading BOM is not an event; only the first line can start with one
-    lines = iter(stdin)
-    first = next(lines, "").removeprefix("\ufeff")
-    for lineno, raw in enumerate(chain((first,), lines), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        kind = fields[0]
-        try:
+    lineno = 0
+    try:  # reading a line raises UnicodeDecodeError; an event, ValueError or EngineError
+        # a leading BOM is not an event; only the first line can start with one
+        lines = iter(stdin)
+        first = next(lines, "").removeprefix("\ufeff")
+        for lineno, raw in enumerate(chain((first,), lines), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split()
+            kind = fields[0]
             if kind == "end":
                 if len(fields) > 1:
                     raise ValueError(f"end takes no arguments, got {line!r}")
@@ -198,11 +201,14 @@ def cmd_stream(args, out, err, stdin) -> int:
                 if len(fields) > 2:
                     raise ValueError(f"close takes one rank, got {line!r}")
                 engine.close(rank)
-        except (ValueError, EngineError) as exc:
-            print(f"stdin:{lineno}: {exc}", file=err)
-            return 1
-        if isinstance(engine.drain(), Illegal):
-            break  # never recoverable; later events could only add noise
+            if isinstance(engine.drain(), Illegal):
+                break  # never recoverable; later events could only add noise
+    except UnicodeDecodeError as exc:  # a ValueError, so caught first
+        print(f"stdin: {exc}", file=err)
+        return 1
+    except (ValueError, EngineError) as exc:
+        print(f"stdin:{lineno}: {exc}", file=err)
+        return 1
 
     verdict = engine.drain()  # the one fixed by an event, or an empty stream's
     if verdict is None:  # every event was drained, so some sequence is open
@@ -282,10 +288,17 @@ def cmd_gen(args, out, err, stdin) -> int:
     return 0
 
 
+def _stdin_lines():
+    """`sys.stdin`'s lines, split at "\n" as on POSIX, decoded as UTF-8 that
+    `check` accepts (`sys.stdin` escapes bad bytes in UTF-8 mode or C locale)."""
+    for line in sys.stdin.buffer:
+        yield line.decode("utf-8")
+
+
 def main(argv: Optional[List[str]] = None, *, stdin=None, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    stdin = stdin if stdin is not None else sys.stdin
+    stdin = stdin if stdin is not None else _stdin_lines()  # read only by `stream`
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -7,11 +7,11 @@ signature's entry in the space and its role follows from the rank (a send
 sits at its envelope's source).  API-built :class:`MessageOccurrence` lists
 become columns when built, role-checked once by their strict `Model`.
 
-`Legality` judges the membership and endpoint rules from each column's
-distinct signatures.  A complete column of at least `_TRACKED_MIN`
-occurrences whose signatures are all below 128 (every column of an ASCII
-abstract model, say) yields them from one C pass of `str.translate` over
-its UTF-32 text; any other column yields them from `set(column)`.
+`Legality` reads each column's distinct signatures once, in order.  A
+complete column of at least `_TRACKED_MIN` occurrences whose signatures are
+all below 128 (every column of an ASCII abstract model, say) yields them
+from one C pass of `str.translate` over its UTF-32 text; any other column
+from `dict.fromkeys(column)`.
 """
 from __future__ import annotations
 
@@ -116,23 +116,22 @@ class Model:
         ranks = [s.rank for s in self.sequences]
         if len(set(ranks)) != len(ranks):
             raise ValueError(f"duplicate process ranks in model: {ranks}")
-        # the first sequence that breaks a role or the endpoint rule, by index:
-        # its role violation, or the first envelopes whose endpoints it is off
-        self._role_violations: dict = {}
-        self._endpoints: dict = {}
+        # the first sequence that breaks a role or the endpoint rule: (its index, its role violation or
+        # None, the position of its first member off its signature's first envelope's endpoints, that envelope)
+        self._trace: Optional[tuple] = None
         strict, first = self.mode is Mode.STRICT, {}  # first: signature -> the first envelope seen with it
         for index, seq in enumerate(self.sequences):
             if strict and seq.occurrences is not None:
                 reason = _role_violation(seq, first)
                 if reason is not None:
-                    self._role_violations[index] = reason
+                    self._trace = (index, reason, None, None)
                     return
             if first:  # no envelope is known before a sequence built from occurrences
-                rank, pairs = seq.rank, zip(seq.column, map(first.get, seq.column))
-                off = {sig: env for sig, env in pairs if env is not None and rank != env[1] and rank != env[2]}
-                if off:  # so legality finds a violation in this sequence at the latest
-                    self._endpoints[index] = off
-                    return
+                rank = seq.rank
+                for pos, env in enumerate(map(first.get, seq.column)):
+                    if env is not None and rank != env[1] and rank != env[2]:
+                        self._trace = (index, None, pos, env)
+                        return
 
     @property
     def message_count(self) -> int:
@@ -186,9 +185,10 @@ class Illegal:
 # The shortest column whose distinct signatures `_tracked_distinct` finds.
 # Its pass costs about 1.6 ns per occurrence plus one lookup of 140-160 ns
 # per distinct signature, at most 128 of them (about 20 us), while
-# `set(column)` costs about 13 ns per occurrence.  Below 20 us / 13 ns,
-# about 1,600 occurrences, the lookups alone can cost more than the set;
-# at 16 * 128 they cannot, and a shorter column has little to gain.
+# `dict.fromkeys(column)` costs about 26 ns per occurrence (twice a set).
+# Below 20 us / 26 ns, about 800 occurrences, the lookups alone can cost
+# more; at 16 * 128 the pass costs under half as much, and a shorter column
+# has little to gain.
 _TRACKED_MIN = 16 * 128
 
 
@@ -217,76 +217,61 @@ def _tracked_distinct(signatures) -> Optional[dict]:
 
 
 class Legality:
-    """The membership and endpoint rules: every signature occurs in exactly
-    two distinct sequences, and every member rank of a signature in
-    `endpoints` is the source or destination of its envelope there.
+    """The membership rule: every signature occurs in exactly two distinct
+    sequences.  Occurrence-count imbalance between the two is legal; it
+    surfaces as a deadlock at matching time.
 
-    Occurrence-count imbalance between the two sequences is legal; it
-    surfaces as a deadlock at matching time.  Parsed and streamed members
-    are endpoints by construction, so `endpoints` is filled only by
-    `add_sequence`, where an API-built model breaks the rule.
+    `add` reads a chunk's distinct signatures once, in order of first
+    appearance, records each one's rank in O(1) and sets `violation` at the
+    first third member.  A signature with fewer than two member ranks can
+    only be judged by `finish`, once every sequence is closed.  The first
+    violation found is kept.
 
-    `add` records each occurrence's rank in O(1) and sets `violation` as
-    soon as the signatures seen show one.  A signature with fewer than two
-    member ranks can only be judged by `finish`, once every sequence is
-    closed.  The first violation found is kept.
-
-    `add` looks at a chunk's distinct signatures only.  A long column whose
-    signatures are all below 128 gives them, in order of first appearance,
-    from one C pass (`_tracked_distinct`), so one pass over them names the
-    first violation.  Any other chunk is read as a set, which C builds and
-    iterates fastest, and only when that pass finds a violation is it read
-    again in order of first appearance, to name the violation that comes
-    first.  The two passes give the result of one ordered pass.  A
-    signature's verdict depends only on its own state, and the first pass
-    changes that state only by recording `rank` as a member, after which
-    looking at the signature again gives the same verdict and changes
-    nothing.  So the second pass finds the violation that one ordered pass
-    would find, with the same ranks.
+    Parsed and streamed members are endpoints of their envelopes by
+    construction; `add_sequence` reads where an API-built strict model
+    breaks a role or the endpoint rule from the model's trace.
     """
 
     def __init__(self) -> None:
         self.violation: Optional[IllegalReason] = None
-        self.endpoints: dict = {}  # signature -> envelope its members must be endpoints of
         # signature -> its first and its second member rank; int to int, so
         # the cyclic GC never scans them
         self._first: dict = {}
         self._second: dict = {}
 
     def add_sequence(self, model: Model, index: int) -> None:
-        """Record sequence `index` of complete `model`: its role violation,
-        unless one came earlier, its endpoint trace, then its column."""
-        self.violation = self.violation or model._role_violations.get(index)
-        self.endpoints.update(model._endpoints.get(index, ()))
-        self.add(model.sequences[index].rank, model.sequences[index].column)
+        """Record sequence `index` of complete `model`.  At its trace's
+        index, that is its role violation, or its column up to the first
+        member off its envelope's endpoints and then, unless a third member
+        came first, that member's violation."""
+        seq, trace = model.sequences[index], model._trace
+        if trace is None or trace[0] != index:
+            self.add(seq.rank, seq.column)
+            return
+        _, reason, pos, env = trace
+        if reason is None:
+            self.add(seq.rank, seq.column[: pos + 1])
+            if self.violation is None:
+                sig = seq.column[pos]
+                ranks, ends = sorted({self._first[sig], seq.rank}), sorted((env[1], env[2]))
+                message = f"occurs in sequences {ranks} but its envelope endpoints are {ends}"
+                reason = IllegalReason(sig, tuple(ranks), message)
+        self.violation = self.violation or reason
 
     def add(self, rank: int, signatures) -> None:
         """Record `signatures`, the next occurrences of sequence `rank`."""
         if self.violation is not None:
             return
         distinct = _tracked_distinct(signatures)
-        if distinct is not None:  # already in order of first appearance
-            self.violation = self._add(rank, distinct)
-        elif self._add(rank, set(signatures)) is not None:
-            self.violation = self._add(rank, dict.fromkeys(signatures))
-
-    def _add(self, rank: int, distinct) -> Optional[IllegalReason]:
         # membership changes at most twice per signature, so look at each
-        # distinct signature once
-        first, second, endpoints = self._first, self._second, self.endpoints
-        for sig in distinct:
+        # distinct signature once, in order of first appearance
+        first, second = self._first, self._second
+        for sig in dict.fromkeys(signatures) if distinct is None else distinct:
             member = first.setdefault(sig, rank)
             if member != rank and second.setdefault(sig, rank) != rank:
                 message = "occurs in 3 sequences, expected exactly 2"
-                return IllegalReason(sig, tuple(sorted((member, second[sig], rank))), message)
-            if endpoints:  # empty for parsed and streamed input, which looks nothing up
-                env = endpoints.get(sig)
-                if env is not None and rank != env[1] and rank != env[2]:
-                    ranks = sorted({member, rank})
-                    ends = sorted((env[1], env[2]))
-                    message = f"occurs in sequences {ranks} but its envelope endpoints are {ends}"
-                    return IllegalReason(sig, tuple(ranks), message)
-        return None
+                self.violation = IllegalReason(sig, tuple(sorted((member, second[sig], rank))), message)
+                return
 
     def finish(self) -> Optional[IllegalReason]:
         """Judge the model as complete: every signature must have two members."""

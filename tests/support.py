@@ -131,3 +131,41 @@ def interleaving(rng: random.Random, rows) -> list:
         if not pending[rank]:
             del pending[rank]
     return events
+
+
+class OrderedLegality:
+    """A reference for legality that shares no code with `syncheck`: the
+    membership and endpoint rules, each chunk read one distinct signature at
+    a time in order of first appearance.  Violations are (signature, ranks,
+    message) tuples.  `endpoints` maps a signature to the envelope whose
+    endpoints its members must be; a caller may fill it as it goes."""
+
+    def __init__(self, endpoints: dict):
+        self.endpoints = endpoints
+        self.first: dict = {}
+        self.second: dict = {}
+        self.violation = None
+
+    def add(self, rank, signatures):
+        if self.violation is None:
+            self.violation = self._add(rank, signatures)
+
+    def _add(self, rank, signatures):
+        for sig in dict.fromkeys(signatures):
+            member = self.first.setdefault(sig, rank)
+            if member != rank and self.second.setdefault(sig, rank) != rank:
+                ranks = tuple(sorted((member, self.second[sig], rank)))
+                return sig, ranks, "occurs in 3 sequences, expected exactly 2"
+            env = self.endpoints.get(sig)
+            if env is not None and rank not in (env.source, env.destination):
+                ranks = sorted({member, rank})
+                endpoints = sorted((env.source, env.destination))
+                return sig, tuple(ranks), f"occurs in sequences {ranks} but its envelope endpoints are {endpoints}"
+        return None
+
+    def finish(self):
+        lonely = [sig for sig in self.first if sig not in self.second]
+        if self.violation is None and lonely:
+            sig = min(lonely)
+            self.violation = sig, (self.first[sig],), "occurs in 1 sequence, expected exactly 2"
+        return self.violation

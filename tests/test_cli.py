@@ -1,13 +1,18 @@
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from support import PAPER_DSL
 from syncheck.bench import GenSpec, generate
-from syncheck.cli import main
+import syncheck
+from syncheck.cli import _build_parser, main
 from syncheck.parser import render_dsl
 
 
@@ -335,6 +340,38 @@ class TestStream:
         assert code == 1
         assert err == "stdin:2: unknown event '\\ufeffappend 1 a'\n"
 
+    def test_non_utf8_stdin_exit_1(self):
+        # reported as `check` reports a non-UTF-8 file, not read with escapes
+        data = b"append 0 a\xff\nappend 1 a\xff\nclose 0\nclose 1\n"
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["stream"], stdin=stdin, stdout=out, stderr=err)
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue().startswith("stdin: 'utf-8' codec can't decode byte 0xff")
+        assert err.getvalue().count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "data, code, start",
+        [
+            (b"append 0 a\xff\nappend 1 a\xff\nclose 0\nclose 1\n", 1, b""),
+            (b"append 0 a\xc3\xa9\nappend 1 \xc3\xa9a\nclose 0\nclose 1\n", 2, b"verdict: deadlock"),
+        ],
+        ids=["non-utf8", "utf8"],
+    )
+    def test_process_stdin_is_read_strictly_as_utf8_under_the_c_locale(self, data, code, start):
+        # the C locale reads sys.stdin with surrogateescape, which would
+        # let the non-UTF-8 events through as `verdict: ok`
+        src = str(Path(syncheck.__file__).resolve().parents[1])
+        env = {**os.environ, "LC_ALL": "C", "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", "syncheck.cli", "stream"], input=data, capture_output=True, env=env, timeout=60
+        )
+        assert result.returncode == code, result.stderr
+        assert result.stdout.startswith(start)
+        if code == 1:
+            assert result.stdout == b""
+            assert result.stderr.startswith(b"stdin: 'utf-8' codec can't decode byte 0xff")
+
     def test_illegal_detected_mid_stream(self):
         events = "append 0 a\nappend 1 a\nappend 2 a\nend\n"
         code, out, _ = run_cli(["stream"], events)
@@ -489,6 +526,23 @@ class TestHelp:
         assert (code, err) == (0, "")
         assert out.startswith(usage)
         assert out.endswith("\n")
+
+
+def test_main_gives_the_same_output_on_every_call(paper_file):
+    # the parser is built once, so no call may leave state in it for the next
+    assert _build_parser() is _build_parser()
+    calls = [
+        ["check", paper_file, "--format", "json"],
+        ["check", "--format", "yaml", "x"],
+        ["--help"],
+        ["gen", "--pattern", "ring", "-P", "3", "-M", "2"],
+        ["stream"],
+        ["nope"],
+    ]
+    first = [run_cli(args, "append 0 a\nappend 1 a\nend\n") for args in calls]
+    assert [run_cli(args, "append 0 a\nappend 1 a\nend\n") for args in calls] == first
+    assert [code for code, _, _ in first] == [2, 1, 0, 0, 1, 1]
+    assert _build_parser().parse_args(["bench"]).seeds == [0]
 
 
 def _abstract_pairs(n: int) -> str:

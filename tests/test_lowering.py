@@ -12,7 +12,7 @@ import itertools
 import random
 import tracemalloc
 
-from support import model_from_tuples
+from support import OrderedLegality, model_from_tuples
 from syncheck import (
     Envelope,
     Illegal,
@@ -32,7 +32,7 @@ from syncheck import (
     validate_static,
 )
 from syncheck.bench import GenSpec, generate
-from syncheck.model import IllegalReason, Legality
+from syncheck.model import IllegalReason
 from syncheck.report import build_report, to_json
 
 
@@ -113,6 +113,16 @@ def test_role_inconsistent_api_model_is_illegal_through_check_and_validate_stati
         # an off-endpoint member met before a misplaced send of the same sequence
         (_strict_model([(0, [(send, a)]), (5, [(unspecified, a), (send, b)]), (2, [(recv, b)])]),
          "send at rank 5 pos 1 but envelope source is 1"),
+        # a third member off its signature's endpoints: membership is named
+        (_strict_model([(0, [(send, a)]), (1, [(recv, a)]), (5, [(unspecified, a)])]),
+         "occurs in 3 sequences, expected exactly 2"),
+        # an off-endpoint member after a third member of an earlier signature
+        # in the same sequence (the bare column meets `a` before its envelope)
+        (Model([Sequence(9, column=[0]), Sequence(0, [MessageOccurrence(0, send, a)]),
+                Sequence(2, [MessageOccurrence(1, recv, Envelope(2, 0, 2))]),
+                Sequence(1, [MessageOccurrence(0, recv, a), MessageOccurrence(1, unspecified, Envelope(2, 0, 2))])],
+               Mode.STRICT, SignatureSpace()),
+         "occurs in 3 sequences, expected exactly 2"),
         # one signature under two envelopes: its members are held to the first
         (Model([Sequence(0, [MessageOccurrence(0, send, a)]),
                 Sequence(2, [MessageOccurrence(0, send, Envelope(9, 2, 3))])], Mode.STRICT, SignatureSpace()),
@@ -150,7 +160,7 @@ def _reference_reason(model):
     in model order: its roles are checked (strict mode, occurrences) while no
     violation is known, and the first envelopes seen so far are the ones the
     endpoint rule reads when its signatures are added."""
-    legality = Legality()
+    legality = OrderedLegality({})
     for seq in model.sequences:
         if seq.occurrences is None:
             signatures = seq.column
@@ -160,9 +170,10 @@ def _reference_reason(model):
                 reason, envelopes = _reference_roles(seq)
                 for sig, env in envelopes.items():
                     legality.endpoints.setdefault(sig, env)
-                legality.violation = reason
+                legality.violation = reason and (reason.signature, reason.ranks, reason.message)
         legality.add(seq.rank, signatures)
-    return legality.finish()
+    reason = legality.finish()
+    return reason and IllegalReason(*reason)
 
 
 def _reasons(model):
@@ -289,7 +300,7 @@ def test_a_strict_api_model_keeps_its_columns_and_no_envelope_per_signature():
         tracemalloc.stop()
     n, processes = model.message_count, len(model.sequences)
     assert (n, processes, len(model.space)) == (96_000, 8000, 48_000)
-    assert model._endpoints == {} and model._role_violations == {}
+    assert model._trace is None
     assert all(seq.column.itemsize == 4 for seq in model.sequences)
     # the columns' 4 B per occurrence plus a fixed cost per sequence (190-260 B
     # on Python 3.10-3.12: the Sequence, its array's header, a list slot);

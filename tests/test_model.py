@@ -3,7 +3,7 @@ from array import array
 
 import pytest
 
-from support import PAPER_DSL, abstract_model, interleaving, random_rows
+from support import PAPER_DSL, OrderedLegality, abstract_model, interleaving, random_rows
 from syncheck import (
     Envelope,
     MessageOccurrence,
@@ -146,41 +146,6 @@ def test_report_conservation_is_enforced():
         DeadlockReport(blocked=(), matched_pairs=1, residual=1, message_count=4)
 
 
-class _OrderedLegality:
-    """The membership and endpoint rules, each chunk read one distinct
-    signature at a time in order of first appearance."""
-
-    def __init__(self, endpoints: dict):
-        self.endpoints = endpoints
-        self.first: dict = {}
-        self.second: dict = {}
-        self.violation = None
-
-    def add(self, rank, signatures):
-        if self.violation is None:
-            self.violation = self._add(rank, signatures)
-
-    def _add(self, rank, signatures):
-        for sig in dict.fromkeys(signatures):
-            member = self.first.setdefault(sig, rank)
-            if member != rank and self.second.setdefault(sig, rank) != rank:
-                ranks = tuple(sorted((member, self.second[sig], rank)))
-                return sig, ranks, "occurs in 3 sequences, expected exactly 2"
-            env = self.endpoints.get(sig)
-            if env is not None and rank not in (env.source, env.destination):
-                ranks = sorted({member, rank})
-                endpoints = sorted((env.source, env.destination))
-                return sig, tuple(ranks), f"occurs in sequences {ranks} but its envelope endpoints are {endpoints}"
-        return None
-
-    def finish(self):
-        lonely = [sig for sig in self.first if sig not in self.second]
-        if self.violation is None and lonely:
-            sig = min(lonely)
-            self.violation = sig, (self.first[sig],), "occurs in 1 sequence, expected exactly 2"
-        return self.violation
-
-
 def _random_strict_model(rng):
     """An API-built strict model whose members sit mostly, not always, at
     their envelope's endpoints, in two sequences mostly, not always."""
@@ -207,25 +172,36 @@ def _as_tuple(reason):
     return None if reason is None else (reason.signature, reason.ranks, reason.message)
 
 
+def _ordered_reason(model):
+    """The first violation of complete `model` that `OrderedLegality` names,
+    its members held to each signature's first envelope in the model."""
+    endpoints = {}
+    for seq in model.sequences:
+        for occ in seq.occurrences or ():
+            endpoints.setdefault(occ.signature, occ.envelope)
+    reference = OrderedLegality(endpoints)
+    for seq in model.sequences:
+        reference.add(seq.rank, list(seq.column))
+    return reference.finish()
+
+
 def test_legality_names_the_violation_an_ordered_pass_names():
     # random chunkings of abstract models (a third member, a lonely
-    # signature, or both, in two of three) and of strict API-built models
-    # whose endpoints are set
+    # signature, or both, in two of three), and strict API-built models
+    # whose members may be off their envelope's endpoints, whole
     rng = random.Random(14)
     violations = 0
     for trial in range(3000):
-        if trial % 2:
+        if trial % 2:  # unspecified roles, so each signature's one envelope is its first
             model = _random_strict_model(rng)
-        else:
-            rows = random_rows(rng)
-            model = parse_abstract("".join(f"P{rank}: {''.join(row)}\n" for rank, row in enumerate(rows)))
+            reference = _ordered_reason(model)
+            assert _as_tuple(validate_static(model)) == reference
+            violations += reference is not None
+            continue
+        rows = random_rows(rng)
+        model = parse_abstract("".join(f"P{rank}: {''.join(row)}\n" for rank, row in enumerate(rows)))
         rows = [list(seq.column) for seq in model.sequences]  # ranks 0, 1, ...
-        legality = Legality()
-        if model.mode is Mode.STRICT:  # unspecified roles, so each first envelope is kept
-            for seq in model.sequences:
-                for occ in seq.occurrences:
-                    legality.endpoints.setdefault(occ.signature, occ.envelope)
-        reference = _OrderedLegality(dict(legality.endpoints))
+        legality, reference = Legality(), OrderedLegality({})
         for rank, start, end in interleaving(rng, rows):
             if start is not None:  # not a close
                 legality.add(rank, rows[rank][start:end])
@@ -237,14 +213,7 @@ def test_legality_names_the_violation_an_ordered_pass_names():
     # long complete columns whose distinct signatures one C pass finds
     for model in _long_ascii_models():
         assert all(_tracked_distinct(seq.column) is not None for seq in model.sequences)
-        endpoints = {}
-        for seq in model.sequences:
-            for occ in seq.occurrences or ():
-                endpoints.setdefault(occ.signature, occ.envelope)
-        reference = _OrderedLegality(endpoints)
-        for seq in model.sequences:
-            reference.add(seq.rank, list(seq.column))
-        reason = reference.finish()
+        reason = _ordered_reason(model)
         assert reason is not None
         assert _as_tuple(validate_static(model)) == reason
 
