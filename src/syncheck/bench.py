@@ -53,46 +53,37 @@ def generate(spec: GenSpec) -> Model:
     signatures, tails jittered within a window of `SHUFFLE_WINDOW`; legal by
     construction, verdict not known a priori.
     """
-    space = SignatureSpace()
     P, M = spec.processes, spec.messages_per_process
     occs: List[List[MessageOccurrence]] = [[] for _ in range(P)]
-    tag = 0
+    entries: List[Envelope] = []  # every message is fresh, so its tag is its signature
 
-    def rendezvous(src: int, dst: int) -> None:
-        nonlocal tag
-        env = Envelope(tag=tag, source=src, destination=dst)
-        tag += 1
-        sig = space.signature_for(env)
-        occs[src].append(MessageOccurrence(sig, Role.SEND, env))
-        occs[dst].append(MessageOccurrence(sig, Role.RECV, env))
+    def message(src: int, dst: int) -> tuple:
+        """The send and the recv occurrence of a fresh message from `src` to `dst`."""
+        env = Envelope(tag=len(entries), source=src, destination=dst)
+        entries.append(env)
+        return MessageOccurrence(env.tag, Role.SEND, env), MessageOccurrence(env.tag, Role.RECV, env)
 
     if spec.pattern == "pairs":
         for k in range(P // 2):
             a, b = 2 * k, 2 * k + 1
             for m in range(M):
-                if m % 2 == 0:
-                    rendezvous(a, b)
-                else:
-                    rendezvous(b, a)
+                src, dst = (a, b) if m % 2 == 0 else (b, a)
+                send, recv = message(src, dst)
+                occs[src].append(send)
+                occs[dst].append(recv)
     elif spec.pattern == "ring":
         # Round messages c_0..c_{P-1}: c_0 goes 0 -> P-1, c_i goes i-1 -> i.
         # Process 0 sends both of its messages first; every other process
         # waits for its predecessor before passing onward, so the heads form
         # a full wait cycle and every round deadlocks at its start.
         for _ in range(M):
-            envs = [Envelope(tag=tag, source=0, destination=P - 1)]
-            tag += 1
-            for i in range(1, P):
-                envs.append(Envelope(tag=tag, source=i - 1, destination=i))
-                tag += 1
-            sigs = [space.signature_for(e) for e in envs]
-            occs[0].append(MessageOccurrence(sigs[0], Role.SEND, envs[0]))
-            occs[0].append(MessageOccurrence(sigs[1], Role.SEND, envs[1]))
+            first, prev = message(0, P - 1), message(0, 1)
+            occs[0] += (first[0], prev[0])
             for i in range(1, P - 1):
-                occs[i].append(MessageOccurrence(sigs[i], Role.RECV, envs[i]))
-                occs[i].append(MessageOccurrence(sigs[i + 1], Role.SEND, envs[i + 1]))
-            occs[P - 1].append(MessageOccurrence(sigs[P - 1], Role.RECV, envs[P - 1]))
-            occs[P - 1].append(MessageOccurrence(sigs[0], Role.RECV, envs[0]))
+                nxt = message(i, i + 1)
+                occs[i] += (prev[1], nxt[0])
+                prev = nxt
+            occs[P - 1] += (prev[1], first[1])
     else:  # random
         rng = random.Random(spec.seed)
         for _ in range((P * M) // 2):
@@ -100,14 +91,16 @@ def generate(spec: GenSpec) -> Model:
             dst = rng.randrange(P - 1)
             if dst >= src:
                 dst += 1
-            rendezvous(src, dst)
+            send, recv = message(src, dst)
+            occs[src].append(send)
+            occs[dst].append(recv)
         for lst in occs:
             for i in range(len(lst)):
                 j = rng.randint(i, min(i + SHUFFLE_WINDOW, len(lst) - 1))
                 lst[i], lst[j] = lst[j], lst[i]
 
     sequences = [Sequence(rank=i, occurrences=lst) for i, lst in enumerate(occs)]
-    return Model(sequences=sequences, mode=Mode.STRICT, space=space)
+    return Model(sequences=sequences, mode=Mode.STRICT, space=SignatureSpace(entries))
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,10 @@ pending head from the other member sequence (match both, advance both
 cursors, drop the pending head) or records this head as pending, so the
 table holds at most one pending head per sequence.  After a match, the
 run of equal signatures that follows in both sequences is forced and
-consumed at once by slice compares.  A `Legality` fed at each append
-decides legality, so no third member rank is matched.  Total steps are
-bounded by the number of occurrences examined, so a batch check is linear
-in the message count.
+consumed at once by slice compares.  A `Legality`, read from the model by
+`load` or fed at each append, decides legality, so no third member rank is
+matched.  Total steps are bounded by the number of occurrences examined, so
+a batch check is linear in the message count.
 """
 from __future__ import annotations
 
@@ -99,17 +99,15 @@ class Engine:
 
     def load(self, model: Model) -> None:
         """Adopt every model sequence's column as a closed sequence, in model
-        order, in a fresh engine, with the model's space; neither `append`
-        nor `close` is called."""
+        order, in a fresh engine, with the model's space and its
+        `Legality.of`; neither `append` nor `close` is called.  The columns
+        are the model's own, so they must not be changed in place."""
         if self._loaded or self._col:
             raise EngineError("engine already loaded")
         self._loaded = True
         self._space = model.space
-        for index, seq in enumerate(model.sequences):
-            if seq.rank in self._col:  # a rank added to the model after it was built
-                raise EngineError(f"append to closed sequence {seq.rank}")
-            self._legality.add_sequence(model, index)
-            self._col[seq.rank] = seq.column
+        self._legality = Legality.of(model)
+        self._col = {seq.rank: seq.column for seq in model.sequences}
         self._cursor = dict.fromkeys(self._col, 0)
         self._queue.extend(rank for rank, column in self._col.items() if column)
         self._total = model.message_count

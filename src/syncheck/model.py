@@ -5,7 +5,11 @@ A "signature" is a plain nonnegative int issued densely by a
 ``array('i')`` column of signatures; a parsed occurrence's envelope is its
 signature's entry in the space and its role follows from the rank (a send
 sits at its envelope's source).  API-built :class:`MessageOccurrence` lists
-become columns when built, role-checked once by their strict `Model`.
+become columns when built, role-checked once by their strict `Model`.  A
+`Model` is fixed once built, a tuple of frozen sequences, so the trace of
+its first role or endpoint violation always names one of its own
+sequences; `Legality.of` reads a complete model, and the engine adopts its
+columns, which must not be changed in place.
 
 `Legality` reads each column's distinct signatures once, in order.  A
 complete column of at least `_TRACKED_MIN` occurrences whose signatures are
@@ -81,7 +85,7 @@ class MessageOccurrence(NamedTuple):
     envelope: Optional[Envelope] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sequence:
     """One process's complete, ordered occurrences, given as exactly one of a
     `column` of signatures and API-built `occurrences`, which are kept for the
@@ -97,45 +101,51 @@ class Sequence:
             raise ValueError(f"Sequence {self.rank} takes exactly one of occurrences and column")
         column = self.column if self.occurrences is None else [occ.signature for occ in self.occurrences]
         if type(column) is not array or column.typecode != COLUMN_TYPECODE:
-            self.column = array(COLUMN_TYPECODE, column)
+            object.__setattr__(self, "column", array(COLUMN_TYPECODE, column))
 
     def __len__(self) -> int:
         return len(self.column)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
-    """A set of sequences with pairwise-distinct ranks plus their signature
-    space.  In strict mode its occurrences are role-checked once, here."""
+    """A tuple of sequences, from any iterable, with pairwise-distinct ranks,
+    plus their signature space; fixed once built.  In strict mode its
+    occurrences are role-checked once, here."""
 
-    sequences: list  # list[Sequence]
+    sequences: tuple  # tuple[Sequence, ...]
     mode: Mode
     space: "object" = None  # SignatureSpace; untyped to avoid an import cycle
 
     def __post_init__(self) -> None:
-        ranks = [s.rank for s in self.sequences]
+        sequences = tuple(self.sequences)
+        ranks = [s.rank for s in sequences]
         if len(set(ranks)) != len(ranks):
             raise ValueError(f"duplicate process ranks in model: {ranks}")
-        # the first sequence that breaks a role or the endpoint rule: (its index, its role violation or
-        # None, the position of its first member off its signature's first envelope's endpoints, that envelope)
-        self._trace: Optional[tuple] = None
-        strict, first = self.mode is Mode.STRICT, {}  # first: signature -> the first envelope seen with it
-        for index, seq in enumerate(self.sequences):
-            if strict and seq.occurrences is not None:
-                reason = _role_violation(seq, first)
-                if reason is not None:
-                    self._trace = (index, reason, None, None)
-                    return
-            if first:  # no envelope is known before a sequence built from occurrences
-                rank = seq.rank
-                for pos, env in enumerate(map(first.get, seq.column)):
-                    if env is not None and rank != env[1] and rank != env[2]:
-                        self._trace = (index, None, pos, env)
-                        return
+        object.__setattr__(self, "sequences", sequences)
+        object.__setattr__(self, "_trace", _trace_of(sequences, self.mode is Mode.STRICT))
 
     @property
     def message_count(self) -> int:
         return sum(len(s) for s in self.sequences)
+
+
+def _trace_of(sequences: tuple, strict: bool) -> Optional[tuple]:
+    """The first sequence that breaks a role or the endpoint rule: (its index,
+    its role violation or None, the position of its first member off its
+    signature's first envelope's endpoints, that envelope); None if none does."""
+    first: dict = {}  # signature -> the first envelope seen with it
+    for index, seq in enumerate(sequences):
+        if strict and seq.occurrences is not None:
+            reason = _role_violation(seq, first)
+            if reason is not None:
+                return index, reason, None, None
+        if first:  # no envelope is known before a sequence built from occurrences
+            rank = seq.rank
+            for pos, env in enumerate(map(first.get, seq.column)):
+                if env is not None and rank != env[1] and rank != env[2]:
+                    return index, None, pos, env
+    return None
 
 
 class BlockedEntry(NamedTuple):
@@ -227,8 +237,9 @@ class Legality:
     only be judged by `finish`, once every sequence is closed.  The first
     violation found is kept.
 
-    Parsed and streamed members are endpoints of their envelopes by
-    construction; `add_sequence` reads where an API-built strict model
+    `of` is the one reader of a complete model, for `validate_static` and
+    `Engine.load`.  Parsed and streamed members are endpoints of their
+    envelopes by construction; `of` reads where an API-built strict model
     breaks a role or the endpoint rule from the model's trace.
     """
 
@@ -239,24 +250,29 @@ class Legality:
         self._first: dict = {}
         self._second: dict = {}
 
-    def add_sequence(self, model: Model, index: int) -> None:
-        """Record sequence `index` of complete `model`.  At its trace's
-        index, that is its role violation, or its column up to the first
-        member off its envelope's endpoints and then, unless a third member
-        came first, that member's violation."""
-        seq, trace = model.sequences[index], model._trace
-        if trace is None or trace[0] != index:
-            self.add(seq.rank, seq.column)
-            return
-        _, reason, pos, env = trace
-        if reason is None:
-            self.add(seq.rank, seq.column[: pos + 1])
-            if self.violation is None:
-                sig = seq.column[pos]
-                ranks, ends = sorted({self._first[sig], seq.rank}), sorted((env[1], env[2]))
-                message = f"occurs in sequences {ranks} but its envelope endpoints are {ends}"
-                reason = IllegalReason(sig, tuple(ranks), message)
-        self.violation = self.violation or reason
+    @classmethod
+    def of(cls, model: Model) -> "Legality":
+        """The legality of complete `model`, read in model order up to its
+        traced sequence, if any.  That sequence gives its role violation, or
+        its column up to the first member off its envelope's endpoints and
+        then, unless a third member came first, that member's violation;
+        nothing after it is read."""
+        legality, trace = cls(), model._trace
+        stop = len(model.sequences) if trace is None else trace[0]
+        for seq in model.sequences[:stop]:
+            legality.add(seq.rank, seq.column)
+        if trace is not None:
+            _, reason, pos, env = trace
+            seq = model.sequences[stop]
+            if reason is None:
+                legality.add(seq.rank, seq.column[: pos + 1])
+                if legality.violation is None:
+                    sig = seq.column[pos]
+                    ranks, ends = sorted({legality._first[sig], seq.rank}), sorted((env[1], env[2]))
+                    message = f"occurs in sequences {ranks} but its envelope endpoints are {ends}"
+                    reason = IllegalReason(sig, tuple(ranks), message)
+            legality.violation = legality.violation or reason
+        return legality
 
     def add(self, rank: int, signatures) -> None:
         """Record `signatures`, the next occurrences of sequence `rank`."""
@@ -300,10 +316,7 @@ def _role_violation(seq: Sequence, endpoints: dict) -> Optional[IllegalReason]:
 
 def validate_static(model: Model) -> Optional[IllegalReason]:
     """The model's first legality violation, in model order, or None when it is legal."""
-    legality = Legality()
-    for index in range(len(model.sequences)):
-        legality.add_sequence(model, index)
-    return legality.finish()
+    return Legality.of(model).finish()
 
 
 def deadlock_report(columns: dict, cursors: dict, space) -> DeadlockReport:

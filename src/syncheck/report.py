@@ -13,15 +13,6 @@ from .model import Deadlock, Illegal, NoDeadlock
 from .signatures import SignatureSpace
 
 
-def _envelope_json(env) -> dict:
-    return {
-        "tag": env.tag,
-        "source": env.source,
-        "destination": env.destination,
-        "communicator": env.communicator,
-    }
-
-
 def build_report(
     verdict,
     space: SignatureSpace,
@@ -59,7 +50,7 @@ def build_report(
                 "signature": space.label_of(entry.signature),
             }
             if entry.envelope is not None:
-                item["envelope"] = _envelope_json(entry.envelope)
+                item["envelope"] = entry.envelope._asdict()  # the field names are the JSON keys
             report["blocked"].append(item)
     elif isinstance(verdict, Illegal):
         reason = verdict.reason

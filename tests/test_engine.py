@@ -3,6 +3,7 @@ import itertools
 import random
 import tracemalloc
 from array import array
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -196,8 +197,9 @@ class TestStreaming:
         assert (engine.steps, engine.matched_pairs, engine.message_count) == (8, 3, 11)
 
     def test_loaded_columns_are_4_bytes_wide(self):
-        model = model_from_tuples(["ab", "ab", "c", "c"])
-        model.sequences[2:] = [Sequence(2, column=array("l", [2])), Sequence(3, column=array("i", [2]))]
+        base = model_from_tuples(["ab", "ab", "c", "c"])
+        columns = [Sequence(2, column=array("l", [2])), Sequence(3, column=array("i", [2]))]
+        model = Model([*base.sequences[:2], *columns], base.mode, base.space)
         assert [seq.column.typecode for seq in model.sequences] == ["i"] * 4  # from construction
         verdict, engine = check_with_engine(model)
         assert isinstance(verdict, NoDeadlock)
@@ -269,13 +271,20 @@ class TestStreaming:
         with pytest.raises(EngineError, match="already loaded"):
             engine.load(abstract_model("b", "b"))
 
-    def test_duplicate_rank_added_after_construction_fails_at_check(self):
-        # Model rejects duplicate ranks when it is built; one added later
-        # reaches the engine as an append to the rank's closed sequence
+    def test_a_built_models_sequences_cannot_be_changed(self):
+        # Model rejects duplicate ranks when it is built, and no rank can be
+        # added, replaced or renamed later
         model = abstract_model("a", "a")
-        model.sequences.append(Sequence(0, column=array("l", [0])))
-        with pytest.raises(EngineError, match="append to closed sequence 0"):
-            check(model)
+        with pytest.raises(AttributeError):
+            model.sequences.append(Sequence(0, column=array("l", [0])))
+        with pytest.raises(TypeError):
+            model.sequences[1:] = [Sequence(0, column=[0])]
+        with pytest.raises(FrozenInstanceError):
+            model.sequences = [Sequence(0, column=[0])]
+        with pytest.raises(FrozenInstanceError):
+            model.sequences[1].rank = 0
+        assert [seq.rank for seq in model.sequences] == [0, 1]
+        assert isinstance(check(model), NoDeadlock)
 
     def test_strict_engine_rejects_bare_occurrences(self):
         # occurrences enter only through load, where a strict one without an
@@ -340,13 +349,13 @@ class TestColumnAdoption:
     def test_list_columns_and_other_typecodes_are_converted(self):
         # converted when the sequence is built, so load adopts every column,
         # the one made from occurrences too
-        model = model_from_tuples(["ab", "ab", "c", "c"])
+        base = model_from_tuples(["ab", "ab", "c", "c"])
         given = array("i", [2])
-        model.sequences[1:] = [
-            Sequence(1, column=[0, 1]),
-            Sequence(2, column=array("l", [2])),
-            Sequence(3, column=given),
-        ]
+        model = Model(
+            [base.sequences[0], Sequence(1, column=[0, 1]), Sequence(2, column=array("l", [2])), Sequence(3, column=given)],
+            base.mode,
+            base.space,
+        )
         assert [seq.column.typecode for seq in model.sequences] == ["i"] * 4
         assert model.sequences[3].column is given
         verdict, engine = check_with_engine(model)

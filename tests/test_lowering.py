@@ -12,6 +12,8 @@ import itertools
 import random
 import tracemalloc
 
+import pytest
+
 from support import OrderedLegality, model_from_tuples
 from syncheck import (
     Envelope,
@@ -272,6 +274,34 @@ def test_every_consumer_names_the_violation_in_order_lowering_names():
     assert seen == {None, *kinds}  # legal models and every kind of violation occur
 
 
+def test_a_traced_model_cannot_be_changed_and_built_whole_names_the_reference_violation():
+    # the model's trace names its sequence by index; a list that could be
+    # changed after construction left the trace on another sequence, or past
+    # the end of the list
+    a, b = Envelope(1, 0, 1), Envelope(2, 0, 1)
+    space = SignatureSpace()
+    x, y = space.signature_for(a), space.signature_for(b)
+    send, recv = Role.SEND, Role.RECV
+    sends = Sequence(0, [MessageOccurrence(x, send, a), MessageOccurrence(y, send, b)])
+    recvs = Sequence(1, [MessageOccurrence(x, recv, a), MessageOccurrence(y, recv, b)])
+    model = Model([sends, recvs, Sequence(3, column=[y, x])], Mode.STRICT, space)
+    assert model._trace[:3] == (2, None, 0)
+    with pytest.raises(TypeError):
+        model.sequences[2:] = [Sequence(3, column=[])]
+    with pytest.raises(AttributeError):
+        model.sequences.insert(0, Sequence(5, column=[]))
+    assert [seq.rank for seq in model.sequences] == [0, 1, 3]
+    cases = [
+        ([sends, recvs, Sequence(3, column=[])], None),
+        ([Sequence(5, column=[]), sends, recvs, Sequence(3, column=[y, x])], "occurs in 3 sequences, expected exactly 2"),
+    ]
+    for sequences, message in cases:
+        whole = Model(sequences, Mode.STRICT, space)
+        reference = _reference_reason(whole)
+        assert (reference and reference.message) == message
+        assert _reasons(whole) == [reference] * 4, message
+
+
 def test_criterion_3_models_name_the_violation_in_order_lowering_names():
     strings = [""] + ["".join(t) for length in (1, 2, 3) for t in itertools.product("abc", repeat=length)]
     illegal = 0
@@ -303,7 +333,7 @@ def test_a_strict_api_model_keeps_its_columns_and_no_envelope_per_signature():
     assert model._trace is None
     assert all(seq.column.itemsize == 4 for seq in model.sequences)
     # the columns' 4 B per occurrence plus a fixed cost per sequence (190-260 B
-    # on Python 3.10-3.12: the Sequence, its array's header, a list slot);
+    # on Python 3.10-3.12: the Sequence, its array's header, a tuple slot);
     # a dict entry per signature would add about 2.6 MB, over 30 B per
     # occurrence here
     assert kept <= 4 * n + 400 * processes, (kept, kept / n)

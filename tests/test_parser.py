@@ -55,7 +55,7 @@ class TestAbstract:
 
     def test_empty_input(self):
         model = parse_abstract("")
-        assert model.sequences == []
+        assert model.sequences == ()
         assert model.message_count == 0
 
     def test_explicit_ranks_and_empty_sequence(self):
