@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import re
 import sys
 from itertools import chain
 from typing import List, Optional
@@ -22,24 +21,23 @@ from .report import build_report, exit_code_for, to_json, to_text
 from .signatures import SignatureSpace
 
 
-class _UsageError(Exception):
-    pass
+class _ParserExit(Exception):
+    """The parser stops with exit code `args[0]` and text `args[1]`.
 
-
-class _HelpRequested(Exception):
-    """`-h`/`--help` was given; the argument is the help text."""
+    `main` writes to the streams it is given and returns its exit code, so
+    it writes the text to stdout on 0 and to stderr otherwise, and the
+    parser neither prints to sys.stdout or sys.stderr nor exits.
+    """
 
 
 class _ArgumentParser(argparse.ArgumentParser):
     # exit code 2 means "deadlock" here, so usage errors must not use it
     def error(self, message):
-        raise _UsageError(message)
+        raise _ParserExit(1, f"usage error: {message}\n")
 
-    # `main` writes to the streams it is given and returns its exit code, so
-    # the help action, the one caller, hands its text to `main` and neither
-    # prints to sys.stdout nor exits
+    # the help action is the one caller
     def print_help(self, file=None):
-        raise _HelpRequested(self.format_help())
+        raise _ParserExit(0, self.format_help())
 
 
 @functools.cache  # one parser for every call: parsing and the commands mutate neither it nor a default
@@ -86,8 +84,10 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _emit(report: dict, fmt: str, out) -> None:
+def _emit(report: dict, fmt: str, out) -> int:
+    """Write `report` to `out` in `fmt`; return its exit code."""
     print(to_json(report) if fmt == "json" else to_text(report), file=out)
+    return exit_code_for(report)
 
 
 def _parse_file(path: str, mode: str):
@@ -123,14 +123,7 @@ def cmd_check(args, out, err, stdin) -> int:
     report = build_report(verdict, model.space, messages=model.message_count, steps=steps)
     if args.validate_only and isinstance(verdict, NoDeadlock):
         report["matchedPairs"] = 0  # nothing has been matched, only validated
-    _emit(report, args.format, out)
-    return exit_code_for(report)
-
-
-# integers are runs of decimal digits, as in the DSL (int() alone would also
-# take `+1`, `1_0` and `-0`); `\d` takes exactly the digits int() reads, so a
-# token with two or three commas that this misses has an empty or non-decimal field
-_STRICT_TOKEN_RE = re.compile(r"(\d+),(\d+),(\d+)(?:,(\d+))?")
+    return _emit(report, args.format, out)
 
 
 def _strict_signatures(tokens: list, rank: int, space: SignatureSpace, known: dict) -> list:
@@ -139,21 +132,22 @@ def _strict_signatures(tokens: list, rank: int, space: SignatureSpace, known: di
 
     `known` maps each token read so far in the session to its signature, so
     a repeated token costs a lookup and an endpoint test.  A new token is
-    read with one regex and `decimal`, and interned through
-    `signature_for`, which rejects a self-message.  Every other malformed
-    token is named here.
+    split at its commas into 3 or 4 fields, each a run of decimal digits as
+    in the DSL (int() alone would also take `+1`, `1_0` and `-0`), read
+    with `decimal` and interned through `signature_for`, which rejects a
+    self-message.  Every other malformed token is named here.
     """
     entries = space.entries
     signatures = []
     for token in tokens:
         sig = known.get(token)
         if sig is None or rank != entries[sig][1] and rank != entries[sig][2]:
-            m = _STRICT_TOKEN_RE.fullmatch(token)
-            if m is None:
-                if token.count(",") not in (2, 3):
-                    raise ValueError(f"expected tag,src,dst[,comm], got {token!r}")
+            fields = token.split(",")
+            if len(fields) not in (3, 4):
+                raise ValueError(f"expected tag,src,dst[,comm], got {token!r}")
+            if not all(map(str.isdecimal, fields)):
                 raise ValueError(f"expected decimal integers tag,src,dst[,comm], got {token!r}")
-            env = Envelope(*map(decimal, m.groups("0"), Envelope._fields))
+            env = Envelope(*map(decimal, fields, Envelope._fields))
             if rank != env.source and rank != env.destination:
                 raise ValueError(f"process {rank} is neither source nor destination of {token!r}")
             sig = known[token] = space.signature_for(env)
@@ -215,8 +209,7 @@ def cmd_stream(args, out, err, stdin) -> int:
         print(f"protocol error: stream ended with open sequences {engine.open_ranks()}", file=err)
         return 1
     report = build_report(verdict, space, messages=engine.message_count, steps=engine.steps)
-    _emit(report, args.format, out)
-    return exit_code_for(report)
+    return _emit(report, args.format, out)
 
 
 def cmd_oracle(args, out, err, stdin) -> int:
@@ -237,8 +230,7 @@ def cmd_oracle(args, out, err, stdin) -> int:
         result = cycle_check(model)
         extra = {"witness": result.witness, "unpaired": result.unpaired}
     report = build_report(result.verdict, model.space, messages=model.message_count, **extra)
-    _emit(report, args.format, out)
-    return exit_code_for(report)
+    return _emit(report, args.format, out)
 
 
 def _gen_spec(args, seed: int) -> bench_mod.GenSpec:
@@ -299,15 +291,12 @@ def main(argv: Optional[List[str]] = None, *, stdin=None, stdout=None, stderr=No
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     stdin = stdin if stdin is not None else _stdin_lines()  # read only by `stream`
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=err)
-        return 1
-    except _HelpRequested as exc:
-        out.write(str(exc))
-        return 0
+        args = _build_parser().parse_args(argv)
+    except _ParserExit as stop:
+        code, text = stop.args
+        (err if code else out).write(text)
+        return code
     return args.run(args, out, err, stdin)
 
 

@@ -11,7 +11,12 @@ one `array('i')` column.  `load` adopts each model sequence's column, the
 sequence's head is examined once: the signature's matcher either holds a
 pending head from the other member sequence (match both, advance both
 cursors, drop the pending head) or records this head as pending, so the
-table holds at most one pending head per sequence.  After a match, the
+table holds at most one pending head per sequence.  Ready sequences wait on
+a worklist whose order is free: legality leaves each signature two member
+sequences, so a head can only ever match the head of the other member, and
+whichever ready head is served first, the same pairs match (the matching
+is confluent).  The verdict, the step count, the pending heads and the
+report are therefore the same in any order.  After a match, the
 run of equal signatures that follows in both sequences is forced and
 consumed at once by slice compares.  A `Legality`, read from the model by
 `load` or fed at each append, decides legality, so no third member rank is
@@ -21,12 +26,9 @@ a batch check is linear in the message count.
 from __future__ import annotations
 
 from array import array
-from collections import deque
-from typing import Optional, Union
+from typing import Optional
 
-from .model import COLUMN_TYPECODE, Deadlock, Illegal, Legality, Model, NoDeadlock, deadlock_report
-
-Verdict = Union[NoDeadlock, Deadlock, Illegal]
+from .model import COLUMN_TYPECODE, Deadlock, Illegal, Legality, Model, NoDeadlock, Verdict, deadlock_report
 
 
 def _common_run(a: array, i: int, b: array, j: int) -> int:
@@ -69,9 +71,10 @@ class Engine:
         self._total = 0  # occurrences loaded or appended
         self._table: dict = {}  # signature -> the rank pending on it
         self._legality = Legality()
-        # a rank joins the queue only when it gains a head while idle or right
-        # after its head matched, so no rank is queued twice or while pending
-        self._queue: deque = deque()
+        # a rank joins the worklist only when it gains a head while idle or
+        # right after its head matched, so no rank is queued twice or while
+        # pending; the order it is served in is free
+        self._queue: list = []
         self.matched_pairs = 0
         self._verdict: Optional[Verdict] = None
         self._loaded = False
@@ -142,7 +145,7 @@ class Engine:
     # -- execution ----------------------------------------------------------
 
     def _run(self) -> None:
-        """Process ready heads until the queue empties, each with the forced
+        """Process ready heads until the worklist empties, each with the forced
         run that its match starts."""
         queue = self._queue
         col_map = self._col
@@ -151,7 +154,7 @@ class Engine:
         matched = self.matched_pairs
         try:
             while queue:
-                rank = queue.popleft()
+                rank = queue.pop()
                 col = col_map[rank]
                 pos = cur_map[rank]
                 sig = col[pos]
@@ -176,16 +179,15 @@ class Engine:
                     matched += run
                 cur_map[rank] = pos
                 cur_map[other] = other_pos
-                # re-enqueue in ascending rank order for reproducible runs
-                first, second = (other, rank) if other < rank else (rank, other)
-                for nxt in (first, second):
-                    if cur_map[nxt] < len(col_map[nxt]):
-                        queue.append(nxt)
+                if pos < len(col):
+                    queue.append(rank)
+                if other_pos < len(other_col):
+                    queue.append(other)
         finally:
             self.matched_pairs = matched
 
     def drain(self) -> Optional[Verdict]:
-        """Match ready heads until the queue empties or a verdict halts the engine.
+        """Match ready heads until the worklist empties or a verdict halts the engine.
 
         Returns None while some sequence is still open (streaming continues);
         otherwise the final verdict.  Legality is judged before matching, so

@@ -24,7 +24,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 # The typecode of every signature column.  Signatures are dense, below the
 # size of their space, so 4 bytes hold every one a process can issue.
@@ -189,7 +189,7 @@ class Illegal:
     reason: IllegalReason
 
 
-# Verdict = NoDeadlock | Deadlock | Illegal
+Verdict = Union[NoDeadlock, Deadlock, Illegal]
 
 
 # The shortest column whose distinct signatures `_tracked_distinct` finds.

@@ -21,11 +21,9 @@ from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
-from .model import Deadlock, Illegal, Model, NoDeadlock, deadlock_report, validate_static
-
-Verdict = Union[NoDeadlock, Deadlock, Illegal]
+from .model import Deadlock, Illegal, Model, NoDeadlock, Verdict, deadlock_report, validate_static
 
 _BOUNDARY = -2  # `cycle_check`'s slot before each sequence and after the last
 _UNPAIRED = -1  # `cycle_check`'s element of an occurrence with no partner

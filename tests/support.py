@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 from __future__ import annotations
 
+import io
 import random
 
 from syncheck import (
@@ -14,6 +15,7 @@ from syncheck import (
     SignatureSpace,
     parse_abstract,
 )
+from syncheck.cli import main
 
 PAPER_ABSTRACT = "ab\nbc\nca"
 
@@ -43,6 +45,13 @@ def in_order(model: Model, order) -> Model:
     ranks, so that `Engine.load` appends and closes them in that order."""
     by_rank = {seq.rank: seq for seq in model.sequences}
     return Model(sequences=[by_rank[r] for r in order], mode=model.mode, space=model.space)
+
+
+def run_cli(args, stdin_text=""):
+    """`syncheck` with `args` and `stdin_text` as stdin, in process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    code = main(args, stdin=io.StringIO(stdin_text), stdout=out, stderr=err)
+    return code, out.getvalue(), err.getvalue()
 
 
 def classify(verdict) -> str:

@@ -5,7 +5,6 @@ lines; the timing-sensitive criteria assume an otherwise idle machine.
 """
 import functools
 import gc
-import io
 import itertools
 import json
 import random
@@ -13,7 +12,7 @@ import statistics
 import time
 from contextlib import contextmanager
 
-from support import PAPER_DSL, classify, in_order, model_from_tuples, random_legal_abstract
+from support import PAPER_DSL, classify, in_order, model_from_tuples, random_legal_abstract, run_cli
 from syncheck import (
     Deadlock,
     Engine,
@@ -31,7 +30,6 @@ from syncheck import (
     simulate_exhaustive,
 )
 from syncheck.bench import GenSpec, generate
-from syncheck.cli import main as cli_main
 from syncheck.report import build_report
 
 
@@ -43,12 +41,6 @@ def criterion(name):
         print(f"ACCEPTANCE {name}: FAIL")
         raise
     print(f"ACCEPTANCE {name}: PASS")
-
-
-def run_cli(args, stdin_text=""):
-    out, err = io.StringIO(), io.StringIO()
-    code = cli_main(args, stdin=io.StringIO(stdin_text), stdout=out, stderr=err)
-    return code, out.getvalue(), err.getvalue()
 
 
 def test_criterion_1_paper_example(tmp_path):

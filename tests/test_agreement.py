@@ -4,21 +4,13 @@ Random abstract models, most made illegal on purpose, are streamed as
 random append/close interleavings, once through `Engine` and once through
 `syncheck stream`, and compared with a batch `check` of the whole model.
 """
-import io
 import json
 import random
 
 import pytest
 
-from support import classify, interleaving, model_from_tuples, random_rows
+from support import classify, interleaving, model_from_tuples, random_rows, run_cli
 from syncheck import Engine, Illegal, check
-from syncheck.cli import main
-
-
-def run_cli(args, stdin_text=""):
-    out, err = io.StringIO(), io.StringIO()
-    code = main(args, stdin=io.StringIO(stdin_text), stdout=out, stderr=err)
-    return code, out.getvalue(), err.getvalue()
 
 
 def violations(rows) -> dict:

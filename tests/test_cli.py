@@ -9,17 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from support import PAPER_DSL
+from support import PAPER_DSL, run_cli
 from syncheck.bench import GenSpec, generate
 import syncheck
 from syncheck.cli import _build_parser, main
 from syncheck.parser import render_dsl
-
-
-def run_cli(args, stdin_text=""):
-    out, err = io.StringIO(), io.StringIO()
-    code = main(args, stdin=io.StringIO(stdin_text), stdout=out, stderr=err)
-    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture
@@ -240,10 +234,12 @@ class TestStream:
             ("append 0 1,0,1\nappend 1 1,,1\n", 2, "expected decimal integers tag,src,dst[,comm], got '1,,1'"),
             ("append 0 ,0,1\nappend 1 1,0,1\n", 1, "expected decimal integers tag,src,dst[,comm], got ',0,1'"),
             ("append 0 1,0,1,\nappend 1 1,0,1\n", 1, "expected decimal integers tag,src,dst[,comm], got '1,0,1,'"),
+            # a digit that int() reads but the DSL does not: not decimal
+            ("append 0 1,0,1\nappend 1 1\u00b2,0,1\n", 2, "expected decimal integers tag,src,dst[,comm], got '1\u00b2,0,1'"),
         ],
         ids=[
             "tag-plus", "tag-underscore", "source-minus", "rank-plus", "rank-underscore",
-            "source-empty", "tag-empty", "comm-empty",
+            "source-empty", "tag-empty", "comm-empty", "tag-superscript",
         ],
     )
     def test_non_decimal_integer_exit_1(self, events, lineno, message):
@@ -302,13 +298,17 @@ class TestStream:
         assert err == f"stdin:{lineno}: {message}\n"
 
     def test_token_spellings_name_one_envelope(self):
-        # leading zeros and an omitted comm spell the same envelope
-        events = "append 0 01,0,1 1,0,1\nappend 1 1,0,1,0\nappend 1 1,00,1\nclose 0\nclose 1\nend\n"
+        # leading zeros, an omitted comm and other decimal digits (Arabic-Indic
+        # 1,0,1), as in the DSL, spell the same envelope
+        events = (
+            "append 0 01,0,1 1,0,1 \u0661,\u0660,\u0661\nappend 1 1,0,1,0\nappend 1 1,00,1 \u0661,\u0660,\u0661\n"
+            "close 0\nclose 1\nend\n"
+        )
         code, out, _ = run_cli(["stream", "--format", "json"], events)
         assert code == 0
         report = json.loads(out)
         assert report["stats"]["distinctSignatures"] == 1
-        assert report["matchedPairs"] == 2
+        assert report["matchedPairs"] == 3
 
     def test_abstract_tokens_are_read_per_character(self, tmp_path):
         path = tmp_path / "m.txt"

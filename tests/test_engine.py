@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import random
 import tracemalloc
 from array import array
@@ -41,6 +42,7 @@ from syncheck import (
 )
 from syncheck.bench import GenSpec, generate
 from syncheck.engine import _common_run
+from syncheck.report import build_report
 
 
 def sig(space, ch):
@@ -501,6 +503,69 @@ class TestInvariants:
             assert classify(streamed) == classify(batch)
             if isinstance(batch, Deadlock):
                 assert streamed.report == batch.report
+
+
+class _RandomPop(list):
+    """A worklist served in a seeded random order, in place of the engine's own."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.rng = rng
+
+    def pop(self):
+        return super().pop(self.rng.randrange(len(self)))
+
+
+def _observed(engine, verdict):
+    """What a run shows: its verdict, its counters and, once there is a
+    verdict, its JSON report (compact, which is `to_json`'s text but for
+    whitespace, and quicker)."""
+    counters = engine.steps, engine.matched_pairs, engine.table_size
+    if verdict is None:
+        return None, counters, None
+    report = build_report(verdict, engine._space, messages=engine.message_count, steps=engine.steps)
+    return verdict, counters, json.dumps(report)
+
+
+class TestOrderFreedom:
+    # the engine may serve its ready ranks in any order: one that serves them
+    # at random shows the same verdict, counters and report as a plain one
+
+    def test_every_small_abstract_model(self):
+        # every model of up to 3 lines of up to 3 characters from `abc`
+        rng = random.Random(5)
+        lines = ["".join(chars) for size in range(4) for chars in itertools.product("abc", repeat=size)]
+        for count in range(4):
+            for rows in itertools.product(lines, repeat=count):
+                model = model_from_tuples(rows)
+                plain, shuffled = Engine(), Engine()
+                shuffled._queue = _RandomPop(rng)
+                plain.load(model)
+                shuffled.load(model)
+                assert _observed(shuffled, shuffled.drain()) == _observed(plain, plain.drain())
+
+    @pytest.mark.parametrize("pattern", ["pairs", "ring", "random"])
+    def test_streamed_generated_models(self, pattern):
+        # drained after some events, so that ready ranks pile up, and
+        # compared after each drain: each reaches the same state
+        rng = random.Random(6)
+        for seed in range(30):
+            processes = 2 * rng.randint(1, 4) if pattern == "pairs" else rng.randint(3, 8)
+            model = generate(GenSpec(pattern, processes, rng.randint(1, 30), seed))
+            rows = [seq.column for seq in model.sequences]
+            plain, shuffled = Engine(model.space), Engine(model.space)
+            shuffled._queue = _RandomPop(rng)
+            for rank, start, end in interleaving(rng, rows):
+                for engine in (plain, shuffled):
+                    if start is None:
+                        engine.close(rank)
+                    else:
+                        engine.append(rank, rows[rank][start:end])
+                if rng.random() < 0.3:
+                    assert _observed(shuffled, shuffled.drain()) == _observed(plain, plain.drain())
+            verdict = plain.drain()
+            assert verdict is not None
+            assert _observed(shuffled, shuffled.drain()) == _observed(plain, verdict)
 
 
 def _naive_common_run(a, i, b, j):
