@@ -193,13 +193,23 @@ Verdict = Union[NoDeadlock, Deadlock, Illegal]
 
 
 # The shortest column whose distinct signatures `_tracked_distinct` finds.
-# Its pass costs about 1.6 ns per occurrence plus one lookup of 140-160 ns
-# per distinct signature, at most 128 of them (about 20 us), while
-# `dict.fromkeys(column)` costs about 26 ns per occurrence (twice a set).
-# Below 20 us / 26 ns, about 800 occurrences, the lookups alone can cost
-# more; at 16 * 128 the pass costs under half as much, and a shorter column
-# has little to gain.
-_TRACKED_MIN = 16 * 128
+# Timed against `dict.fromkeys(column)` on `array('i')` columns of the
+# signatures i % d (timeit, best of 5, Python 3.11):
+#
+#   occurrences |  d = 8: pass  fromkeys | d = 128: pass  fromkeys
+#            64 |       2.4 us    2.1 us |      10.3 us    2.8 us
+#           128 |       2.6 us    3.9 us |      19.2 us    5.1 us
+#           256 |       2.8 us    7.6 us |      19.4 us    9.6 us
+#         1,024 |       4.3 us   30.4 us |      20.3 us   27.9 us
+#         2,048 |       6.0 us   56.6 us |      22.9 us   56.3 us
+#
+# The pass costs a fixed 2.3 us or so plus about 140 ns per distinct
+# signature; `dict.fromkeys` about 26 ns per occurrence.  With few distinct
+# signatures, as on an abstract model's lines, the break-even lies between
+# 64 and 96 occurrences, and 128 leaves a 2x margin over its low end.  A
+# shorter column that holds most of the 128 signatures pays the lookups:
+# below about 800 occurrences it loses up to 14 us.
+_TRACKED_MIN = 128
 
 
 def _tracked_distinct(signatures) -> Optional[dict]:

@@ -6,6 +6,7 @@ import random
 
 from syncheck import (
     Deadlock,
+    Envelope,
     Illegal,
     MessageOccurrence,
     Mode,
@@ -16,6 +17,7 @@ from syncheck import (
     parse_abstract,
 )
 from syncheck.cli import main
+from syncheck.parser import decimal
 
 PAPER_ABSTRACT = "ab\nbc\nca"
 
@@ -178,3 +180,27 @@ class OrderedLegality:
             sig = min(lonely)
             self.violation = sig, (self.first[sig],), "occurs in 1 sequence, expected exactly 2"
         return self.violation
+
+
+def reference_strict_signatures(tokens: list, rank: int, space: SignatureSpace, known: dict) -> list:
+    """The strict stream token reader as it was before its fast read, kept
+    as a reference: every new token is split, checked field by field in one
+    order and read with `decimal`, so the reader that replaced it must give
+    the same signatures, or the same error, and leave `known` and the space
+    the same."""
+    entries = space.entries
+    signatures = []
+    for token in tokens:
+        sig = known.get(token)
+        if sig is None or rank != entries[sig][1] and rank != entries[sig][2]:
+            fields = token.split(",")
+            if len(fields) not in (3, 4):
+                raise ValueError(f"expected tag,src,dst[,comm], got {token!r}")
+            if not all(map(str.isdecimal, fields)):
+                raise ValueError(f"expected decimal integers tag,src,dst[,comm], got {token!r}")
+            env = Envelope(*map(decimal, fields, Envelope._fields))
+            if rank != env.source and rank != env.destination:
+                raise ValueError(f"process {rank} is neither source nor destination of {token!r}")
+            sig = known[token] = space.signature_for(env)
+        signatures.append(sig)
+    return signatures

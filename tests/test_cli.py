@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -9,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from support import PAPER_DSL, run_cli
+from support import PAPER_DSL, reference_strict_signatures, run_cli
 from syncheck.bench import GenSpec, generate
 import syncheck
-from syncheck.cli import _build_parser, main
+from syncheck import Envelope, SignatureSpace
+from syncheck.cli import _build_parser, _strict_signatures, main
 from syncheck.parser import render_dsl
 
 
@@ -309,6 +311,71 @@ class TestStream:
         report = json.loads(out)
         assert report["stats"]["distinctSignatures"] == 1
         assert report["matchedPairs"] == 3
+
+    def test_token_reader_agrees_with_the_reference(self):
+        # random sessions of valid and malformed tokens: after each append,
+        # the same signatures or the same error, and the same cache and space
+        pool = ["0", "1", "2", "01", "007", "\u0661", "\u00b2", "", "+1", "-0", "1_0", "x", "9" * 4299, "9" * 4301]
+        rng = random.Random(23)
+        outcomes = set()
+        for _ in range(5000):
+            space, known = SignatureSpace(), {}
+            ref_space, ref_known = SignatureSpace(), {}
+            for _ in range(rng.randint(1, 5)):
+                rank = rng.randrange(4)
+                tokens = [",".join(rng.choices(pool, k=rng.randint(2, 5))) for _ in range(rng.randint(1, 4))]
+                results = []
+                for read, sp, kn in ((_strict_signatures, space, known), (reference_strict_signatures, ref_space, ref_known)):
+                    try:
+                        results.append(read(tokens, rank, sp, kn))
+                    except ValueError as exc:
+                        results.append((type(exc), str(exc)))
+                assert results[0] == results[1], tokens
+                assert known == ref_known
+                assert space.entries == ref_space.entries
+                assert all(type(env) is Envelope for env in space.entries)
+                outcomes.add(results[0][1].split(" ")[0] if isinstance(results[0], tuple) else "ok")
+        # every kind of outcome came up
+        assert outcomes == {"ok", "expected", "process", "self-message:", "tag", "source", "destination", "communicator"}
+
+    def test_a_new_token_is_interned_once(self, monkeypatch):
+        # perfbench's `signatures.intern` span wraps `signature_for`: one call
+        # per new token, none for a token repeated at its other endpoint
+        calls = []
+        signature_for = SignatureSpace.signature_for
+
+        def counting(space, env):
+            calls.append(env)
+            return signature_for(space, env)
+
+        monkeypatch.setattr(SignatureSpace, "signature_for", counting)
+        n = 60
+        tokens = [f"{tag},{tag % 3},{tag % 3 + 1}" for tag in range(n)]
+        events = [f"append {rank} {token}" for token in tokens for rank in (token.split(",")[1], token.split(",")[2])]
+        code, out, _ = run_cli(["stream", "--format", "json"], "\n".join(events + ["close 0", "close 1", "close 2", "close 3"]) + "\n")
+        assert code == 0
+        assert json.loads(out)["stats"]["distinctSignatures"] == n
+        assert len(calls) == n
+        assert all(type(env) is Envelope for env in calls)
+
+    def test_each_new_spelling_is_interned_once_as_one_signature(self, monkeypatch):
+        calls = []
+        signature_for = SignatureSpace.signature_for
+
+        def counting(space, env):
+            calls.append(env)
+            return signature_for(space, env)
+
+        monkeypatch.setattr(SignatureSpace, "signature_for", counting)
+        spellings = ["1,0,1", "1,0,1,0", "01,0,1", "\u0661,\u0660,\u0661"]
+        space, known = SignatureSpace(), {}
+        assert _strict_signatures(spellings, 0, space, known) == [0, 0, 0, 0]
+        assert _strict_signatures(spellings + spellings, 1, space, known) == [0] * 8
+        assert calls == [Envelope(1, 0, 1, 0)] * 4
+        assert known == dict.fromkeys(spellings, 0)
+        assert space.entries == [(1, 0, 1, 0)]
+        # the fast read builds an Envelope, not a plain tuple
+        assert type(space.entries[0]) is Envelope
 
     def test_abstract_tokens_are_read_per_character(self, tmp_path):
         path = tmp_path / "m.txt"

@@ -262,6 +262,29 @@ def test_legality_sees_the_distinct_signatures_of_a_column(column):
     assert legality.finish() is None
 
 
+@pytest.mark.parametrize("length", [_TRACKED_MIN - 1, _TRACKED_MIN])
+def test_tracked_min_decides_the_path_of_an_ascii_column(length, monkeypatch):
+    # 101 distinct signatures below 128, first seen out of sorted order
+    column = array("i", [37 * i % 101 for i in range(length)])
+    paths = []
+
+    def spy(signatures):
+        paths.append(_tracked_distinct(signatures))
+        return paths[-1]
+
+    monkeypatch.setattr(model_mod, "_tracked_distinct", spy)
+    legality = Legality()
+    legality.add(0, column)
+    legality.add(1, column)
+    assert [tracked is not None for tracked in paths] == [length >= _TRACKED_MIN] * 2
+    in_order = list(dict.fromkeys(column))
+    assert in_order != sorted(in_order)
+    assert list(legality._first) == list(legality._second) == in_order
+    # either path finds the same distinct signatures in the same order
+    monkeypatch.setattr(model_mod, "_TRACKED_MIN", 1)
+    assert list(_tracked_distinct(column)) == in_order
+
+
 def test_a_parsed_long_ascii_column_takes_the_translate_path(monkeypatch):
     # and a short one or one past 127 a set: a refactor must not lose either
     results = []
