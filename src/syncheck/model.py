@@ -194,22 +194,25 @@ Verdict = Union[NoDeadlock, Deadlock, Illegal]
 
 # The shortest column whose distinct signatures `_tracked_distinct` finds.
 # Timed against `dict.fromkeys(column)` on `array('i')` columns of the
-# signatures i % d (timeit, best of 5, Python 3.11):
+# signatures i % d (timeit, best of 5 and the least of 3 processes, Python
+# 3.11):
 #
 #   occurrences |  d = 8: pass  fromkeys | d = 128: pass  fromkeys
-#            64 |       2.4 us    2.1 us |      10.3 us    2.8 us
-#           128 |       2.6 us    3.9 us |      19.2 us    5.1 us
-#           256 |       2.8 us    7.6 us |      19.4 us    9.6 us
-#         1,024 |       4.3 us   30.4 us |      20.3 us   27.9 us
-#         2,048 |       6.0 us   56.6 us |      22.9 us   56.3 us
+#            64 |       2.4 us    2.1 us |      10.3 us    2.7 us
+#           128 |       2.5 us    3.8 us |      22.3 us    6.1 us
+#           256 |       2.8 us    7.4 us |      22.6 us    9.2 us
+#           512 |       3.2 us   14.1 us |      20.7 us   15.3 us
+#           768 |       3.6 us   20.9 us |      20.4 us   21.5 us
+#         1,024 |       4.0 us   28.5 us |      21.2 us   27.8 us
+#         2,048 |       5.9 us   60.0 us |      22.3 us   53.0 us
 #
 # The pass costs a fixed 2.3 us or so plus about 140 ns per distinct
-# signature; `dict.fromkeys` about 26 ns per occurrence.  With few distinct
-# signatures, as on an abstract model's lines, the break-even lies between
-# 64 and 96 occurrences, and 128 leaves a 2x margin over its low end.  A
-# shorter column that holds most of the 128 signatures pays the lookups:
-# below about 800 occurrences it loses up to 14 us.
-_TRACKED_MIN = 128
+# signature, at most 128 of them; `dict.fromkeys` about 26 ns per
+# occurrence.  With few distinct signatures the pass wins from about 100
+# occurrences, but a column that holds most of the 128 signatures pays
+# their lookups and wins only from about 800.  From 1,024 the pass wins for
+# both shapes; a shorter column has at most 25 us to gain.
+_TRACKED_MIN = 1024
 
 
 def _tracked_distinct(signatures) -> Optional[dict]:

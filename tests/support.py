@@ -183,11 +183,11 @@ class OrderedLegality:
 
 
 def reference_strict_signatures(tokens: list, rank: int, space: SignatureSpace, known: dict) -> list:
-    """The strict stream token reader as it was before its fast read, kept
-    as a reference: every new token is split, checked field by field in one
-    order and read with `decimal`, so the reader that replaced it must give
-    the same signatures, or the same error, and leave `known` and the space
-    the same."""
+    """The strict stream token reader as it was before its fields were read
+    by name, kept as a reference: every new token is split, checked in one
+    order and read with `decimal` and `Envelope`, so the reader that
+    replaced it must give the same signatures, or the same error, and leave
+    `known` and the space the same."""
     entries = space.entries
     signatures = []
     for token in tokens:

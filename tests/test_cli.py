@@ -374,7 +374,7 @@ class TestStream:
         assert calls == [Envelope(1, 0, 1, 0)] * 4
         assert known == dict.fromkeys(spellings, 0)
         assert space.entries == [(1, 0, 1, 0)]
-        # the fast read builds an Envelope, not a plain tuple
+        # the reader builds an Envelope, not a plain tuple
         assert type(space.entries[0]) is Envelope
 
     def test_abstract_tokens_are_read_per_character(self, tmp_path):
