@@ -18,17 +18,17 @@ whichever ready head is served first, the same pairs match (the matching
 is confluent).  The verdict, the step count, the pending heads and the
 report are therefore the same in any order.  After a match, the
 run of equal signatures that follows in both sequences is forced and
-consumed at once by slice compares.  A `Legality`, read from the model by
-`load` or fed at each append, decides legality, so no third member rank is
-matched.  Total steps are bounded by the number of occurrences examined, so
-a batch check is linear in the message count.
+consumed at once by slice compares.  `load` judges legality with
+`validate_static` and a stream feeds a `Legality` at each append, so no
+third member rank is matched.  Total steps are bounded by the number of
+occurrences examined, so a batch check is linear in the message count.
 """
 from __future__ import annotations
 
 from array import array
 from typing import Optional
 
-from .model import COLUMN_TYPECODE, Deadlock, Illegal, Legality, Model, NoDeadlock, Verdict, deadlock_report
+from .model import COLUMN_TYPECODE, Deadlock, Illegal, Legality, Model, NoDeadlock, Verdict, deadlock_report, validate_static
 
 
 def _common_run(a: array, i: int, b: array, j: int) -> int:
@@ -102,14 +102,15 @@ class Engine:
 
     def load(self, model: Model) -> None:
         """Adopt every model sequence's column as a closed sequence, in model
-        order, in a fresh engine, with the model's space and its
-        `Legality.of`; neither `append` nor `close` is called.  The columns
-        are the model's own, so they must not be changed in place."""
+        order, in a fresh engine, with the model's space and the verdict of
+        a `validate_static` violation; no rank can be appended after.  The
+        columns are the model's own, so they must not be changed in place."""
         if self._loaded or self._col:
             raise EngineError("engine already loaded")
         self._loaded = True
         self._space = model.space
-        self._legality = Legality.of(model)
+        reason = validate_static(model)
+        self._verdict = None if reason is None else Illegal(reason)
         self._col = {seq.rank: seq.column for seq in model.sequences}
         self._cursor = dict.fromkeys(self._col, 0)
         self._queue.extend(rank for rank, column in self._col.items() if column)
@@ -121,6 +122,8 @@ class Engine:
             raise EngineError("append after finalization")
         col = self._col.get(rank)
         if col is None:
+            if self._loaded:
+                raise EngineError(f"append of new rank {rank} to a loaded model")
             col = self._col[rank] = array(COLUMN_TYPECODE)
             self._cursor[rank] = 0
             self._open.add(rank)

@@ -8,8 +8,8 @@ sits at its envelope's source).  API-built :class:`MessageOccurrence` lists
 become columns when built, role-checked once by their strict `Model`.  A
 `Model` is fixed once built, a tuple of frozen sequences, so the trace of
 its first role or endpoint violation always names one of its own
-sequences; `Legality.of` reads a complete model, and the engine adopts its
-columns, which must not be changed in place.
+sequences; `validate_static` reads a complete model's legality, and the
+engine adopts its columns, which must not be changed in place.
 
 `Legality` reads each column's distinct signatures once, in order.  A
 complete column of at least `_TRACKED_MIN` occurrences whose signatures are
@@ -250,9 +250,9 @@ class Legality:
     only be judged by `finish`, once every sequence is closed.  The first
     violation found is kept.
 
-    `of` is the one reader of a complete model, for `validate_static` and
-    `Engine.load`.  Parsed and streamed members are endpoints of their
-    envelopes by construction; `of` reads where an API-built strict model
+    `validate_static` feeds it a complete model; `Engine.append` feeds it a
+    stream.  Parsed and streamed members are endpoints of their envelopes by
+    construction; `validate_static` reads where an API-built strict model
     breaks a role or the endpoint rule from the model's trace.
     """
 
@@ -262,30 +262,6 @@ class Legality:
         # the cyclic GC never scans them
         self._first: dict = {}
         self._second: dict = {}
-
-    @classmethod
-    def of(cls, model: Model) -> "Legality":
-        """The legality of complete `model`, read in model order up to its
-        traced sequence, if any.  That sequence gives its role violation, or
-        its column up to the first member off its envelope's endpoints and
-        then, unless a third member came first, that member's violation;
-        nothing after it is read."""
-        legality, trace = cls(), model._trace
-        stop = len(model.sequences) if trace is None else trace[0]
-        for seq in model.sequences[:stop]:
-            legality.add(seq.rank, seq.column)
-        if trace is not None:
-            _, reason, pos, env = trace
-            seq = model.sequences[stop]
-            if reason is None:
-                legality.add(seq.rank, seq.column[: pos + 1])
-                if legality.violation is None:
-                    sig = seq.column[pos]
-                    ranks, ends = sorted({legality._first[sig], seq.rank}), sorted((env[1], env[2]))
-                    message = f"occurs in sequences {ranks} but its envelope endpoints are {ends}"
-                    reason = IllegalReason(sig, tuple(ranks), message)
-            legality.violation = legality.violation or reason
-        return legality
 
     def add(self, rank: int, signatures) -> None:
         """Record `signatures`, the next occurrences of sequence `rank`."""
@@ -328,8 +304,28 @@ def _role_violation(seq: Sequence, endpoints: dict) -> Optional[IllegalReason]:
 
 
 def validate_static(model: Model) -> Optional[IllegalReason]:
-    """The model's first legality violation, in model order, or None when it is legal."""
-    return Legality.of(model).finish()
+    """The first legality violation of complete `model`, or None when it is
+    legal; the one reader of a complete model, for the oracles and
+    `Engine.load`.  It reads in model order up to the traced sequence, if
+    any.  That sequence gives its role violation, or its column up to the
+    first member off its envelope's endpoints and then, unless a third
+    member came first, that member's violation; nothing after it is read."""
+    legality, trace = Legality(), model._trace
+    stop = len(model.sequences) if trace is None else trace[0]
+    for seq in model.sequences[:stop]:
+        legality.add(seq.rank, seq.column)
+    if trace is not None:
+        _, reason, pos, env = trace
+        seq = model.sequences[stop]
+        if reason is None:
+            legality.add(seq.rank, seq.column[: pos + 1])
+            if legality.violation is None:
+                sig = seq.column[pos]
+                ranks, ends = sorted({legality._first[sig], seq.rank}), sorted((env[1], env[2]))
+                message = f"occurs in sequences {ranks} but its envelope endpoints are {ends}"
+                reason = IllegalReason(sig, tuple(ranks), message)
+        legality.violation = legality.violation or reason
+    return legality.finish()
 
 
 def deadlock_report(columns: dict, cursors: dict, space) -> DeadlockReport:

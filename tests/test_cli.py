@@ -287,10 +287,12 @@ class TestStream:
             ("append 0 1,0,1 2,5,6\n", 1, "process 0 is neither source nor destination of '2,5,6'"),
             ("append 0 1,0,1 1,0\n", 1, "expected tag,src,dst[,comm], got '1,0'"),
             ("append 0 1,0,1\nappend 1 1,0,1 " + "1" * 5000 + ",0,1\n", 2, "tag has too many digits (5000)"),
+            ("append 0\n", 1, "append needs at least one token"),
         ],
         ids=[
             "close-two-fields", "close-two-ranks", "end-field", "third-rank", "third-rank-after-both",
             "self-message", "bad-after-new", "foreign-after-new", "short-after-new", "long-after-known",
+            "append-no-token",
         ],
     )
     def test_protocol_error_names_its_line(self, events, lineno, message):
@@ -538,6 +540,19 @@ class TestBenchAndGen:
         code, out, err = run_cli(["bench", "--pattern", "pairs", "-M", "1", "--reps", reps])
         assert (code, out, err) == (1, "", "bench: repetitions must be >= 1\n")
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["-P", "1"], "pairs needs at least 2 processes"),
+            (["--pattern", "random", "-P", "64", "-M", "2", "--gen-format", "abstract"],
+             "too many distinct signatures to render as abstract (alphabet has 62 characters)"),
+        ],
+        ids=["one-process", "abstract-alphabet"],
+    )
+    def test_gen_bad_spec_exit_1(self, args, message):
+        code, out, err = run_cli(["gen"] + args)
+        assert (code, out, err) == (1, "", f"gen: {message}\n")
+
     def test_gen_unwritable_out_exit_1(self, tmp_path):
         path = tmp_path / "missing" / "m.dsl"
         code, out, err = run_cli(["gen", "--out", str(path)])
@@ -610,6 +625,18 @@ def test_main_gives_the_same_output_on_every_call(paper_file):
     assert [run_cli(args, "append 0 a\nappend 1 a\nend\n") for args in calls] == first
     assert [code for code, _, _ in first] == [2, 1, 0, 0, 1, 1]
     assert _build_parser().parse_args(["bench"]).seeds == [0]
+
+
+def test_check_judges_legality_once_with_validate_static(monkeypatch, paper_file):
+    # perfbench times a batch check's legality by wrapping the
+    # `validate_static` that `syncheck.engine` looks up at call time
+    calls = []
+    validate_static = syncheck.validate_static
+    monkeypatch.setattr("syncheck.engine.validate_static", lambda model: calls.append(model) or validate_static(model))
+    assert isinstance(syncheck.check(syncheck.parse_abstract("ab\nbc\nca\n")), syncheck.Deadlock)
+    assert len(calls) == 1
+    assert run_cli(["check", paper_file])[0] == 2
+    assert len(calls) == 2
 
 
 def _abstract_pairs(n: int) -> str:

@@ -91,7 +91,7 @@ class TestBatchFixtures:
 
 def assert_one_pending_per_signature(engine):
     # the table maps a signature to its one pending rank, and that rank is
-    # blocked on the signature; members live in Legality
+    # blocked on the signature; a stream's members live in its Legality
     for signature, pending in engine._table.items():
         assert engine._col[pending][engine._cursor[pending]] == signature
         assert pending not in engine._queue
@@ -253,6 +253,8 @@ class TestStreaming:
         assert isinstance(engine.drain(), NoDeadlock)
         with pytest.raises(EngineError):
             engine.append(0, [sig(space, "b")])
+        with pytest.raises(EngineError, match="close after finalization"):
+            engine.close(0)
 
     def test_streamed_open_sequence_defers_verdict_until_closed(self):
         engine = Engine()
@@ -265,6 +267,18 @@ class TestStreaming:
         assert engine.drain() is None
         assert engine.open_ranks() == [1]
         engine.close(1)
+        assert isinstance(engine.drain(), NoDeadlock)
+
+    def test_loaded_engine_takes_no_new_rank(self):
+        # a loaded model is complete: a new rank would meet a Legality that
+        # knows none of the loaded members
+        engine = Engine()
+        model = abstract_model("a", "a")
+        engine.load(model)
+        with pytest.raises(EngineError, match="new rank 2"):
+            engine.append(2, [sig(model.space, "a")])
+        with pytest.raises(EngineError, match="already closed"):
+            engine.close(0)
         assert isinstance(engine.drain(), NoDeadlock)
 
     def test_load_twice_fails(self):
