@@ -124,8 +124,9 @@ class BenchRow:
 def bench_run(spec: GenSpec, repetitions: int = 3) -> List[BenchRow]:
     """Time engine and cycle-detector checks on one generated model.
 
-    Generation, which role-checks the model, is excluded; one warm-up run
-    per backend is discarded and the median of the rest reported.
+    Generation, which traces the model's roles and endpoints, is excluded;
+    one warm-up run per backend is discarded and the median of the rest
+    reported.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")

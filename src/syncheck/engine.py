@@ -68,7 +68,6 @@ class Engine:
         self._col: dict = {}  # rank -> array('i') of its signatures
         self._cursor: dict = {}  # rank -> int
         self._open: set = set()  # ranks not yet closed; drain() reads it on every event
-        self._total = 0  # occurrences loaded or appended
         self._table: dict = {}  # signature -> the rank pending on it
         self._legality = Legality()
         # a rank joins the worklist only when it gains a head while idle or
@@ -93,7 +92,7 @@ class Engine:
 
     @property
     def message_count(self) -> int:
-        return self._total
+        return sum(map(len, self._col.values()))
 
     def open_ranks(self) -> list:
         return sorted(self._open)
@@ -114,7 +113,6 @@ class Engine:
         self._col = {seq.rank: seq.column for seq in model.sequences}
         self._cursor = dict.fromkeys(self._col, 0)
         self._queue.extend(rank for rank, column in self._col.items() if column)
-        self._total = model.message_count
 
     def append(self, rank: int, signatures) -> None:
         """Streaming append of signatures (a list or an array); creates the sequence on first use."""
@@ -134,7 +132,6 @@ class Engine:
         self._legality.add(rank, signatures)
         if self._cursor[rank] == start < len(col):  # idle, so not queued
             self._queue.append(rank)
-        self._total += len(col) - start
 
     def close(self, rank: int) -> None:
         if self._verdict is not None:
@@ -205,7 +202,7 @@ class Engine:
         self._run()
         if self._open:
             return None
-        if 2 * self.matched_pairs == self._total:  # every occurrence matched
+        if 2 * self.matched_pairs == self.message_count:  # every occurrence matched
             self._verdict = NoDeadlock()
         else:
             self._verdict = Deadlock(deadlock_report(self._col, self._cursor, self._space))

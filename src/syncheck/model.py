@@ -5,11 +5,12 @@ A "signature" is a plain nonnegative int issued densely by a
 ``array('i')`` column of signatures; a parsed occurrence's envelope is its
 signature's entry in the space and its role follows from the rank (a send
 sits at its envelope's source).  API-built :class:`MessageOccurrence` lists
-become columns when built, role-checked once by their strict `Model`.  A
-`Model` is fixed once built, a tuple of frozen sequences, so the trace of
-its first role or endpoint violation always names one of its own
-sequences; `validate_static` reads a complete model's legality, and the
-engine adopts its columns, which must not be changed in place.
+become columns when built, and a strict `Model` reads each occurrence once
+for its role and endpoints.  A `Model` is fixed once built, a tuple of
+frozen sequences, so the trace of its first role or endpoint violation
+always names one of its own sequences; `validate_static` reads a complete
+model's legality, and the engine adopts its columns, which must not be
+changed in place.
 
 `Legality` reads each column's distinct signatures once, in order.  A
 complete column of at least `_TRACKED_MIN` occurrences whose signatures are
@@ -89,7 +90,7 @@ class MessageOccurrence(NamedTuple):
 class Sequence:
     """One process's complete, ordered occurrences, given as exactly one of a
     `column` of signatures and API-built `occurrences`, which are kept for the
-    `Model`'s role check.  Either way `column` becomes an `array('i')` here.
+    `Model`'s trace.  Either way `column` becomes an `array('i')` here.
     A growing sequence lives only in an `Engine`."""
 
     rank: int
@@ -111,7 +112,7 @@ class Sequence:
 class Model:
     """A tuple of sequences, from any iterable, with pairwise-distinct ranks,
     plus their signature space; fixed once built.  In strict mode its
-    occurrences are role-checked once, here."""
+    occurrences are traced once, here."""
 
     sequences: tuple  # tuple[Sequence, ...]
     mode: Mode
@@ -131,17 +132,32 @@ class Model:
 
 
 def _trace_of(sequences: tuple, strict: bool) -> Optional[tuple]:
-    """The first sequence that breaks a role or the endpoint rule: (its index,
-    its role violation or None, the position of its first member off its
-    signature's first envelope's endpoints, that envelope); None if none does."""
+    """The first sequence that breaks a role or the endpoint rule, from one
+    read of each API-built occurrence or bare column, a sequence's own role
+    violation first: (its index, that violation or None, the position of its
+    first member off its signature's first envelope's endpoints, that
+    envelope); None if none does."""
     first: dict = {}  # signature -> the first envelope seen with it
+    send, recv = Role.SEND, Role.RECV
     for index, seq in enumerate(sequences):
+        rank, off = seq.rank, None
         if strict and seq.occurrences is not None:
-            reason = _role_violation(seq, first)
-            if reason is not None:
-                return index, reason, None, None
-        if first:  # no envelope is known before a sequence built from occurrences
-            rank = seq.rank
+            for pos, (sig, role, env) in enumerate(seq.occurrences):
+                if env is None:
+                    message = f"strict-mode occurrence at rank {rank} pos {pos} has no envelope"
+                elif role is send and rank != env[1]:
+                    message = f"send at rank {rank} pos {pos} but envelope source is {env[1]}"
+                elif role is recv and rank != env[2]:
+                    message = f"recv at rank {rank} pos {pos} but envelope destination is {env[2]}"
+                else:
+                    env = first.setdefault(sig, env)
+                    if off is None and rank != env[1] and rank != env[2]:
+                        off = index, None, pos, env
+                    continue
+                return index, IllegalReason(sig, (rank,), message), None, None
+            if off is not None:
+                return off
+        elif first:  # no envelope is known before a sequence built from occurrences
             for pos, env in enumerate(map(first.get, seq.column)):
                 if env is not None and rank != env[1] and rank != env[2]:
                     return index, None, pos, env
@@ -285,22 +301,6 @@ class Legality:
             message = "occurs in 1 sequence, expected exactly 2"
             self.violation = IllegalReason(sig, (self._first[sig],), message)
         return self.violation
-
-
-def _role_violation(seq: Sequence, endpoints: dict) -> Optional[IllegalReason]:
-    rank, send, recv = seq.rank, Role.SEND, Role.RECV
-    for pos, (sig, role, env) in enumerate(seq.occurrences):
-        if env is None:
-            message = f"strict-mode occurrence at rank {rank} pos {pos} has no envelope"
-            return IllegalReason(sig, (rank,), message)
-        if role is send and rank != env[1]:
-            message = f"send at rank {rank} pos {pos} but envelope source is {env.source}"
-            return IllegalReason(sig, (rank,), message)
-        if role is recv and rank != env[2]:
-            message = f"recv at rank {rank} pos {pos} but envelope destination is {env.destination}"
-            return IllegalReason(sig, (rank,), message)
-        endpoints.setdefault(sig, env)
-    return None
 
 
 def validate_static(model: Model) -> Optional[IllegalReason]:

@@ -94,7 +94,7 @@ def test_parsed_model_checks_as_the_api_built_one():
 
 
 def test_role_inconsistent_api_model_is_illegal_through_check_and_validate_static():
-    a, b = Envelope(1, 0, 1), Envelope(2, 1, 2)
+    a, b, c = Envelope(1, 0, 1), Envelope(2, 1, 2), Envelope(2, 2, 0)
     send, recv, unspecified = Role.SEND, Role.RECV, Role.UNSPECIFIED
     cases = [
         # a send off its envelope's source, a recv off its destination
@@ -129,7 +129,19 @@ def test_role_inconsistent_api_model_is_illegal_through_check_and_validate_stati
         (Model([Sequence(0, [MessageOccurrence(0, send, a)]),
                 Sequence(2, [MessageOccurrence(0, send, Envelope(9, 2, 3))])], Mode.STRICT, SignatureSpace()),
          "occurs in sequences [0, 2] but its envelope endpoints are [0, 1]"),
+        # a sequence's role violation wins over its own earlier member that is
+        # both a third member and off its envelope's endpoints
+        (_strict_model([(0, [(send, a), (recv, c)]), (1, [(recv, a)]), (2, [(unspecified, a), (recv, c)])]),
+         "recv at rank 2 pos 1 but envelope destination is 0"),
     ]
+    # a plain-tuple envelope names the reason of its `Envelope` spelling
+    for env in (a, tuple(a)):
+        cases += [
+            (Model([Sequence(5, [MessageOccurrence(0, send, env)]), Sequence(1, [MessageOccurrence(0, recv, env)])],
+                   Mode.STRICT, SignatureSpace()), "send at rank 5 pos 0 but envelope source is 0"),
+            (Model([Sequence(0, [MessageOccurrence(0, send, env)]), Sequence(5, [MessageOccurrence(0, recv, env)])],
+                   Mode.STRICT, SignatureSpace()), "recv at rank 5 pos 0 but envelope destination is 1"),
+        ]
     for model, message in cases:
         verdict = check(model)
         assert isinstance(verdict, Illegal), message

@@ -26,21 +26,21 @@ from syncheck.oracle import OrderNode
 @pytest.mark.parametrize(
     "oracle", [check, cycle_check, simulate_exhaustive, validate_static], ids=lambda f: f.__name__
 )
-def test_lowers_each_sequence_once(oracle, monkeypatch):
-    # an API-built sequence is role-checked once, when its model is built;
-    # the engine and the oracles read only its column
-    checked = []
-    role_violation = model_module._role_violation
+def test_traces_each_model_once(oracle, monkeypatch):
+    # an API-built model's roles and endpoints are traced once, when it is
+    # built; the engine and the oracles read only its columns and that trace
+    traced = []
+    trace_of = model_module._trace_of
 
-    def counting(seq, endpoints):
-        checked.append(seq.rank)
-        return role_violation(seq, endpoints)
+    def counting(sequences, strict):
+        traced.append(len(sequences))
+        return trace_of(sequences, strict)
 
-    monkeypatch.setattr(model_module, "_role_violation", counting)
+    monkeypatch.setattr(model_module, "_trace_of", counting)
     model = generate(GenSpec("ring", 5, 3, seed=0))
-    assert checked == [0, 1, 2, 3, 4]
+    assert traced == [5]
     result = oracle(model)
-    assert checked == [0, 1, 2, 3, 4]
+    assert traced == [5]
     if oracle is check:
         assert isinstance(result, Deadlock)
     elif oracle is cycle_check:
