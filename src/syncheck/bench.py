@@ -124,7 +124,7 @@ class BenchRow:
 def bench_run(spec: GenSpec, repetitions: int = 3) -> List[BenchRow]:
     """Time engine and cycle-detector checks on one generated model.
 
-    Generation, which traces the model's roles and endpoints, is excluded;
+    Generation, which checks the model's roles, is excluded;
     one warm-up run per backend is discarded and the median of the rest
     reported.
     """

@@ -19,9 +19,12 @@ is confluent).  The verdict, the step count, the pending heads and the
 report are therefore the same in any order.  After a match, the
 run of equal signatures that follows in both sequences is forced and
 consumed at once by slice compares.  `load` judges legality with
-`validate_static` and a stream feeds a `Legality` at each append, so no
-third member rank is matched.  Total steps are bounded by the number of
-occurrences examined, so a batch check is linear in the message count.
+`validate_static` and a stream feeds a `Legality`, strict or abstract as its
+space's entries are, at each append, so no third member rank is matched.
+Once the worklist is empty every unfinished rank is pending, so an empty
+table means every occurrence matched.  Total steps are bounded by the
+number of occurrences examined, so a batch check is linear in the message
+count.
 """
 from __future__ import annotations
 
@@ -69,7 +72,7 @@ class Engine:
         self._cursor: dict = {}  # rank -> int
         self._open: set = set()  # ranks not yet closed; drain() reads it on every event
         self._table: dict = {}  # signature -> the rank pending on it
-        self._legality = Legality()
+        self._legality = Legality(space)  # strict or abstract as the space's entries are
         # a rank joins the worklist only when it gains a head while idle or
         # right after its head matched, so no rank is queued twice or while
         # pending; the order it is served in is free
@@ -202,7 +205,7 @@ class Engine:
         self._run()
         if self._open:
             return None
-        if 2 * self.matched_pairs == self.message_count:  # every occurrence matched
+        if not self._table:  # nothing pends, so every occurrence matched
             self._verdict = NoDeadlock()
         else:
             self._verdict = Deadlock(deadlock_report(self._col, self._cursor, self._space))

@@ -1,22 +1,17 @@
 """Core domain types: envelopes, occurrences, sequences, models, verdicts.
 
-A "signature" is a plain nonnegative int issued densely by a
-:class:`~syncheck.signatures.SignatureSpace`.  Every sequence is one
-``array('i')`` column of signatures; a parsed occurrence's envelope is its
-signature's entry in the space and its role follows from the rank (a send
-sits at its envelope's source).  API-built :class:`MessageOccurrence` lists
-become columns when built, and a strict `Model` reads each occurrence once
-for its role and endpoints.  A `Model` is fixed once built, a tuple of
-frozen sequences, so the trace of its first role or endpoint violation
-always names one of its own sequences; `validate_static` reads a complete
-model's legality, and the engine adopts its columns, which must not be
-changed in place.
-
-`Legality` reads each column's distinct signatures once, in order.  A
-complete column of at least `_TRACKED_MIN` occurrences whose signatures are
-all below 128 (every column of an ASCII abstract model, say) yields them
-from one C pass of `str.translate` over its UTF-32 text; any other column
-from `dict.fromkeys(column)`.
+A "signature" is a dense nonnegative int, and its entry in its
+:class:`~syncheck.signatures.SignatureSpace` is its envelope (or character):
+the space is the one envelope authority.  Every sequence is one
+``array('i')`` column of signatures.  A `Model` is fixed once built; a
+strict one needs a space, and checks each API-built occurrence's role once,
+when built.  `Legality` judges membership in one pass over each column's
+distinct signatures, in order; a strict signature's members must be its
+entry's endpoints, so whether a model is legal does not depend on the order
+of its sequences.  A complete column of at least `_TRACKED_MIN` occurrences,
+all below 128, yields its distinct signatures from one C pass of
+`str.translate` over its UTF-32 text; any other column from
+`dict.fromkeys(column)`.
 """
 from __future__ import annotations
 
@@ -90,7 +85,7 @@ class MessageOccurrence(NamedTuple):
 class Sequence:
     """One process's complete, ordered occurrences, given as exactly one of a
     `column` of signatures and API-built `occurrences`, which are kept for the
-    `Model`'s trace.  Either way `column` becomes an `array('i')` here.
+    `Model`'s role check.  Either way `column` becomes an `array('i')` here.
     A growing sequence lives only in an `Engine`."""
 
     rank: int
@@ -111,8 +106,8 @@ class Sequence:
 @dataclass(frozen=True)
 class Model:
     """A tuple of sequences, from any iterable, with pairwise-distinct ranks,
-    plus their signature space; fixed once built.  In strict mode its
-    occurrences are traced once, here."""
+    plus their signature space; fixed once built.  A strict model needs a
+    space, and its API-built occurrences' roles are checked once, here."""
 
     sequences: tuple  # tuple[Sequence, ...]
     mode: Mode
@@ -124,43 +119,40 @@ class Model:
         if len(set(ranks)) != len(ranks):
             raise ValueError(f"duplicate process ranks in model: {ranks}")
         object.__setattr__(self, "sequences", sequences)
-        object.__setattr__(self, "_trace", _trace_of(sequences, self.mode is Mode.STRICT))
+        strict = self.mode is Mode.STRICT
+        if strict and self.space is None:
+            raise ValueError("a strict model needs a signature space")
+        object.__setattr__(self, "_role_violation", _role_violation(sequences, self.space.entries) if strict else None)
 
     @property
     def message_count(self) -> int:
         return sum(len(s) for s in self.sequences)
 
 
-def _trace_of(sequences: tuple, strict: bool) -> Optional[tuple]:
-    """The first sequence that breaks a role or the endpoint rule, from one
-    read of each API-built occurrence or bare column, a sequence's own role
-    violation first: (its index, that violation or None, the position of its
-    first member off its signature's first envelope's endpoints, that
-    envelope); None if none does."""
-    first: dict = {}  # signature -> the first envelope seen with it
+def _role_violation(sequences: tuple, entries: list) -> Optional[IllegalReason]:
+    """The first role violation of a strict model's API-built occurrences, in
+    model order: no envelope, one other than the signature's entry, a send
+    off its source or a recv off its destination.  `Legality` judges a
+    signature outside the space; its roles are read against its envelope."""
+    size = len(entries)
     send, recv = Role.SEND, Role.RECV
-    for index, seq in enumerate(sequences):
-        rank, off = seq.rank, None
-        if strict and seq.occurrences is not None:
-            for pos, (sig, role, env) in enumerate(seq.occurrences):
-                if env is None:
-                    message = f"strict-mode occurrence at rank {rank} pos {pos} has no envelope"
-                elif role is send and rank != env[1]:
-                    message = f"send at rank {rank} pos {pos} but envelope source is {env[1]}"
-                elif role is recv and rank != env[2]:
-                    message = f"recv at rank {rank} pos {pos} but envelope destination is {env[2]}"
-                else:
-                    env = first.setdefault(sig, env)
-                    if off is None and rank != env[1] and rank != env[2]:
-                        off = index, None, pos, env
-                    continue
-                return index, IllegalReason(sig, (rank,), message), None, None
-            if off is not None:
-                return off
-        elif first:  # no envelope is known before a sequence built from occurrences
-            for pos, env in enumerate(map(first.get, seq.column)):
-                if env is not None and rank != env[1] and rank != env[2]:
-                    return index, None, pos, env
+    for seq in sequences:
+        if seq.occurrences is None:
+            continue
+        rank = seq.rank
+        for pos, (sig, role, env) in enumerate(seq.occurrences):
+            entry = entries[sig] if 0 <= sig < size else env
+            if env is None:
+                message = f"strict-mode occurrence at rank {rank} pos {pos} has no envelope"
+            elif env is not entry and env != entry:
+                message = f"strict-mode occurrence at rank {rank} pos {pos} has an envelope other than its signature's entry in the space"
+            elif role is send and rank != entry[1]:
+                message = f"send at rank {rank} pos {pos} but envelope source is {entry[1]}"
+            elif role is recv and rank != entry[2]:
+                message = f"recv at rank {rank} pos {pos} but envelope destination is {entry[2]}"
+            else:
+                continue
+            return IllegalReason(sig, (rank,), message)
     return None
 
 
@@ -234,14 +226,10 @@ _TRACKED_MIN = 1024
 def _tracked_distinct(signatures) -> Optional[dict]:
     """The distinct signatures of `signatures`, in order of first appearance,
     as the keys of a dict, when it is an `array('i')` column of at least
-    `_TRACKED_MIN` occurrences all in range(128); None otherwise.
-
-    The column's native UTF-32 text is ASCII exactly then, a flag that
-    `isascii` reads in O(1) (a signature of 0x110000 or more, or a negative
-    one, does not decode).  `str.translate` over ASCII text looks up each
-    distinct character once, in order, and a `defaultdict` adds the missing
-    ones in C, so no Python code runs per occurrence.
-    """
+    `_TRACKED_MIN` occurrences all in range(128), whose native UTF-32 text is
+    then ASCII, a flag `isascii` reads in O(1); None otherwise.
+    `str.translate` over ASCII text looks up each distinct character once,
+    in order, and a `defaultdict` adds the missing ones in C."""
     if type(signatures) is not array or signatures.typecode != COLUMN_TYPECODE or len(signatures) < _TRACKED_MIN:
         return None
     try:
@@ -255,76 +243,111 @@ def _tracked_distinct(signatures) -> Optional[dict]:
     return distinct
 
 
+_NOWHERE = (None, None, None)  # the entry of a signature outside the space: no rank is its endpoint
+_THIRD = "occurs in 3 sequences, expected exactly 2"
+_LONELY = "occurs in 1 sequence, expected exactly 2"
+
+
 class Legality:
     """The membership rule: every signature occurs in exactly two distinct
-    sequences.  Occurrence-count imbalance between the two is legal; it
-    surfaces as a deadlock at matching time.
+    sequences; an imbalance of occurrences between them is a deadlock, not
+    a violation.  `add` reads a chunk's distinct signatures once, in order,
+    and keeps the first violation; `finish` judges lonely signatures.
 
-    `add` reads a chunk's distinct signatures once, in order of first
-    appearance, records each one's rank in O(1) and sets `violation` at the
-    first third member.  A signature with fewer than two member ranks can
-    only be judged by `finish`, once every sequence is closed.  The first
-    violation found is kept.
+    A strict signature's members must be the endpoints of its entry in the
+    space, so its membership is two bits in a `bytearray`: 1 seen at the
+    source, 2 at the destination, each its endpoint's index in the entry.
+    Abstract members are kept in dicts.  A signature outside a given space
+    is a violation.  `strict` None, a stream's, is read from the space's
+    first entry at the first occurrence."""
 
-    `validate_static` feeds it a complete model; `Engine.append` feeds it a
-    stream.  Parsed and streamed members are endpoints of their envelopes by
-    construction; `validate_static` reads where an API-built strict model
-    breaks a role or the endpoint rule from the model's trace.
-    """
-
-    def __init__(self) -> None:
+    def __init__(self, space=None, strict: Optional[bool] = None) -> None:
         self.violation: Optional[IllegalReason] = None
-        # signature -> its first and its second member rank; int to int, so
-        # the cyclic GC never scans them
+        self._entries = None if space is None else space.entries  # a stream's grows in place
+        self._strict = strict
+        # abstract: signature -> its first and its second member rank; int to
+        # int, so the cyclic GC never scans them
         self._first: dict = {}
         self._second: dict = {}
+        self._bits = bytearray()  # strict: signature -> its bits
 
     def add(self, rank: int, signatures) -> None:
         """Record `signatures`, the next occurrences of sequence `rank`."""
         if self.violation is not None:
             return
-        distinct = _tracked_distinct(signatures)
+        strict = self._strict
+        if strict is None and len(signatures):
+            strict = self._strict = bool(self._entries) and not isinstance(self._entries[0], str)
         # membership changes at most twice per signature, so look at each
         # distinct signature once, in order of first appearance
-        first, second = self._first, self._second
-        for sig in dict.fromkeys(signatures) if distinct is None else distinct:
-            member = first.setdefault(sig, rank)
-            if member != rank and second.setdefault(sig, rank) != rank:
-                message = "occurs in 3 sequences, expected exactly 2"
-                self.violation = IllegalReason(sig, tuple(sorted((member, second[sig], rank))), message)
-                return
+        distinct = _tracked_distinct(signatures)
+        if distinct is None:
+            distinct = dict.fromkeys(signatures)
+        if strict:
+            entries, bits = self._entries, self._bits
+            size = len(entries)
+            if len(bits) < size:  # a stream's space grows; at least double
+                bits.extend(bytes(size))
+            for sig in distinct:
+                env = entries[sig] if 0 <= sig < size else _NOWHERE
+                seen = 1 if rank == env[1] else 2 if rank == env[2] else 0
+                if not seen:
+                    self.violation = self._off_endpoints(rank, sig, size)
+                    return
+                bits[sig] |= seen
+        else:
+            first, second = self._first, self._second
+            for sig in distinct:
+                member = first.setdefault(sig, rank)
+                if member != rank and second.setdefault(sig, rank) != rank:
+                    self.violation = IllegalReason(sig, tuple(sorted((member, second[sig], rank))), _THIRD)
+                    return
+
+    def _off_endpoints(self, rank: int, sig: int, size: int) -> IllegalReason:
+        """The violation of strict member `rank` of `sig`: outside the space,
+        a third member, or off its entry's endpoints."""
+        if not 0 <= sig < size:
+            return _outside(sig, rank, size)
+        env, seen = self._entries[sig], self._bits[sig]
+        if seen == 3:
+            return IllegalReason(sig, tuple(sorted((env[1], env[2], rank))), _THIRD)
+        ranks, ends = sorted({rank, env[seen]} if seen else {rank}), sorted((env[1], env[2]))
+        return IllegalReason(sig, tuple(ranks), f"occurs in sequences {ranks} but its envelope endpoints are {ends}")
 
     def finish(self) -> Optional[IllegalReason]:
         """Judge the model as complete: every signature must have two members."""
-        if self.violation is None and len(self._first) > len(self._second):
-            sig = min(sig for sig in self._first if sig not in self._second)
-            message = "occurs in 1 sequence, expected exactly 2"
-            self.violation = IllegalReason(sig, (self._first[sig],), message)
+        if self.violation is not None:
+            return self.violation
+        first, entries, bits = self._first, self._entries, self._bits
+        if self._strict:
+            lonely = [sig for sig in (bits.find(1), bits.find(2)) if sig >= 0]  # two memchr passes
+            if lonely:
+                sig = min(lonely)
+                self.violation = IllegalReason(sig, (entries[sig][bits[sig]],), _LONELY)
+        elif entries is not None and first and (min(first) < 0 or max(first) >= len(entries)):
+            sig = min(sig for sig in first if not 0 <= sig < len(entries))
+            self.violation = _outside(sig, first[sig], len(entries))
+        elif len(first) > len(self._second):
+            sig = min(sig for sig in first if sig not in self._second)
+            self.violation = IllegalReason(sig, (first[sig],), _LONELY)
         return self.violation
 
 
+def _outside(sig: int, rank: int, size: int) -> IllegalReason:
+    # a signature outside the space has no label to report, so the message names it
+    return IllegalReason(None, (rank,), f"signature {sig} at rank {rank} is outside the signature space, range({size})")
+
+
 def validate_static(model: Model) -> Optional[IllegalReason]:
-    """The first legality violation of complete `model`, or None when it is
-    legal; the one reader of a complete model, for the oracles and
-    `Engine.load`.  It reads in model order up to the traced sequence, if
-    any.  That sequence gives its role violation, or its column up to the
-    first member off its envelope's endpoints and then, unless a third
-    member came first, that member's violation; nothing after it is read."""
-    legality, trace = Legality(), model._trace
-    stop = len(model.sequences) if trace is None else trace[0]
-    for seq in model.sequences[:stop]:
+    """The first legality violation of complete `model`, or None, for the
+    oracles and `Engine.load`: its role violation, else the first membership
+    or endpoint violation of one `Legality` pass in model order, else the
+    lowest lonely signature."""
+    if model._role_violation is not None:
+        return model._role_violation
+    legality = Legality(model.space, model.mode is Mode.STRICT)
+    for seq in model.sequences:
         legality.add(seq.rank, seq.column)
-    if trace is not None:
-        _, reason, pos, env = trace
-        seq = model.sequences[stop]
-        if reason is None:
-            legality.add(seq.rank, seq.column[: pos + 1])
-            if legality.violation is None:
-                sig = seq.column[pos]
-                ranks, ends = sorted({legality._first[sig], seq.rank}), sorted((env[1], env[2]))
-                message = f"occurs in sequences {ranks} but its envelope endpoints are {ends}"
-                reason = IllegalReason(sig, tuple(ranks), message)
-        legality.violation = legality.violation or reason
     return legality.finish()
 
 

@@ -146,13 +146,16 @@ def interleaving(rng: random.Random, rows) -> list:
 
 class OrderedLegality:
     """A reference for legality that shares no code with `syncheck`: the
-    membership and endpoint rules, each chunk read one distinct signature at
-    a time in order of first appearance.  Violations are (signature, ranks,
-    message) tuples.  `endpoints` maps a signature to the envelope whose
-    endpoints its members must be; a caller may fill it as it goes."""
+    membership rule, each chunk read one distinct signature at a time in
+    order of first appearance.  Violations are (signature, ranks, message)
+    tuples.  `space` gives its entries up front, or as a stream interns
+    them.  In strict mode every signature must be in it, and its members
+    must be its entry's endpoints; in abstract mode `finish` names the
+    lowest signature outside it, if any, before a lonely one."""
 
-    def __init__(self, endpoints: dict):
-        self.endpoints = endpoints
+    def __init__(self, space=None, strict: bool = False):
+        self.entries = None if space is None else space.entries
+        self.strict = strict
         self.first: dict = {}
         self.second: dict = {}
         self.violation = None
@@ -161,13 +164,19 @@ class OrderedLegality:
         if self.violation is None:
             self.violation = self._add(rank, signatures)
 
+    def _outside(self, sig, rank):
+        message = f"signature {sig} at rank {rank} is outside the signature space, range({len(self.entries)})"
+        return None, (rank,), message
+
     def _add(self, rank, signatures):
         for sig in dict.fromkeys(signatures):
+            if self.strict and sig not in range(len(self.entries)):
+                return self._outside(sig, rank)
             member = self.first.setdefault(sig, rank)
             if member != rank and self.second.setdefault(sig, rank) != rank:
                 ranks = tuple(sorted((member, self.second[sig], rank)))
                 return sig, ranks, "occurs in 3 sequences, expected exactly 2"
-            env = self.endpoints.get(sig)
+            env = Envelope(*self.entries[sig]) if self.strict else None
             if env is not None and rank not in (env.source, env.destination):
                 ranks = sorted({member, rank})
                 endpoints = sorted((env.source, env.destination))
@@ -175,6 +184,10 @@ class OrderedLegality:
         return None
 
     def finish(self):
+        if self.violation is None and not self.strict and self.entries is not None:
+            outside = sorted(sig for sig in self.first if sig not in range(len(self.entries)))
+            if outside:
+                self.violation = self._outside(outside[0], self.first[outside[0]])
         lonely = [sig for sig in self.first if sig not in self.second]
         if self.violation is None and lonely:
             sig = min(lonely)

@@ -91,12 +91,19 @@ class TestBatchFixtures:
 
 def assert_one_pending_per_signature(engine):
     # the table maps a signature to its one pending rank, and that rank is
-    # blocked on the signature; a stream's members live in its Legality
+    # blocked on the signature; a stream's members live in its Legality:
+    # two distinct ranks per abstract signature, and a strict signature's
+    # pending rank is an endpoint of its entry that its bits have seen
+    legality = engine._legality
     for signature, pending in engine._table.items():
         assert engine._col[pending][engine._cursor[pending]] == signature
         assert pending not in engine._queue
-    first, second = engine._legality._first, engine._legality._second
+        if legality._strict:
+            entry = engine._space.entries[signature]
+            assert legality._bits[signature] & (1 if pending == entry[1] else 2 if pending == entry[2] else 0)
+    first, second = legality._first, legality._second
     assert all(first[sig] != rank for sig, rank in second.items())
+    assert not (legality._strict and first)
 
 
 class TestStepSemantics:
@@ -577,6 +584,7 @@ class TestOrderFreedom:
                         engine.append(rank, rows[rank][start:end])
                 if rng.random() < 0.3:
                     assert _observed(shuffled, shuffled.drain()) == _observed(plain, plain.drain())
+                    assert_one_pending_per_signature(plain)
             verdict = plain.drain()
             assert verdict is not None
             assert _observed(shuffled, shuffled.drain()) == _observed(plain, verdict)

@@ -2,10 +2,11 @@
 
 Every sequence is a signature column.  An API-built sequence gets its
 column from its `MessageOccurrence`s when it is constructed, and in strict
-mode its `Model` checks their roles once, when it is built.  Both kinds
-must give the same verdict, report and step count, and every consumer must
-name the violation that the in-order lowering kept here as a reference
-names.
+mode its `Model` checks their roles once, when it is built, against the
+space's entries.  Both kinds must give the same verdict, report and step
+count, every consumer must name the violation that the in-order reference
+kept here names, and no reordering of a strict model's sequences changes
+whether it is legal.
 """
 import gc
 import itertools
@@ -14,7 +15,7 @@ import tracemalloc
 
 import pytest
 
-from support import OrderedLegality, model_from_tuples
+from support import OrderedLegality, classify, model_from_tuples
 from syncheck import (
     Envelope,
     Illegal,
@@ -119,28 +120,32 @@ def test_role_inconsistent_api_model_is_illegal_through_check_and_validate_stati
         (_strict_model([(0, [(send, a)]), (1, [(recv, a)]), (5, [(unspecified, a)])]),
          "occurs in 3 sequences, expected exactly 2"),
         # an off-endpoint member after a third member of an earlier signature
-        # in the same sequence (the bare column meets `a` before its envelope)
-        (Model([Sequence(9, column=[0]), Sequence(0, [MessageOccurrence(0, send, a)]),
-                Sequence(2, [MessageOccurrence(1, recv, Envelope(2, 0, 2))]),
-                Sequence(1, [MessageOccurrence(0, recv, a), MessageOccurrence(1, unspecified, Envelope(2, 0, 2))])],
-               Mode.STRICT, SignatureSpace()),
-         "occurs in 3 sequences, expected exactly 2"),
-        # one signature under two envelopes: its members are held to the first
+        # in the same sequence
         (Model([Sequence(0, [MessageOccurrence(0, send, a)]),
-                Sequence(2, [MessageOccurrence(0, send, Envelope(9, 2, 3))])], Mode.STRICT, SignatureSpace()),
-         "occurs in sequences [0, 2] but its envelope endpoints are [0, 1]"),
+                Sequence(1, [MessageOccurrence(0, recv, a), MessageOccurrence(1, recv, Envelope(2, 0, 1))]),
+                Sequence(2, column=[0, 1])], Mode.STRICT, SignatureSpace([a, Envelope(2, 0, 1)])),
+         "occurs in 3 sequences, expected exactly 2"),
+        # a bare column off its entry's endpoints, listed before every
+        # occurrence that names that envelope
+        (Model([Sequence(9, column=[0]), Sequence(0, [MessageOccurrence(0, send, a)]),
+                Sequence(1, [MessageOccurrence(0, recv, a)])], Mode.STRICT, SignatureSpace([a])),
+         "occurs in sequences [9] but its envelope endpoints are [0, 1]"),
+        # an occurrence whose envelope is not its signature's entry
+        (Model([Sequence(0, [MessageOccurrence(0, send, a)]),
+                Sequence(2, [MessageOccurrence(0, send, Envelope(9, 2, 3))])], Mode.STRICT, SignatureSpace([a])),
+         "strict-mode occurrence at rank 2 pos 0 has an envelope other than its signature's entry in the space"),
         # a sequence's role violation wins over its own earlier member that is
         # both a third member and off its envelope's endpoints
         (_strict_model([(0, [(send, a), (recv, c)]), (1, [(recv, a)]), (2, [(unspecified, a), (recv, c)])]),
          "recv at rank 2 pos 1 but envelope destination is 0"),
     ]
-    # a plain-tuple envelope names the reason of its `Envelope` spelling
-    for env in (a, tuple(a)):
+    # a plain-tuple envelope or entry names the reason of its `Envelope` spelling
+    for env, entry in ((a, a), (tuple(a), a), (a, tuple(a))):
         cases += [
             (Model([Sequence(5, [MessageOccurrence(0, send, env)]), Sequence(1, [MessageOccurrence(0, recv, env)])],
-                   Mode.STRICT, SignatureSpace()), "send at rank 5 pos 0 but envelope source is 0"),
+                   Mode.STRICT, SignatureSpace([entry])), "send at rank 5 pos 0 but envelope source is 0"),
             (Model([Sequence(0, [MessageOccurrence(0, send, env)]), Sequence(5, [MessageOccurrence(0, recv, env)])],
-                   Mode.STRICT, SignatureSpace()), "recv at rank 5 pos 0 but envelope destination is 1"),
+                   Mode.STRICT, SignatureSpace([entry])), "recv at rank 5 pos 0 but envelope destination is 1"),
         ]
     for model, message in cases:
         verdict = check(model)
@@ -150,42 +155,44 @@ def test_role_inconsistent_api_model_is_illegal_through_check_and_validate_stati
         assert cycle_check(model).verdict == verdict
 
 
-def _reference_roles(seq):
-    """The strict role check of `seq`'s occurrences, as an in-order pass
-    made it: the first violation, and the first envelope of each signature
-    in order, up to that violation."""
-    rank, envelopes = seq.rank, {}
-    for pos, (sig, role, env) in enumerate(seq.occurrences):
-        if env is None:
-            message = f"strict-mode occurrence at rank {rank} pos {pos} has no envelope"
-        elif role is Role.SEND and rank != env.source:
-            message = f"send at rank {rank} pos {pos} but envelope source is {env.source}"
-        elif role is Role.RECV and rank != env.destination:
-            message = f"recv at rank {rank} pos {pos} but envelope destination is {env.destination}"
-        else:
-            envelopes.setdefault(sig, env)
-            continue
-        return IllegalReason(sig, (rank,), message), envelopes
-    return None, envelopes
+def _reference_roles(model):
+    """The first role violation of strict `model`'s API-built occurrences,
+    in model order: each has an envelope equal to its signature's entry in
+    the space, a send sits at that entry's source and a recv at its
+    destination.  An occurrence of a signature outside the space is held to
+    its own envelope."""
+    entries = model.space.entries
+    for seq in model.sequences:
+        rank = seq.rank
+        for pos, (sig, role, env) in enumerate(seq.occurrences or ()):
+            entry = entries[sig] if sig in range(len(entries)) else env
+            if env is None:
+                message = f"strict-mode occurrence at rank {rank} pos {pos} has no envelope"
+            elif tuple(env) != tuple(entry):
+                message = f"strict-mode occurrence at rank {rank} pos {pos} has an envelope other than its signature's entry in the space"
+            elif role is Role.SEND and rank != entry[1]:
+                message = f"send at rank {rank} pos {pos} but envelope source is {entry[1]}"
+            elif role is Role.RECV and rank != entry[2]:
+                message = f"recv at rank {rank} pos {pos} but envelope destination is {entry[2]}"
+            else:
+                continue
+            return IllegalReason(sig, (rank,), message)
+    return None
 
 
 def _reference_reason(model):
-    """The model's first legality violation, found by lowering each sequence
-    in model order: its roles are checked (strict mode, occurrences) while no
-    violation is known, and the first envelopes seen so far are the ones the
-    endpoint rule reads when its signatures are added."""
-    legality = OrderedLegality({})
+    """The model's first legality violation as the reference orders them: a
+    role violation (strict mode, occurrences) first; then the first
+    membership or endpoint violation when every column is added in model
+    order, each member held to its signature's entry in the space; then the
+    lowest lonely signature."""
+    if model.mode is Mode.STRICT:
+        reason = _reference_roles(model)
+        if reason is not None:
+            return reason
+    legality = OrderedLegality(model.space, model.mode is Mode.STRICT)
     for seq in model.sequences:
-        if seq.occurrences is None:
-            signatures = seq.column
-        else:
-            signatures = [occ.signature for occ in seq.occurrences]
-            if model.mode is Mode.STRICT and legality.violation is None:
-                reason, envelopes = _reference_roles(seq)
-                for sig, env in envelopes.items():
-                    legality.endpoints.setdefault(sig, env)
-                legality.violation = reason and (reason.signature, reason.ranks, reason.message)
-        legality.add(seq.rank, signatures)
+        legality.add(seq.rank, list(seq.column))
     reason = legality.finish()
     return reason and IllegalReason(*reason)
 
@@ -206,9 +213,10 @@ def _reasons(model):
 def _random_api_model(rng):
     """A strict API-built model whose members mostly send and receive at
     their envelope's endpoints.  Some occurrences have no role, no envelope,
-    a wrong role or an envelope other than their signature's first; some
-    signatures have a member off the endpoints or a third member; some
-    sequences are bare columns, and the sequences come in a random order."""
+    a wrong role or an envelope other than their signature's entry; some
+    signatures have a member off the endpoints or a third member; a few
+    occurrences have a signature outside the space; some sequences are bare
+    columns, and the sequences come in a random order."""
     procs = rng.randint(2, 5)
     space = SignatureSpace()
     rows = [[] for _ in range(procs)]
@@ -234,6 +242,10 @@ def _random_api_model(rng):
             elif kind < 0.3:
                 role = Role.UNSPECIFIED
             rows[rank].extend([MessageOccurrence(sig, role, occ_env)] * rng.randint(1, 2))
+    if rng.random() < 0.05:
+        rank = rng.randrange(procs)
+        env = Envelope(99, rank, (rank + 1) % procs)
+        rows[rank].append(MessageOccurrence(rng.choice((-1, len(space) + 3)), Role.UNSPECIFIED, env))
     for row in rows:
         for i in range(len(row)):
             j = rng.randint(i, min(i + 2, len(row) - 1))
@@ -252,23 +264,24 @@ def _random_api_model(rng):
 def test_every_consumer_names_the_violation_in_order_lowering_names():
     send, recv = Role.SEND, Role.RECV
     a = Envelope(1, 1, 2)
+    space = SignatureSpace([a])
     fixed = [
-        # a bare column meets the signature's first envelope only later, so
-        # its rank is not held to that envelope's endpoints (legal) ...
-        (Model([Sequence(0, column=[0]), Sequence(1, [MessageOccurrence(0, send, a)])], Mode.STRICT, None), None),
-        # ... but after it, it is
-        (Model([Sequence(1, [MessageOccurrence(0, send, a)]), Sequence(0, column=[0])], Mode.STRICT, None),
+        # a bare column off the entry's endpoints, before or after the
+        # occurrence that names the envelope
+        (Model([Sequence(0, column=[0]), Sequence(1, [MessageOccurrence(0, send, a)])], Mode.STRICT, space),
+         "occurs in sequences [0] but its envelope endpoints are [1, 2]"),
+        (Model([Sequence(1, [MessageOccurrence(0, send, a)]), Sequence(0, column=[0])], Mode.STRICT, space),
          "occurs in sequences [0, 1] but its envelope endpoints are [1, 2]"),
-        # a third member after both, so it is named, not the first column's rank
-        (Model([Sequence(0, column=[0]), Sequence(1, [MessageOccurrence(0, send, a)]), Sequence(3, column=[0])],
-               Mode.STRICT, None), "occurs in 3 sequences, expected exactly 2"),
-        # a send and a recv of one envelope, and a role violation behind a
-        # membership one of an earlier sequence
+        # a third member after both endpoints is named as one
+        (Model([Sequence(1, [MessageOccurrence(0, send, a)]), Sequence(2, column=[0]), Sequence(3, column=[0])],
+               Mode.STRICT, space), "occurs in 3 sequences, expected exactly 2"),
+        # a send and a recv of one envelope
         (Model([Sequence(1, [MessageOccurrence(0, send, a)]), Sequence(2, [MessageOccurrence(0, recv, a)])],
-               Mode.STRICT, None), None),
+               Mode.STRICT, space), None),
+        # a role violation wins over an earlier sequence's membership violation
         (Model([Sequence(0, column=[1]), Sequence(1, [MessageOccurrence(1, send, a)]), Sequence(2, column=[1]),
-                Sequence(3, [MessageOccurrence(0, recv, a)])], Mode.STRICT, None),
-         "occurs in 3 sequences, expected exactly 2"),
+                Sequence(3, [MessageOccurrence(0, recv, a)])], Mode.STRICT, SignatureSpace([a, a])),
+         "recv at rank 3 pos 0 but envelope destination is 2"),
     ]
     for model, message in fixed:
         reference = _reference_reason(model)
@@ -276,7 +289,7 @@ def test_every_consumer_names_the_violation_in_order_lowering_names():
         assert _reasons(model) == [reference] * 4, message
 
     rng = random.Random(17)
-    kinds = ("no envelope", "send at", "recv at", "occurs in 3", "occurs in 1", "endpoints are")
+    kinds = ("no envelope", "other than", "send at", "recv at", "occurs in 3", "occurs in 1", "endpoints are", "outside")
     seen = set()
     for _ in range(3000):
         model = _random_api_model(rng)
@@ -286,10 +299,72 @@ def test_every_consumer_names_the_violation_in_order_lowering_names():
     assert seen == {None, *kinds}  # legal models and every kind of violation occur
 
 
+def test_a_strict_model_needs_a_space():
+    with pytest.raises(ValueError, match="a strict model needs a signature space"):
+        Model([Sequence(0, column=[0]), Sequence(1, column=[0])], Mode.STRICT, None)
+
+
+def _trust_gaps():
+    """Strict models that a first-envelope rule judged by their order or
+    outside their space, each with the message of the violation it names."""
+    send, recv, unspecified = Role.SEND, Role.RECV, Role.UNSPECIFIED
+    a = Envelope(1, 0, 1)
+    yield (Model([Sequence(5, column=[0]), Sequence(0, [MessageOccurrence(0, send, a)])], Mode.STRICT, SignatureSpace([a])),
+           "occurs in sequences [5] but its envelope endpoints are [0, 1]")
+    yield (Model([Sequence(0, [MessageOccurrence(0, send, a)]), Sequence(5, column=[0])], Mode.STRICT, SignatureSpace([a])),
+           "occurs in sequences [0, 5] but its envelope endpoints are [0, 1]")
+    # bare columns that no occurrence holds to their envelope
+    yield (Model([Sequence(5, column=[0]), Sequence(7, column=[0])], Mode.STRICT, SignatureSpace([a])),
+           "occurs in sequences [5] but its envelope endpoints are [0, 1]")
+    # occurrences whose envelopes are not the space's, which a report would name
+    rows = [(2, [(unspecified, Envelope(7, 2, 3), 0), (unspecified, Envelope(8, 3, 2), 1)]),
+            (3, [(unspecified, Envelope(8, 3, 2), 1), (unspecified, Envelope(7, 2, 3), 0)])]
+    yield (Model([Sequence(rank, [MessageOccurrence(sig, role, env) for role, env, sig in row]) for rank, row in rows],
+                 Mode.STRICT, SignatureSpace([(1, 0, 1, 0), (2, 1, 0, 0)])),
+           "strict-mode occurrence at rank 2 pos 0 has an envelope other than its signature's entry in the space")
+    # a column signature outside the space, in either mode
+    yield (Model([Sequence(0, column=[0, 5]), Sequence(1, [MessageOccurrence(0, recv, a), MessageOccurrence(5, recv, a)])],
+                 Mode.STRICT, SignatureSpace([a])),
+           "signature 5 at rank 0 is outside the signature space, range(1)")
+    yield (Model([Sequence(0, column=[5]), Sequence(1, column=[5])], Mode.ABSTRACT, SignatureSpace(["a"])),
+           "signature 5 at rank 0 is outside the signature space, range(1)")
+    yield (Model([Sequence(0, column=[0, -1]), Sequence(1, column=[-1, 0])], Mode.ABSTRACT, SignatureSpace(["a"])),
+           "signature -1 at rank 0 is outside the signature space, range(1)")
+
+
+def test_trust_gaps_are_illegal_in_every_order_through_every_consumer():
+    for model, message in _trust_gaps():
+        reasons = _reasons(model)
+        assert reasons[0] is not None and reasons[0].message == message
+        assert reasons == [_reference_reason(model)] * 4, message
+        for order in itertools.permutations(model.sequences):
+            permuted = Model(order, model.mode, model.space)
+            assert all(reason is not None for reason in _reasons(permuted)), order
+
+
+def test_permuting_a_strict_api_models_sequences_keeps_its_verdict_kind():
+    from test_model import _random_strict_model
+
+    rng = random.Random(26)
+    kinds = set()
+    for make in (_random_api_model, _random_strict_model):
+        for _ in range(400):
+            model = make(rng)
+            kind = classify(check(model))
+            kinds.add(kind)
+            sequences = list(model.sequences)
+            for _ in range(3):
+                rng.shuffle(sequences)
+                permuted = Model(sequences, model.mode, model.space)
+                assert classify(check(permuted)) == classify(cycle_check(permuted).verdict) == kind, sequences
+                assert (validate_static(permuted) is None) == (kind != "illegal")
+    assert kinds == {"ok", "deadlock", "illegal"}
+
+
 def test_a_traced_model_cannot_be_changed_and_built_whole_names_the_reference_violation():
-    # the model's trace names its sequence by index; a list that could be
-    # changed after construction left the trace on another sequence, or past
-    # the end of the list
+    # a built model's sequences are a tuple, fixed once its roles are
+    # checked; a list that could be changed after construction would let
+    # its columns and occurrences disagree with that check
     a, b = Envelope(1, 0, 1), Envelope(2, 0, 1)
     space = SignatureSpace()
     x, y = space.signature_for(a), space.signature_for(b)
@@ -297,7 +372,8 @@ def test_a_traced_model_cannot_be_changed_and_built_whole_names_the_reference_vi
     sends = Sequence(0, [MessageOccurrence(x, send, a), MessageOccurrence(y, send, b)])
     recvs = Sequence(1, [MessageOccurrence(x, recv, a), MessageOccurrence(y, recv, b)])
     model = Model([sends, recvs, Sequence(3, column=[y, x])], Mode.STRICT, space)
-    assert model._trace[:3] == (2, None, 0)
+    assert model._role_violation is None
+    assert validate_static(model).message == "occurs in 3 sequences, expected exactly 2"
     with pytest.raises(TypeError):
         model.sequences[2:] = [Sequence(3, column=[])]
     with pytest.raises(AttributeError):
@@ -328,8 +404,8 @@ def test_criterion_3_models_name_the_violation_in_order_lowering_names():
 
 def test_a_strict_api_model_keeps_its_columns_and_no_envelope_per_signature():
     # 8000 sequences of 12 sends and receives, each of 48000 envelopes its
-    # signature's first: every member is an endpoint by its role, so the
-    # model keeps nothing for the endpoint rule
+    # signature's entry: the model keeps nothing per signature, since the
+    # endpoint rule is judged by `Legality`, not at construction
     generated = generate(GenSpec("pairs", 8000, 12))
     rows = [(seq.rank, seq.occurrences) for seq in generated.sequences]
     gc.collect()
@@ -342,7 +418,7 @@ def test_a_strict_api_model_keeps_its_columns_and_no_envelope_per_signature():
         tracemalloc.stop()
     n, processes = model.message_count, len(model.sequences)
     assert (n, processes, len(model.space)) == (96_000, 8000, 48_000)
-    assert model._trace is None
+    assert model._role_violation is None
     assert all(seq.column.itemsize == 4 for seq in model.sequences)
     # the columns' 4 B per occurrence plus a fixed cost per sequence (190-260 B
     # on Python 3.10-3.12: the Sequence, its array's header, a tuple slot);

@@ -174,12 +174,8 @@ def _as_tuple(reason):
 
 def _ordered_reason(model):
     """The first violation of complete `model` that `OrderedLegality` names,
-    its members held to each signature's first envelope in the model."""
-    endpoints = {}
-    for seq in model.sequences:
-        for occ in seq.occurrences or ():
-            endpoints.setdefault(occ.signature, occ.envelope)
-    reference = OrderedLegality(endpoints)
+    its members held to each signature's entry in the model's space."""
+    reference = OrderedLegality(model.space, model.mode is Mode.STRICT)
     for seq in model.sequences:
         reference.add(seq.rank, list(seq.column))
     return reference.finish()
@@ -192,16 +188,28 @@ def test_legality_names_the_violation_an_ordered_pass_names():
     rng = random.Random(14)
     violations = 0
     for trial in range(3000):
-        if trial % 2:  # unspecified roles, so each signature's one envelope is its first
+        if trial % 2:  # unspecified roles, each envelope its signature's entry
             model = _random_strict_model(rng)
             reference = _ordered_reason(model)
             assert _as_tuple(validate_static(model)) == reference
             violations += reference is not None
+            # streamed in random chunks into a space that grows as it
+            # interns them, as `stream` does
+            rows, entries, space = [list(seq.column) for seq in model.sequences], model.space.entries, SignatureSpace()
+            legality, streamed = Legality(space), OrderedLegality(space, strict=True)
+            for rank, start, end in interleaving(rng, rows):
+                if start is not None:
+                    chunk = [space.signature_for(Envelope(*entries[sig])) for sig in rows[rank][start:end]]
+                    legality.add(rank, chunk)
+                    streamed.add(rank, chunk)
+                    assert _as_tuple(legality.violation) == streamed.violation
+            assert _as_tuple(legality.finish()) == streamed.finish()
+            assert (streamed.violation is None) == (reference is None)
             continue
         rows = random_rows(rng)
         model = parse_abstract("".join(f"P{rank}: {''.join(row)}\n" for rank, row in enumerate(rows)))
         rows = [list(seq.column) for seq in model.sequences]  # ranks 0, 1, ...
-        legality, reference = Legality(), OrderedLegality({})
+        legality, reference = Legality(model.space), OrderedLegality(model.space)
         for rank, start, end in interleaving(rng, rows):
             if start is not None:  # not a close
                 legality.add(rank, rows[rank][start:end])

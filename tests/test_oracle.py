@@ -27,16 +27,16 @@ from syncheck.oracle import OrderNode
     "oracle", [check, cycle_check, simulate_exhaustive, validate_static], ids=lambda f: f.__name__
 )
 def test_traces_each_model_once(oracle, monkeypatch):
-    # an API-built model's roles and endpoints are traced once, when it is
-    # built; the engine and the oracles read only its columns and that trace
+    # an API-built strict model's roles are checked once, when it is built;
+    # the engine and the oracles read only its columns and that check
     traced = []
-    trace_of = model_module._trace_of
+    role_violation = model_module._role_violation
 
-    def counting(sequences, strict):
+    def counting(sequences, entries):
         traced.append(len(sequences))
-        return trace_of(sequences, strict)
+        return role_violation(sequences, entries)
 
-    monkeypatch.setattr(model_module, "_trace_of", counting)
+    monkeypatch.setattr(model_module, "_role_violation", counting)
     model = generate(GenSpec("ring", 5, 3, seed=0))
     assert traced == [5]
     result = oracle(model)
