@@ -100,7 +100,7 @@ def generate(spec: GenSpec) -> Model:
                 lst[i], lst[j] = lst[j], lst[i]
 
     sequences = [Sequence(rank=i, occurrences=lst) for i, lst in enumerate(occs)]
-    return Model(sequences=sequences, mode=Mode.STRICT, space=SignatureSpace(entries))
+    return Model(sequences=sequences, mode=Mode.STRICT, space=SignatureSpace._adopt(entries))
 
 
 @dataclass(frozen=True)

@@ -126,35 +126,22 @@ def cmd_check(args, out, err, stdin) -> int:
     return _emit(report, args.format, out)
 
 
-def _strict_signatures(tokens: list, rank: int, space: SignatureSpace, known: dict) -> list:
-    """The signatures of one append's strict tokens; `rank` must be an
-    endpoint of each token's envelope.
-
-    `known` maps each token read so far in the session to its signature, so
-    a repeated token costs a lookup and an endpoint test.  A new token, or a
-    known one appended at a rank off its endpoints, is read by
-    `_new_token_signature`, which names a malformed token's error.
-    """
-    entries = space.entries
-    signatures = []
-    for token in tokens:
-        sig = known.get(token)
-        if sig is None or rank != entries[sig][1] and rank != entries[sig][2]:
-            sig = _new_token_signature(token, rank, space, known)
-        signatures.append(sig)
-    return signatures
+def _strict_signatures(tokens: list, space: SignatureSpace, known: dict) -> list:
+    """The signatures of one append's strict tokens, read for syntax only (the
+    stream's `Legality` judges their ranks): known ones from `known`, new ones
+    by `_new_token_signature`."""
+    return [known[token] if token in known else _new_token_signature(token, space, known) for token in tokens]
 
 
-def _new_token_signature(token: str, rank: int, space: SignatureSpace, known: dict) -> int:
+def _new_token_signature(token: str, space: SignatureSpace, known: dict) -> int:
     """The signature of `token`, interned through `signature_for`, which
     rejects a self-message, and cached in `known`.
 
     The token is split at its commas into 3 or 4 fields, `tag,src,dst[,comm]`
     with comm 0 when omitted, each a run of decimal digits as in the DSL
-    (int() alone would also take `+1`, `1_0` and `-0`), and `rank` must be
-    its `src` or `dst`.  A malformed token is named here, its checks in this
-    order; a field with more digits than int() converts is named by
-    `decimal`.
+    (int() alone would also take `+1`, `1_0` and `-0`).  A malformed token
+    is named here, its checks in this order; a field with more digits than
+    int() converts is named by `decimal`.
     """
     fields = token.split(",")
     if len(fields) == 3:
@@ -171,8 +158,6 @@ def _new_token_signature(token: str, rank: int, space: SignatureSpace, known: di
         tag, src, dst, comm = int(tag), int(src), int(dst), int(comm)
     except ValueError:  # more digits than int() converts
         tag, src, dst, comm = map(decimal, fields, Envelope._fields)  # decimal names the field
-    if rank != src and rank != dst:
-        raise ValueError(f"process {rank} is neither source nor destination of {token!r}")
     # what Envelope._make does, without its length check: 0.20-0.24 us
     # against 0.36-0.44 us for Envelope(tag, src, dst, comm) (timeit, Python
     # 3.11), on every new token
@@ -213,7 +198,7 @@ def cmd_stream(args, out, err, stdin) -> int:
                 if mode is None:
                     mode = Mode.STRICT if "," in fields[2] else Mode.ABSTRACT
                 if mode is Mode.STRICT:
-                    engine.append(rank, _strict_signatures(fields[2:], rank, space, known))
+                    engine.append(rank, _strict_signatures(fields[2:], space, known))
                 else:  # each character is an occurrence, as in the abstract format
                     engine.append(rank, list(map(space.intern_character, "".join(fields[2:]))))
             else:

@@ -18,9 +18,9 @@ whichever ready head is served first, the same pairs match (the matching
 is confluent).  The verdict, the step count, the pending heads and the
 report are therefore the same in any order.  After a match, the
 run of equal signatures that follows in both sequences is forced and
-consumed at once by slice compares.  `load` judges legality with
-`validate_static` and a stream feeds a `Legality`, strict or abstract as its
-space's entries are, at each append, so no third member rank is matched.
+consumed at once by slice compares.  `Legality` judges legality, through
+`validate_static` at `load` and at each append of a stream, so no third
+member rank is matched.
 Once the worklist is empty every unfinished rank is pending, so an empty
 table means every occurrence matched.  Total steps are bounded by the
 number of occurrences examined, so a batch check is linear in the message
@@ -118,7 +118,9 @@ class Engine:
         self._queue.extend(rank for rank, column in self._col.items() if column)
 
     def append(self, rank: int, signatures) -> None:
-        """Streaming append of signatures (a list or an array); creates the sequence on first use."""
+        """Streaming append of `signatures`, any iterable of ints, read once;
+        creates the sequence on first use.  `Legality` judges the values the
+        column received: an `array('i')` as given, anything else as a list."""
         if self._verdict is not None:
             raise EngineError("append after finalization")
         col = self._col.get(rank)
@@ -131,7 +133,11 @@ class Engine:
         elif rank not in self._open:
             raise EngineError(f"append to closed sequence {rank}")
         start = len(col)
-        col.fromlist(list(signatures))  # any ints, faster than extend() of an array('i')
+        if type(signatures) is array and signatures.typecode == COLUMN_TYPECODE:
+            col.extend(signatures)  # so a long chunk keeps Legality's one C pass
+        else:  # a one-shot iterator is read once
+            signatures = signatures if type(signatures) is list else list(signatures)
+            col.fromlist(signatures)  # any ints, faster than extend() of an array('i')
         self._legality.add(rank, signatures)
         if self._cursor[rank] == start < len(col):  # idle, so not queued
             self._queue.append(rank)

@@ -4,14 +4,8 @@ A "signature" is a dense nonnegative int, and its entry in its
 :class:`~syncheck.signatures.SignatureSpace` is its envelope (or character):
 the space is the one envelope authority.  Every sequence is one
 ``array('i')`` column of signatures.  A `Model` is fixed once built; a
-strict one needs a space, and checks each API-built occurrence's role once,
-when built.  `Legality` judges membership in one pass over each column's
-distinct signatures, in order; a strict signature's members must be its
-entry's endpoints, so whether a model is legal does not depend on the order
-of its sequences.  A complete column of at least `_TRACKED_MIN` occurrences,
-all below 128, yields its distinct signatures from one C pass of
-`str.translate` over its UTF-32 text; any other column from
-`dict.fromkeys(column)`.
+strict one needs a space of envelopes, and checks each API-built
+occurrence's role once, when built.  `Legality` judges every other rule.
 """
 from __future__ import annotations
 
@@ -107,7 +101,8 @@ class Sequence:
 class Model:
     """A tuple of sequences, from any iterable, with pairwise-distinct ranks,
     plus their signature space; fixed once built.  A strict model needs a
-    space, and its API-built occurrences' roles are checked once, here."""
+    space of envelopes, and its API-built occurrences' roles are checked
+    once, here."""
 
     sequences: tuple  # tuple[Sequence, ...]
     mode: Mode
@@ -120,8 +115,8 @@ class Model:
             raise ValueError(f"duplicate process ranks in model: {ranks}")
         object.__setattr__(self, "sequences", sequences)
         strict = self.mode is Mode.STRICT
-        if strict and self.space is None:
-            raise ValueError("a strict model needs a signature space")
+        if strict and (self.space is None or self.space.entries and isinstance(self.space.entries[0], str)):
+            raise ValueError(f"a strict model needs a signature space of envelopes, got {self.space and self.space.entries[0]!r}")
         object.__setattr__(self, "_role_violation", _role_violation(sequences, self.space.entries) if strict else None)
 
     @property
@@ -243,7 +238,6 @@ def _tracked_distinct(signatures) -> Optional[dict]:
     return distinct
 
 
-_NOWHERE = (None, None, None)  # the entry of a signature outside the space: no rank is its endpoint
 _THIRD = "occurs in 3 sequences, expected exactly 2"
 _LONELY = "occurs in 1 sequence, expected exactly 2"
 
@@ -252,14 +246,14 @@ class Legality:
     """The membership rule: every signature occurs in exactly two distinct
     sequences; an imbalance of occurrences between them is a deadlock, not
     a violation.  `add` reads a chunk's distinct signatures once, in order,
-    and keeps the first violation; `finish` judges lonely signatures.
+    and keeps the first violation; `finish` judges only lonely signatures.
 
     A strict signature's members must be the endpoints of its entry in the
     space, so its membership is two bits in a `bytearray`: 1 seen at the
     source, 2 at the destination, each its endpoint's index in the entry.
-    Abstract members are kept in dicts.  A signature outside a given space
-    is a violation.  `strict` None, a stream's, is read from the space's
-    first entry at the first occurrence."""
+    Abstract members are kept in dicts.  In either mode a signature outside
+    a given space is a violation where it is met.  `strict` None, a
+    stream's, is read from the space's first entry at the first occurrence."""
 
     def __init__(self, space=None, strict: Optional[bool] = None) -> None:
         self.violation: Optional[IllegalReason] = None
@@ -275,39 +269,42 @@ class Legality:
         """Record `signatures`, the next occurrences of sequence `rank`."""
         if self.violation is not None:
             return
-        strict = self._strict
+        entries, strict = self._entries, self._strict
         if strict is None and len(signatures):
-            strict = self._strict = bool(self._entries) and not isinstance(self._entries[0], str)
+            strict = self._strict = bool(entries) and not isinstance(entries[0], str)
         # membership changes at most twice per signature, so look at each
         # distinct signature once, in order of first appearance
         distinct = _tracked_distinct(signatures)
         if distinct is None:
             distinct = dict.fromkeys(signatures)
+        size = None if entries is None else len(entries)
         if strict:
-            entries, bits = self._entries, self._bits
-            size = len(entries)
+            bits = self._bits
             if len(bits) < size:  # a stream's space grows; at least double
                 bits.extend(bytes(size))
             for sig in distinct:
-                env = entries[sig] if 0 <= sig < size else _NOWHERE
+                if not 0 <= sig < size:
+                    self.violation = _outside(sig, rank, size)
+                    return
+                env = entries[sig]
                 seen = 1 if rank == env[1] else 2 if rank == env[2] else 0
                 if not seen:
-                    self.violation = self._off_endpoints(rank, sig, size)
+                    self.violation = self._off_endpoints(rank, sig)
                     return
                 bits[sig] |= seen
         else:
             first, second = self._first, self._second
             for sig in distinct:
+                if size is not None and not 0 <= sig < size:
+                    self.violation = _outside(sig, rank, size)
+                    return
                 member = first.setdefault(sig, rank)
                 if member != rank and second.setdefault(sig, rank) != rank:
                     self.violation = IllegalReason(sig, tuple(sorted((member, second[sig], rank))), _THIRD)
                     return
 
-    def _off_endpoints(self, rank: int, sig: int, size: int) -> IllegalReason:
-        """The violation of strict member `rank` of `sig`: outside the space,
-        a third member, or off its entry's endpoints."""
-        if not 0 <= sig < size:
-            return _outside(sig, rank, size)
+    def _off_endpoints(self, rank: int, sig: int) -> IllegalReason:
+        """The violation of strict member `rank` of `sig`, off its entry's endpoints."""
         env, seen = self._entries[sig], self._bits[sig]
         if seen == 3:
             return IllegalReason(sig, tuple(sorted((env[1], env[2], rank))), _THIRD)
@@ -318,15 +315,12 @@ class Legality:
         """Judge the model as complete: every signature must have two members."""
         if self.violation is not None:
             return self.violation
-        first, entries, bits = self._first, self._entries, self._bits
+        first, bits = self._first, self._bits
         if self._strict:
             lonely = [sig for sig in (bits.find(1), bits.find(2)) if sig >= 0]  # two memchr passes
             if lonely:
                 sig = min(lonely)
-                self.violation = IllegalReason(sig, (entries[sig][bits[sig]],), _LONELY)
-        elif entries is not None and first and (min(first) < 0 or max(first) >= len(entries)):
-            sig = min(sig for sig in first if not 0 <= sig < len(entries))
-            self.violation = _outside(sig, first[sig], len(entries))
+                self.violation = IllegalReason(sig, (self._entries[sig][bits[sig]],), _LONELY)
         elif len(first) > len(self._second):
             sig = min(sig for sig in first if sig not in self._second)
             self.violation = IllegalReason(sig, (first[sig],), _LONELY)
@@ -340,9 +334,9 @@ def _outside(sig: int, rank: int, size: int) -> IllegalReason:
 
 def validate_static(model: Model) -> Optional[IllegalReason]:
     """The first legality violation of complete `model`, or None, for the
-    oracles and `Engine.load`: its role violation, else the first membership
-    or endpoint violation of one `Legality` pass in model order, else the
-    lowest lonely signature."""
+    oracles and `Engine.load`: its role violation, else the first
+    out-of-space, membership or endpoint violation of one `Legality` pass in
+    model order, else the lowest lonely signature."""
     if model._role_violation is not None:
         return model._role_violation
     legality = Legality(model.space, model.mode is Mode.STRICT)

@@ -133,7 +133,7 @@ def parse_abstract(text: str) -> Model:
         column = array(COLUMN_TYPECODE)
         column.frombytes(chars.translate(table).encode(_UTF32_NATIVE, "surrogatepass"))
         sequences.append(Sequence(rank=rank, column=column))
-    return Model(sequences=sequences, mode=Mode.ABSTRACT, space=SignatureSpace(list(map(chr, table))))
+    return Model(sequences=sequences, mode=Mode.ABSTRACT, space=SignatureSpace._adopt(list(map(chr, table))))
 
 
 # `#` is never a token: without it, backtracking could un-skip a comment.
@@ -234,7 +234,7 @@ def _read_bulk(text: str) -> Union[Model, tuple]:
         pos = end + 1
     if m or text[pos:].strip():  # a header that does not read, or a nonblank tail
         return pos, None, ranks
-    return Model(sequences=sequences, mode=Mode.STRICT, space=SignatureSpace(list(index)))
+    return Model(sequences=sequences, mode=Mode.STRICT, space=SignatureSpace._adopt(list(index)))
 
 
 def _position(text: str, offset: int) -> tuple:

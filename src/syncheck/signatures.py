@@ -21,8 +21,21 @@ class _Interner(dict):
 
 class SignatureSpace:
     def __init__(self, entries: Optional[list] = None) -> None:
+        # a caller's entries: all strings, or all envelopes as `signature_for` takes them
+        if entries and not all(isinstance(entry, str) for entry in entries):
+            for sig, entry in enumerate(entries):
+                try:
+                    check_envelope(Envelope._make(entry) if isinstance(entry, tuple) else entry)
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"signature space entry {sig}, {entry!r}: {exc}") from None
         self._entries: list = [] if entries is None else entries  # signature -> envelope tuple | str; adopted
         self._index: Optional[dict] = None  # entry -> signature
+
+    @classmethod
+    def _adopt(cls, entries: list) -> "SignatureSpace":  # a parser's or generator's entries, valid as made
+        space = cls()
+        space._entries = entries
+        return space
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -149,9 +149,9 @@ class OrderedLegality:
     membership rule, each chunk read one distinct signature at a time in
     order of first appearance.  Violations are (signature, ranks, message)
     tuples.  `space` gives its entries up front, or as a stream interns
-    them.  In strict mode every signature must be in it, and its members
-    must be its entry's endpoints; in abstract mode `finish` names the
-    lowest signature outside it, if any, before a lonely one."""
+    them.  In either mode a signature outside a given space is a violation
+    where it is met; in strict mode a signature's members must be its
+    entry's endpoints.  `finish` names the lowest lonely signature."""
 
     def __init__(self, space=None, strict: bool = False):
         self.entries = None if space is None else space.entries
@@ -164,14 +164,11 @@ class OrderedLegality:
         if self.violation is None:
             self.violation = self._add(rank, signatures)
 
-    def _outside(self, sig, rank):
-        message = f"signature {sig} at rank {rank} is outside the signature space, range({len(self.entries)})"
-        return None, (rank,), message
-
     def _add(self, rank, signatures):
         for sig in dict.fromkeys(signatures):
-            if self.strict and sig not in range(len(self.entries)):
-                return self._outside(sig, rank)
+            if self.entries is not None and sig not in range(len(self.entries)):
+                message = f"signature {sig} at rank {rank} is outside the signature space, range({len(self.entries)})"
+                return None, (rank,), message
             member = self.first.setdefault(sig, rank)
             if member != rank and self.second.setdefault(sig, rank) != rank:
                 ranks = tuple(sorted((member, self.second[sig], rank)))
@@ -184,10 +181,6 @@ class OrderedLegality:
         return None
 
     def finish(self):
-        if self.violation is None and not self.strict and self.entries is not None:
-            outside = sorted(sig for sig in self.first if sig not in range(len(self.entries)))
-            if outside:
-                self.violation = self._outside(outside[0], self.first[outside[0]])
         lonely = [sig for sig in self.first if sig not in self.second]
         if self.violation is None and lonely:
             sig = min(lonely)
@@ -195,25 +188,23 @@ class OrderedLegality:
         return self.violation
 
 
-def reference_strict_signatures(tokens: list, rank: int, space: SignatureSpace, known: dict) -> list:
+def reference_strict_signatures(tokens: list, space: SignatureSpace, known: dict) -> list:
     """The strict stream token reader as it was before its fields were read
-    by name, kept as a reference: every new token is split, checked in one
-    order and read with `decimal` and `Envelope`, so the reader that
-    replaced it must give the same signatures, or the same error, and leave
-    `known` and the space the same."""
-    entries = space.entries
+    by name, kept as the reference for token syntax: every new token is
+    split, checked in one order and read with `decimal` and `Envelope`, so
+    the reader that replaced it must give the same signatures, or the same
+    error, and leave `known` and the space the same.  Which ranks may append
+    a token is not the reader's to judge."""
     signatures = []
     for token in tokens:
         sig = known.get(token)
-        if sig is None or rank != entries[sig][1] and rank != entries[sig][2]:
+        if sig is None:
             fields = token.split(",")
             if len(fields) not in (3, 4):
                 raise ValueError(f"expected tag,src,dst[,comm], got {token!r}")
             if not all(map(str.isdecimal, fields)):
                 raise ValueError(f"expected decimal integers tag,src,dst[,comm], got {token!r}")
             env = Envelope(*map(decimal, fields, Envelope._fields))
-            if rank != env.source and rank != env.destination:
-                raise ValueError(f"process {rank} is neither source nor destination of {token!r}")
             sig = known[token] = space.signature_for(env)
         signatures.append(sig)
     return signatures

@@ -10,7 +10,20 @@ import random
 import pytest
 
 from support import classify, interleaving, model_from_tuples, random_rows, run_cli
-from syncheck import Engine, Illegal, check
+from syncheck import (
+    Engine,
+    Envelope,
+    Illegal,
+    MessageOccurrence,
+    Mode,
+    Model,
+    Role,
+    Sequence,
+    SignatureSpace,
+    check,
+    validate_static,
+)
+from syncheck.report import build_report, exit_code_for
 
 
 def violations(rows) -> dict:
@@ -131,3 +144,57 @@ def test_illegal_repros_agree(tmp_path, rows, processes):
     assert batch["reason"] == streamed["reason"]
     assert batch["reason"]["processes"] == processes
     assert batch["stats"]["steps"] == 0
+
+
+def _strict_api_model(rows) -> Model:
+    """The API model of `rows`, (rank, tokens) pairs in model order, each
+    token `tag,src,dst`; a rank sends at its token's source, receives at its
+    destination and has no role elsewhere, as a stream infers roles."""
+    space = SignatureSpace()
+    sequences = []
+    for rank, tokens in rows:
+        occurrences = []
+        for token in tokens:
+            env = Envelope(*map(int, token.split(",")))
+            role = Role.SEND if rank == env.source else Role.RECV if rank == env.destination else Role.UNSPECIFIED
+            occurrences.append(MessageOccurrence(space.signature_for(env), role, env))
+        sequences.append(Sequence(rank, occurrences))
+    return Model(sequences, Mode.STRICT, space)
+
+
+@pytest.mark.parametrize(
+    "rows, reason",
+    [
+        ([(0, ["2,0,1"]), (1, ["2,0,1"]), (2, ["1,0,1"])],
+         ("1,0,1,0", [2], "occurs in sequences [2] but its envelope endpoints are [0, 1]")),
+        ([(0, ["1,0,1", "2,0,1"]), (2, ["1,0,1"]), (1, ["2,0,1", "1,0,1"])],
+         ("1,0,1,0", [0, 2], "occurs in sequences [0, 2] but its envelope endpoints are [0, 1]")),
+        ([(1, ["1,0,1"]), (0, ["1,0,1", "1,0,1"]), (2, ["1,0,1"])],
+         ("1,0,1,0", [0, 1, 2], "occurs in 3 sequences, expected exactly 2")),
+    ],
+    ids=["alone", "after-source", "third-after-both"],
+)
+def test_a_member_off_its_endpoints_gets_one_verdict_from_check_and_stream(rows, reason):
+    # a stream may match before the violation arrives, so neither stats nor steps are compared
+    model = _strict_api_model(rows)
+    batch = build_report(check(model), model.space, messages=model.message_count)
+    events = [f"append {rank} {' '.join(tokens)}" for rank, tokens in rows] + [f"close {rank}" for rank, _ in rows]
+    code, out, err = run_cli(["stream", "--format", "json"], "\n".join(events + ["end"]) + "\n")
+    streamed = json.loads(out)
+    assert (code, err) == (exit_code_for(batch), "") == (3, "")
+    assert streamed["verdict"] == batch["verdict"] == "illegal"
+    assert streamed["reason"] == batch["reason"] == dict(zip(("signature", "processes", "message"), reason))
+
+
+def test_abstract_and_strict_twins_name_the_same_violation():
+    # signature 5 lies outside both spaces; its column comes first, so the
+    # third member of signature 0 that follows is not the one named
+    columns = [Sequence(0, column=[5, 0]), Sequence(1, column=[0]), Sequence(2, column=[0])]
+    twins = [
+        Model(columns, Mode.ABSTRACT, SignatureSpace(["a", "b"])),
+        Model(columns, Mode.STRICT, SignatureSpace([Envelope(1, 0, 1), Envelope(2, 0, 1)])),
+    ]
+    reasons = [validate_static(model) for model in twins]
+    assert reasons[0] == reasons[1]
+    assert reasons[0].message == "signature 5 at rank 0 is outside the signature space, range(2)"
+    assert [check(model).reason for model in twins] == reasons

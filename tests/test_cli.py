@@ -219,10 +219,13 @@ class TestStream:
         assert code == 0
         assert json.loads(out)["stats"]["distinctSignatures"] == 1
 
-    def test_strict_token_with_foreign_rank_exit_1(self):
-        code, _, err = run_cli(["stream"], "append 7 5,0,1\n")
-        assert code == 1
-        assert "neither" in err
+    def test_strict_token_with_foreign_rank_exit_3(self):
+        # a token is read for its syntax; its member ranks are for Legality
+        code, out, err = run_cli(["stream", "--format", "json"], "append 7 5,0,1\n")
+        assert (code, err) == (3, "")
+        assert json.loads(out)["reason"] == {
+            "signature": "5,0,1,0", "processes": [7], "message": "occurs in sequences [7] but its envelope endpoints are [0, 1]",
+        }
 
     @pytest.mark.parametrize(
         "events, lineno, message",
@@ -277,21 +280,16 @@ class TestStream:
             ("append 0 a\nappend 1 a\nclose 0 1\n", 3, "close takes one rank, got 'close 0 1'"),
             # the verdict is fixed at `close 1`; a malformed end is still an error
             ("append 0 a\nappend 1 a\nclose 0\nclose 1\nend now\n", 5, "end takes no arguments, got 'end now'"),
-            # a token known from its source: rank 2 is still no endpoint
-            ("append 0 5,0,1\nappend 2 5,0,1\n", 2, "process 2 is neither source nor destination of '5,0,1'"),
-            ("append 1 5,0,1\nappend 0 5,0,1 5,0,1\nappend 2 5,0,1\n", 3,
-             "process 2 is neither source nor destination of '5,0,1'"),
             ("append 3 1,3,4\nappend 3 1,3,3\n", 2, "self-message: source == destination == 3"),
             # a valid new token, then a bad one on the same line
             ("append 0 1,0,1 2,0,1,x\n", 1, "expected decimal integers tag,src,dst[,comm], got '2,0,1,x'"),
-            ("append 0 1,0,1 2,5,6\n", 1, "process 0 is neither source nor destination of '2,5,6'"),
             ("append 0 1,0,1 1,0\n", 1, "expected tag,src,dst[,comm], got '1,0'"),
             ("append 0 1,0,1\nappend 1 1,0,1 " + "1" * 5000 + ",0,1\n", 2, "tag has too many digits (5000)"),
             ("append 0\n", 1, "append needs at least one token"),
         ],
         ids=[
-            "close-two-fields", "close-two-ranks", "end-field", "third-rank", "third-rank-after-both",
-            "self-message", "bad-after-new", "foreign-after-new", "short-after-new", "long-after-known",
+            "close-two-fields", "close-two-ranks", "end-field",
+            "self-message", "bad-after-new", "short-after-new", "long-after-known",
             "append-no-token",
         ],
     )
@@ -300,6 +298,26 @@ class TestStream:
         assert code == 1
         assert out == ""
         assert err == f"stdin:{lineno}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "events, reason",
+        [
+            # a token known from its source: rank 2 is still no endpoint
+            ("append 0 5,0,1\nappend 2 5,0,1\n",
+             ("5,0,1,0", [0, 2], "occurs in sequences [0, 2] but its envelope endpoints are [0, 1]")),
+            # both endpoints hold it, so rank 2 is a third member
+            ("append 1 5,0,1\nappend 0 5,0,1 5,0,1\nappend 2 5,0,1\n",
+             ("5,0,1,0", [0, 1, 2], "occurs in 3 sequences, expected exactly 2")),
+            # a new token off its endpoints, after a valid one on the same line
+            ("append 0 1,0,1 2,5,6\n", ("2,5,6,0", [0], "occurs in sequences [0] but its envelope endpoints are [5, 6]")),
+        ],
+        ids=["third-rank", "third-rank-after-both", "foreign-after-new"],
+    )
+    def test_token_off_its_endpoints_is_illegal(self, events, reason):
+        # Legality judges it, as `check` does the same model (tests/test_agreement.py): exit 3, not a protocol error
+        code, out, err = run_cli(["stream", "--format", "json"], events + "close 0\nclose 1\nend\n")
+        assert (code, err) == (3, "")
+        assert json.loads(out)["reason"] == dict(zip(("signature", "processes", "message"), reason))
 
     def test_token_spellings_name_one_envelope(self):
         # leading zeros, an omitted comm and other decimal digits (Arabic-Indic
@@ -324,12 +342,11 @@ class TestStream:
             space, known = SignatureSpace(), {}
             ref_space, ref_known = SignatureSpace(), {}
             for _ in range(rng.randint(1, 5)):
-                rank = rng.randrange(4)
                 tokens = [",".join(rng.choices(pool, k=rng.randint(2, 5))) for _ in range(rng.randint(1, 4))]
                 results = []
                 for read, sp, kn in ((_strict_signatures, space, known), (reference_strict_signatures, ref_space, ref_known)):
                     try:
-                        results.append(read(tokens, rank, sp, kn))
+                        results.append(read(tokens, sp, kn))
                     except ValueError as exc:
                         results.append((type(exc), str(exc)))
                 assert results[0] == results[1], tokens
@@ -338,7 +355,7 @@ class TestStream:
                 assert all(type(env) is Envelope for env in space.entries)
                 outcomes.add(results[0][1].split(" ")[0] if isinstance(results[0], tuple) else "ok")
         # every kind of outcome came up
-        assert outcomes == {"ok", "expected", "process", "self-message:", "tag", "source", "destination", "communicator"}
+        assert outcomes == {"ok", "expected", "self-message:", "tag", "source", "destination", "communicator"}
 
     def test_a_new_token_is_interned_once(self, monkeypatch):
         # perfbench's `signatures.intern` span wraps `signature_for`: one call
@@ -371,8 +388,8 @@ class TestStream:
         monkeypatch.setattr(SignatureSpace, "signature_for", counting)
         spellings = ["1,0,1", "1,0,1,0", "01,0,1", "\u0661,\u0660,\u0661"]
         space, known = SignatureSpace(), {}
-        assert _strict_signatures(spellings, 0, space, known) == [0, 0, 0, 0]
-        assert _strict_signatures(spellings + spellings, 1, space, known) == [0] * 8
+        assert _strict_signatures(spellings, space, known) == [0, 0, 0, 0]
+        assert _strict_signatures(spellings + spellings, space, known) == [0] * 8
         assert calls == [Envelope(1, 0, 1, 0)] * 4
         assert known == dict.fromkeys(spellings, 0)
         assert space.entries == [(1, 0, 1, 0)]

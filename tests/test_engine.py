@@ -40,8 +40,10 @@ from syncheck import (
     parse_dsl,
     parse_model,
 )
+from syncheck import model as model_mod
 from syncheck.bench import GenSpec, generate
 from syncheck.engine import _common_run
+from syncheck.model import _TRACKED_MIN
 from syncheck.report import build_report
 
 
@@ -204,6 +206,43 @@ class TestStreaming:
         assert isinstance(verdict, Illegal)
         assert (verdict.reason.signature, verdict.reason.ranks) == (2, (0,))
         assert (engine.steps, engine.matched_pairs, engine.message_count) == (8, 3, 11)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [{0: [0, 1], 1: [1, 0]}, {0: [0, 1], 1: [0, 1]}, {0: [0], 1: [0], 2: [0]}, {0: [0, 1], 1: [0]}],
+        ids=["deadlock", "ok", "third", "lonely"],
+    )
+    def test_a_generator_chunk_is_judged_as_its_list(self, rows):
+        # a one-shot iterator is read once, and Legality judges what the column received
+        def run(as_chunk):
+            engine = Engine()
+            for rank, row in rows.items():
+                engine.append(rank, as_chunk(row))
+                if engine.drain() is not None:
+                    break
+            else:
+                for rank in rows:
+                    engine.close(rank)
+            return engine.drain(), {rank: col.tolist() for rank, col in engine._col.items()}
+
+        assert run(lambda row: (sig for sig in row)) == run(iter) == run(list)
+
+    def test_a_long_array_chunk_keeps_the_one_pass_path(self, monkeypatch):
+        paths = []
+        tracked = model_mod._tracked_distinct
+
+        def spy(signatures):
+            paths.append(tracked(signatures))
+            return paths[-1]
+
+        monkeypatch.setattr(model_mod, "_tracked_distinct", spy)
+        engine = Engine()
+        engine.append(0, array("i", [0, 1] * _TRACKED_MIN))
+        engine.append(1, [0, 1] * _TRACKED_MIN)
+        assert [path is not None for path in paths] == [True, False]
+        for rank in (0, 1):
+            engine.close(rank)
+        assert isinstance(engine.drain(), NoDeadlock)
 
     def test_loaded_columns_are_4_bytes_wide(self):
         base = model_from_tuples(["ab", "ab", "c", "c"])

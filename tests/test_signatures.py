@@ -1,8 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncheck import Envelope, SignatureSpace
+from syncheck import Envelope, Mode, Model, Sequence, SignatureSpace
 from syncheck.signatures import _Interner
 
 
@@ -131,3 +133,35 @@ def test_interner_issues_signatures_in_order_of_first_lookup():
     table = _Interner()
     assert "b\xe9b\U0001f600".translate(table) == "\x00\x01\x00\x02"
     assert list(table) == [ord("b"), 0xE9, 0x1F600]
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        # a strict model once read these as envelopes: IndexError, or a self-message let through
+        ([(1, 0)], "signature space entry 0, (1, 0): Expected 4 arguments, got 2"),
+        ([(1, 0, 0, 0)], "signature space entry 0, (1, 0, 0, 0): self-message: source == destination == 0"),
+        ([Envelope(1, 0, 1), (2, 0, -1, 0)], "signature space entry 1, (2, 0, -1, 0): envelope destination must be"),
+        ([(1, 0, 1, True)], "signature space entry 0, (1, 0, 1, True): envelope communicator must be"),
+        ([5], "signature space entry 0, 5: expected an Envelope, got int 5"),
+        ([[1, 0, 1, 0]], "signature space entry 0, [1, 0, 1, 0]: expected an Envelope, got list [1, 0, 1, 0]"),
+        (["a", (1, 0, 1, 0)], "signature space entry 0, 'a': expected an Envelope, got str 'a'"),
+        ([(1, 0, 1, 0), "a"], "signature space entry 1, 'a': expected an Envelope, got str 'a'"),
+    ],
+    ids=["pair", "self-message", "negative", "bool", "int", "list", "character-then-envelope", "envelope-then-character"],
+)
+def test_a_malformed_caller_space_is_refused_at_construction(entries, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SignatureSpace(entries)
+
+
+def test_a_strict_model_over_characters_is_refused():
+    space = SignatureSpace(["ab"])  # a string is a character entry, as an abstract model's
+    with pytest.raises(ValueError, match="a strict model needs a signature space of envelopes, got 'ab'"):
+        Model([Sequence(0, column=[0]), Sequence(1, column=[0])], Mode.STRICT, space)
+    assert Model([Sequence(0, column=[0]), Sequence(1, column=[0])], Mode.ABSTRACT, space).space is space
+
+
+def test_valid_caller_spaces_are_adopted_duplicates_included():
+    for entries in ([], ["a", "a"], [Envelope(1, 0, 1), (1, 0, 1, 0)], [(2, 3, 4, 5)]):
+        assert SignatureSpace(entries).entries is entries
