@@ -1,10 +1,9 @@
 """Synthetic model generation and the engine-vs-cycle-detector benchmark."""
 from __future__ import annotations
 
-import gc
 import random
 import statistics
-import time
+import timeit
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -124,44 +123,31 @@ class BenchRow:
 def bench_run(spec: GenSpec, repetitions: int = 3) -> List[BenchRow]:
     """Time engine and cycle-detector checks on one generated model.
 
-    Generation, which checks the model's roles, is excluded;
-    one warm-up run per backend is discarded and the median of the rest
-    reported.
+    Generation, which checks the model's roles, is excluded. Each backend
+    runs `repetitions + 1` times under `timeit.repeat`, which turns the
+    cyclic GC off around each run; the first run is a warm-up, discarded,
+    and the median of the rest is reported, with the engine's step count.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     model = generate(spec)
-    n = model.message_count
+    steps = None
+
+    def engine_run() -> None:
+        nonlocal steps
+        steps = engine_mod.check_with_engine(model)[1].steps
+
     rows = []
-    for backend in ("engine", "cycle"):
-        times = []
-        steps = None
-        for rep in range(repetitions + 1):
-            # timed like timeit: cyclic GC off so collection pauses don't
-            # land inside the measured region
-            gc_was_enabled = gc.isenabled()
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                if backend == "engine":
-                    verdict, eng = engine_mod.check_with_engine(model)
-                    steps = eng.steps
-                else:
-                    cycle_check(model)
-                elapsed = (time.perf_counter() - start) * 1000.0
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
-            if rep > 0:  # discard warm-up
-                times.append(elapsed)
+    for backend, run in (("engine", engine_run), ("cycle", lambda: cycle_check(model))):
+        times = timeit.repeat(run, repeat=repetitions + 1, number=1)[1:]
         rows.append(
             BenchRow(
                 backend=backend,
                 pattern=spec.pattern,
                 processes=spec.processes,
                 messages_per_process=spec.messages_per_process,
-                n=n,
-                median_ms=statistics.median(times),
+                n=model.message_count,
+                median_ms=statistics.median(times) * 1000.0,
                 steps=steps if backend == "engine" else None,
             )
         )

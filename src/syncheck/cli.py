@@ -248,26 +248,18 @@ def _gen_spec(args, seed: int) -> bench_mod.GenSpec:
 
 
 def cmd_bench(args, out, err, stdin) -> int:
-    rows = []
+    lines = [bench_mod.CSV_HEADER]
     try:
         for seed in args.seeds:
-            rows.extend(bench_mod.bench_run(_gen_spec(args, seed), repetitions=args.reps))
+            lines += [row.csv() for row in bench_mod.bench_run(_gen_spec(args, seed), repetitions=args.reps)]
     except ValueError as exc:
         print(f"bench: {exc}", file=err)
         return 1
-    if args.csv:
-        print(bench_mod.CSV_HEADER, file=out)
-        for row in rows:
-            print(row.csv(), file=out)
-    else:
-        print(f"{'backend':<8} {'pattern':<8} {'P':>4} {'M':>8} {'n':>10} {'median_ms':>10} {'steps':>10}", file=out)
-        for row in rows:
-            steps = "-" if row.steps is None else str(row.steps)
-            print(
-                f"{row.backend:<8} {row.pattern:<8} {row.processes:>4} "
-                f"{row.messages_per_process:>8} {row.n:>10} {row.median_ms:>10.3f} {steps:>10}",
-                file=out,
-            )
+    widths = ("<8", "<8", ">4", ">8", ">10", ">10", ">10")  # one per CSV field
+    for line in lines:
+        if not args.csv:  # the CSV fields in columns, an empty one shown as "-"
+            line = " ".join(format(field or "-", width) for field, width in zip(line.split(","), widths))
+        print(line, file=out)
     return 0
 
 

@@ -6,7 +6,7 @@ interning call, so a space built from a parser's entries keeps none.
 """
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .model import Envelope, check_envelope
 
@@ -20,15 +20,17 @@ class _Interner(dict):
 
 
 class SignatureSpace:
-    def __init__(self, entries: Optional[list] = None) -> None:
-        # a caller's entries: all strings, or all envelopes as `signature_for` takes them
+    def __init__(self, entries: Optional[Iterable] = None) -> None:
+        # a copy of a caller's entries, so later changes to theirs reach no
+        # model: all strings, or all envelopes as `signature_for` takes them
+        entries = [] if entries is None else list(entries)
         if entries and not all(isinstance(entry, str) for entry in entries):
             for sig, entry in enumerate(entries):
                 try:
                     check_envelope(Envelope._make(entry) if isinstance(entry, tuple) else entry)
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"signature space entry {sig}, {entry!r}: {exc}") from None
-        self._entries: list = [] if entries is None else entries  # signature -> envelope tuple | str; adopted
+        self._entries: list = entries  # signature -> envelope tuple | str
         self._index: Optional[dict] = None  # entry -> signature
 
     @classmethod
@@ -52,7 +54,10 @@ class SignatureSpace:
         return self._intern(env)
 
     def intern_character(self, ch: str) -> int:
-        """Create-or-retrieve the signature of an abstract character token."""
+        """Create-or-retrieve the signature of an abstract character token;
+        a space of envelopes refuses one, since its entries are read as envelopes."""
+        if self._entries and not isinstance(self._entries[0], str):
+            raise ValueError(f"character {ch!r} in a space of envelopes")
         return self._intern(ch)
 
     def _intern(self, entry: Union[tuple, str]) -> int:

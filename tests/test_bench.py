@@ -1,7 +1,13 @@
+import gc
+import io
+import time
+
 import pytest
 
 from support import classify
-from syncheck import check, check_with_engine, cycle_check, render_dsl, validate_static
+from syncheck import bench as bench_mod
+from syncheck import check, check_with_engine, cli, cycle_check, render_dsl, validate_static
+from syncheck import engine as engine_mod
 from syncheck.bench import CSV_HEADER, BenchRow, GenSpec, bench_run, generate
 
 
@@ -94,3 +100,68 @@ class TestBenchRun:
         row = BenchRow("engine", "pairs", 2, 5, 10, 1.2345, 10)
         assert row.csv() == "engine,pairs,2,5,10,1.234,10"
         assert CSV_HEADER.count(",") == row.csv().count(",")
+
+
+class TestBenchTiming:
+    """`bench_run` times each backend as `timeit` does, and `syncheck bench`
+    prints its rows as CSV or as the same fields in columns."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Backend -> whether the cyclic GC was on, one entry per run."""
+        runs = {"engine": [], "cycle": []}
+        check_engine, check_cycle = engine_mod.check_with_engine, bench_mod.cycle_check
+
+        def engine(model):
+            runs["engine"].append(gc.isenabled())
+            return check_engine(model)
+
+        def cycle(model):
+            runs["cycle"].append(gc.isenabled())
+            if len(runs["cycle"]) == 1:
+                time.sleep(0.2)  # a slow warm-up
+            return check_cycle(model)
+
+        monkeypatch.setattr(engine_mod, "check_with_engine", engine)
+        monkeypatch.setattr(bench_mod, "cycle_check", cycle)
+        return runs
+
+    @pytest.mark.parametrize("repetitions", [1, 3])
+    def test_each_backend_runs_once_more_than_repetitions_with_gc_off(self, runs, repetitions):
+        rows = bench_run(GenSpec("pairs", 2, 5), repetitions=repetitions)
+        assert runs == {"engine": [False] * (repetitions + 1), "cycle": [False] * (repetitions + 1)}
+        assert rows[0].steps == 10
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_is_left_as_it_was(self, enabled):
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            bench_run(GenSpec("pairs", 2, 5), repetitions=1)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+
+    def test_a_slow_first_run_does_not_move_the_median(self, runs):
+        # with one repetition, a kept warm-up would make the median at least 100 ms
+        cycle_row = bench_run(GenSpec("pairs", 2, 5), repetitions=1)[1]
+        assert len(runs["cycle"]) == 2
+        assert cycle_row.backend == "cycle" and cycle_row.median_ms < 50
+
+    def test_text_lines_are_the_csv_lines_in_columns(self, monkeypatch):
+        # a median wider than its column, and no steps, shown as "-"
+        rows = [BenchRow("engine", "ring", 3, 2, 12, 0.0614, 3), BenchRow("cycle", "ring", 3, 2, 12, 123456789.0, None)]
+        monkeypatch.setattr(bench_mod, "bench_run", lambda spec, repetitions: rows)
+        printed = {}
+        for flags in ([], ["--csv"]):
+            out = io.StringIO()
+            assert cli.main(["bench", "--pattern", "ring", "-P", "3", "-M", "2", *flags], stdout=out, stderr=io.StringIO()) == 0
+            printed[bool(flags)] = out.getvalue().splitlines()
+        assert printed[True] == [CSV_HEADER] + [row.csv() for row in rows]
+        assert printed[False] == [
+            "backend  pattern     P        M          n  median_ms      steps",
+            "engine   ring        3        2         12      0.061          3",
+            "cycle    ring        3        2         12 123456789.000          -",
+        ]
+        for text, csv in zip(printed[False], printed[True]):
+            assert text.split() == [field or "-" for field in csv.split(",")]

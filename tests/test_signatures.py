@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncheck import Envelope, Mode, Model, Sequence, SignatureSpace
+from syncheck import Envelope, Illegal, Mode, Model, Sequence, SignatureSpace, check
 from syncheck.signatures import _Interner
 
 
@@ -90,7 +90,8 @@ def test_labels_are_stable_symbols():
     space = SignatureSpace()
     sig = space.signature_for(Envelope(tag=1, source=0, destination=2, communicator=3))
     assert space.label_of(sig) == "1,0,2,3"
-    assert space.label_of(space.intern_character("x")) == "x"
+    characters = SignatureSpace()  # a space of envelopes refuses a character
+    assert characters.label_of(characters.intern_character("x")) == "x"
 
 
 def test_many_distinct_characters_stay_injective():
@@ -164,4 +165,28 @@ def test_a_strict_model_over_characters_is_refused():
 
 def test_valid_caller_spaces_are_adopted_duplicates_included():
     for entries in ([], ["a", "a"], [Envelope(1, 0, 1), (1, 0, 1, 0)], [(2, 3, 4, 5)]):
-        assert SignatureSpace(entries).entries is entries
+        assert SignatureSpace(entries).entries == entries
+
+
+def _out_of_space_model(space):
+    """Strict bare columns of signature 1 at ranks 2 and 3: illegal over a one-entry space."""
+    return Model([Sequence(2, column=[1]), Sequence(3, column=[1])], Mode.STRICT, space)
+
+
+def test_a_space_of_envelopes_refuses_a_character():
+    space = SignatureSpace()
+    space.signature_for(Envelope(1, 0, 1))
+    with pytest.raises(ValueError, match=re.escape("character 'ab' in a space of envelopes")):
+        space.intern_character("ab")
+    assert space.entries == [Envelope(1, 0, 1)]
+    assert isinstance(check(_out_of_space_model(space)), Illegal)  # was IndexError: string index
+
+
+def test_a_space_keeps_its_own_copy_of_a_callers_entries():
+    entries = [Envelope(1, 0, 1)]
+    space = SignatureSpace(entries)
+    entries.append((1, 0))
+    assert space.entries == [Envelope(1, 0, 1)]
+    assert isinstance(check(_out_of_space_model(space)), Illegal)  # was IndexError: tuple index
+    # a tuple of entries is copied to a list, which interning extends
+    assert SignatureSpace((Envelope(1, 0, 1),)).signature_for(Envelope(2, 0, 1)) == 1
