@@ -18,7 +18,7 @@ from .model import Envelope, Illegal, Mode, Model, NoDeadlock, validate_static
 from .oracle import StateCapExceeded, cycle_check, simulate_exhaustive
 from .parser import ParseError, decimal, parse_abstract, parse_dsl, parse_model, render_abstract, render_dsl
 from .report import build_report, exit_code_for, to_json, to_text
-from .signatures import SignatureSpace
+from .signatures import SignatureSpace, _CharTable
 
 
 class _ParserExit(Exception):
@@ -168,6 +168,7 @@ def _new_token_signature(token: str, space: SignatureSpace, known: dict) -> int:
 def cmd_stream(args, out, err, stdin) -> int:
     space = SignatureSpace()
     known: dict = {}  # strict token -> signature, for this session
+    table: Optional[_CharTable] = None  # made at the first abstract append
     engine = Engine(space)
     # the token format; under auto, the first append sets it
     mode = {"strict": Mode.STRICT, "abstract": Mode.ABSTRACT, "auto": None}[args.mode]
@@ -200,7 +201,9 @@ def cmd_stream(args, out, err, stdin) -> int:
                 if mode is Mode.STRICT:
                     engine.append(rank, _strict_signatures(fields[2:], space, known))
                 else:  # each character is an occurrence, as in the abstract format
-                    engine.append(rank, list(map(space.intern_character, "".join(fields[2:]))))
+                    if table is None:
+                        table = _CharTable(space.entries)
+                    engine.append(rank, table.column("".join(fields[2:])))
             else:
                 if len(fields) > 2:
                     raise ValueError(f"close takes one rank, got {line!r}")

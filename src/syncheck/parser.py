@@ -2,9 +2,10 @@
 
 Abstract format: optional ``#abstract`` header; each nonblank, non-comment
 line is either ``P<rank>: <chars>`` or bare ``<chars>`` (bare lines get
-ranks 0,1,2,... in order).  Every non-whitespace character is one message
-occurrence.  A comment is a whole line whose first nonblank character is
-``#``; a later ``#`` is an occurrence.
+ranks 0,1,2,... in order).  A rank header ends at its first colon, so
+``P0:a:b`` is rank 0 with body ``a:b``.  Every non-whitespace character of
+a body is one message occurrence.  A comment is a whole line whose first
+nonblank character is ``#``; a later ``#`` is an occurrence.
 
 DSL format (``#`` starts a comment that runs to the end of the line)::
 
@@ -20,9 +21,11 @@ Both parsers emit one ``array('i')`` column of signatures per process and
 no per-occurrence object: the envelope and the enclosing rank determine a
 DSL occurrence's role.
 
-An abstract line becomes its column in one C pass: ``str.translate``
-interns each new character and maps each to the character whose code point
-is its signature; that, encoded as native-order UTF-32, is the column's bytes.
+An abstract body becomes its column in one C pass: ``str.translate`` over a
+``signatures._CharTable`` interns each new character, deletes whitespace
+and maps every other character to the character whose code point is its
+signature; that, encoded as native-order UTF-32, is the column's bytes.
+``stream`` reads abstract appends through the same table.
 
 The DSL is read in bulk.  One substitution blanks the comments, and one
 ``findall`` per window of a process body (about 16 KiB, ending just after a
@@ -42,8 +45,8 @@ from array import array
 from itertools import chain, repeat
 from typing import List, NoReturn, Optional, Union
 
-from .model import _UTF32_NATIVE, COLUMN_TYPECODE, Mode, Model, Sequence
-from .signatures import SignatureSpace, _Interner
+from .model import COLUMN_TYPECODE, Mode, Model, Sequence
+from .signatures import SignatureSpace, _CharTable
 
 
 class ParseError(Exception):
@@ -80,7 +83,8 @@ def parse_model(text: str) -> Model:
     return parse_abstract(text)
 
 
-_RANKED_LINE_RE = re.compile(r"^P(\S*)\s*:\s*(.*)$")
+# a rank header ends at its first colon: `P0:a:b` is rank 0, body `a:b`
+_RANK_HEADER_RE = re.compile(r"P(\S*?)\s*:")
 
 
 def decimal(digits: str, what: str) -> int:
@@ -114,26 +118,23 @@ def parse_abstract(text: str) -> Model:
     sequences: List[Sequence] = []
     used_ranks: set = set()
     auto_rank = 0
-    table = _Interner()  # code point -> signature, in order of first appearance
+    table = _CharTable([])  # characters get signatures in order of first appearance
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        match = _RANKED_LINE_RE.match(line)
+        match = _RANK_HEADER_RE.match(line)
         if match:
-            rank_text, body = match.groups()
-            rank = _abstract_rank(rank_text, lineno)
+            rank = _abstract_rank(match[1], lineno)
+            body = line[match.end():]
         else:
             rank, body = auto_rank, line
             auto_rank += 1
         if rank in used_ranks:
             raise ParseError(lineno, 1, f"process {rank} defined twice", "DuplicateProcess")
         used_ranks.add(rank)
-        chars = "".join(body.split())
-        column = array(COLUMN_TYPECODE)
-        column.frombytes(chars.translate(table).encode(_UTF32_NATIVE, "surrogatepass"))
-        sequences.append(Sequence(rank=rank, column=column))
-    return Model(sequences=sequences, mode=Mode.ABSTRACT, space=SignatureSpace._adopt(list(map(chr, table))))
+        sequences.append(Sequence(rank=rank, column=table.column(body)))
+    return Model(sequences=sequences, mode=Mode.ABSTRACT, space=SignatureSpace._adopt(table.entries))
 
 
 # `#` is never a token: without it, backtracking could un-skip a comment.
@@ -219,7 +220,7 @@ def _read_bulk(text: str) -> Union[Model, tuple]:
                         map(destinations.get, sends, peers),
                         [int(c) if c else 0 for c in comms] if any(comms) else repeat(0),
                     )
-                    # faster than map over an _Interner, whose misses (half the lookups) are Python calls
+                    # faster than a dict with __missing__, whose misses (half the lookups) are Python calls
                     for key in keys:
                         append(setdefault(key, len(index)))
             except ValueError:

@@ -6,17 +6,42 @@ interning call, so a space built from a parser's entries keeps none.
 """
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Optional, Union
 
-from .model import Envelope, check_envelope
+from .model import _UTF32_NATIVE, COLUMN_TYPECODE, Envelope, check_envelope
 
 
-class _Interner(dict):
-    """Entry -> signature; the first lookup of an entry issues it the next one, `len(self)`."""
+class _CharTable(dict):
+    """Code point -> signature, the table `str.translate` interns abstract
+    text with.  The first lookup of a character appends it to `entries`,
+    which this table alone extends, and its index there is its signature;
+    a whitespace character (`str.isspace`, the test `str.split` uses) maps
+    to None, so `translate` deletes it."""
 
-    def __missing__(self, entry) -> int:
-        sig = self[entry] = len(self)
+    __slots__ = ("entries",)  # a slot reads faster than an instance dict on each new character
+
+    def __init__(self, entries: list) -> None:
+        super().__init__()
+        self.entries = entries
+
+    def __missing__(self, code: int) -> Optional[int]:
+        ch = chr(code)
+        if ch.isspace():
+            self[code] = None
+            return None
+        entries = self.entries
+        sig = self[code] = len(entries)
+        entries.append(ch)
         return sig
+
+    def column(self, text: str) -> array:
+        """The signatures of `text`'s non-whitespace characters, in one C
+        pass: `translate` maps each to the character whose code point is its
+        signature, and that text's native-order UTF-32 is the column's bytes."""
+        column = array(COLUMN_TYPECODE)
+        column.frombytes(text.translate(self).encode(_UTF32_NATIVE, "surrogatepass"))
+        return column
 
 
 class SignatureSpace:

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import io
 import random
+import re
+from array import array
 
 from syncheck import (
     Deadlock,
@@ -17,7 +19,7 @@ from syncheck import (
     parse_abstract,
 )
 from syncheck.cli import main
-from syncheck.parser import decimal
+from syncheck.parser import ParseError, _abstract_rank, decimal
 
 PAPER_ABSTRACT = "ab\nbc\nca"
 
@@ -208,3 +210,74 @@ def reference_strict_signatures(tokens: list, space: SignatureSpace, known: dict
             sig = known[token] = space.signature_for(env)
         signatures.append(sig)
     return signatures
+
+
+_REFERENCE_RANKED_LINE_RE = re.compile(r"^P(\S*?)\s*:\s*(.*)$")
+
+
+def reference_parse_abstract(text: str) -> Model:
+    """The abstract reader as it was before whitespace was deleted in the
+    interning pass, kept as the reference for the abstract format: a regex
+    reads a ranked line's header and body, the body is split at whitespace
+    and joined, and each character is interned in order of first appearance,
+    one at a time.  Its header regex is the current one, which ends a rank
+    header at its first colon; `parse_abstract` must give the same ranks,
+    columns and entries, or the same error."""
+    sequences = []
+    used_ranks: set = set()
+    auto_rank = 0
+    index: dict = {}  # character -> signature
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        match = _REFERENCE_RANKED_LINE_RE.match(line)
+        if match:
+            rank_text, body = match.groups()
+            rank = _abstract_rank(rank_text, lineno)
+        else:
+            rank, body = auto_rank, line
+            auto_rank += 1
+        if rank in used_ranks:
+            raise ParseError(lineno, 1, f"process {rank} defined twice", "DuplicateProcess")
+        used_ranks.add(rank)
+        column = array("i", [index.setdefault(ch, len(index)) for ch in "".join(body.split())])
+        sequences.append(Sequence(rank=rank, column=column))
+    return Model(sequences=sequences, mode=Mode.ABSTRACT, space=SignatureSpace(list(index)))
+
+
+# every character str.isspace() holds for, the ones str.split() splits at
+SPACES = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+# the line breaks of str.splitlines; each is also whitespace but `\r\n`
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+INLINE_SPACES = [ch for ch in SPACES if ch not in LINE_BREAKS]
+_ABSTRACT_CHARS = list("PP::+-_0127abc\xe9#") + ["\U0001f600"]
+_BAD_RANKS = ("", "-1", "+1", "1_0", "-0", "01", "x", "0:", "\xb2", "P")
+
+
+def random_abstract_text(rng: random.Random) -> str:
+    """Seeded abstract text over whitespace of every kind, every line break,
+    comment lines, ranked and bare lines, and the characters of rank headers
+    (`P`, `:`, digits, `+`, `-`, `_`) among ASCII, Latin-1 and astral ones.
+
+    Half take their rows from `random_rows`, so some are legal models; the
+    rest are noise that mixes header characters, whitespace and line breaks.
+    """
+    if rng.random() < 0.5:
+        rows = random_rows(rng)
+    else:
+        pool = _ABSTRACT_CHARS * 2 + SPACES + ["\r\n"]
+        rows = [rng.choices(pool, k=rng.randint(0, 10)) for _ in range(rng.randint(1, 5))]
+    style = rng.choice(("ranked", "bare", "mixed"))
+    lines = []
+    for rank, row in enumerate(rows):
+        if rng.random() < 0.15:
+            lines.append(rng.choice(["", *INLINE_SPACES]) + "#" + "".join(rng.choices(_ABSTRACT_CHARS + INLINE_SPACES, k=4)))
+        body = "".join(ch + "".join(rng.choices(INLINE_SPACES, k=rng.choice((0, 0, 0, 1, 2)))) for ch in row)
+        if style == "bare" or (style == "mixed" and rng.random() < 0.5):
+            head = ""
+        else:
+            spelling = rng.choice((f"{rank}:", f"{rank} :", f"{rank}:{rng.choice(INLINE_SPACES)}", f"{rank}{rng.choice(INLINE_SPACES)}:"))
+            head = "P" + (f"{rng.choice(_BAD_RANKS)}:" if rng.random() < 0.05 else spelling)
+        lines.append(rng.choice(["", "", *INLINE_SPACES]) + head + body)
+    return "".join(line + rng.choice(LINE_BREAKS) for line in lines)

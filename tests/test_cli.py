@@ -6,15 +6,19 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
 
-from support import PAPER_DSL, reference_strict_signatures, run_cli
+from support import INLINE_SPACES, PAPER_DSL, random_abstract_text, reference_strict_signatures, run_cli
 from syncheck.bench import GenSpec, generate
 import syncheck
-from syncheck import Envelope, SignatureSpace
+from syncheck import Envelope, ParseError, SignatureSpace, check, parse_abstract
+from syncheck import cli as cli_mod
 from syncheck.cli import _build_parser, _strict_signatures, main
+from syncheck.engine import Engine
+from syncheck.model import Illegal
 from syncheck.parser import render_dsl
 
 
@@ -403,6 +407,66 @@ class TestStream:
         streamed = run_cli(["stream", "--format", "json"], "append 0 ab\nappend 1 ba\nclose 0\nclose 1\nend\n")
         assert streamed == batch
         assert batch[0] == 2
+
+    def test_abstract_appends_give_the_report_of_check(self, tmp_path):
+        # each legal model among the parser's differential texts, streamed
+        # as appends of its columns' characters in random chunks with
+        # whitespace among them, then closed rank by rank
+        rng = random.Random(2029)
+        path = tmp_path / "m.txt"
+        compared = 0
+        while compared < 150:
+            text = random_abstract_text(rng)
+            try:
+                model = parse_abstract(text)
+            except ParseError:
+                continue
+            if isinstance(check(model), Illegal):
+                continue
+            path.write_text(text, encoding="utf-8", newline="")
+            events = []
+            for seq in model.sequences:
+                chars = [model.space.entries[sig] for sig in seq.column]
+                while chars:
+                    cut = rng.randint(1, len(chars))
+                    spaced = "".join(ch + "".join(rng.choices(INLINE_SPACES, k=rng.choice((0, 0, 1)))) for ch in chars[:cut])
+                    events.append(f"append {seq.rank} {spaced}\n")
+                    del chars[:cut]
+            events += [f"close {seq.rank}\n" for seq in model.sequences if seq.column]
+            batch = run_cli(["check", str(path), "--mode", "abstract", "--format", "json"])
+            streamed = run_cli(["stream", "--mode", "abstract", "--format", "json"], "".join(events) + "end\n")
+            assert streamed == batch, repr(text)
+            assert json.loads(batch[1])["stats"]["distinctSignatures"] == len(model.space)
+            compared += 1
+
+    def test_long_abstract_append_with_a_late_third_member_gets_the_reason_of_check(self, tmp_path, monkeypatch):
+        rows = ["ab" * 600, "ab" * 600, "c" * 1198 + "ba", "c" * 1200]
+        path = tmp_path / "late.txt"
+        path.write_text("".join(f"P{rank}: {row}\n" for rank, row in enumerate(rows)))
+        events = [f"append {rank} {row}\n" for rank, row in enumerate(rows)] + [f"close {rank}\n" for rank in range(4)]
+        chunks = []
+        real_append = Engine.append
+        monkeypatch.setattr(Engine, "append", lambda self, rank, sigs: chunks.append(sigs) or real_append(self, rank, sigs))
+        code, out, _ = run_cli(["stream", "--format", "json"], "".join(events))
+        batch_code, batch_out, _ = run_cli(["check", str(path), "--format", "json"])
+        assert code == batch_code == 3
+        reason = json.loads(out)["reason"]
+        assert reason == json.loads(batch_out)["reason"]
+        assert reason["signature"] == "b"
+        # each chunk reaches Legality as an array('i') of at least 1,024 signatures
+        assert [(type(chunk), chunk.typecode, len(chunk)) for chunk in chunks] == [(array, "i", 1200)] * 3
+
+    @pytest.mark.parametrize("mode", ["strict", "auto"])
+    def test_a_strict_session_makes_no_char_table(self, monkeypatch, mode):
+        events = "append 0 1,0,1\nappend 1 1,0,1 2,1,0\nappend 0 2,1,0\nclose 0\nclose 1\nend\n"
+        expected = run_cli(["stream", "--mode", mode, "--format", "json"], events)
+
+        def no_table(entries):
+            raise AssertionError("a strict session made a character table")
+
+        monkeypatch.setattr(cli_mod, "_CharTable", no_table)
+        assert run_cli(["stream", "--mode", mode, "--format", "json"], events) == expected
+        assert expected[0] == 0
 
     @pytest.mark.parametrize(
         "events",

@@ -1,5 +1,6 @@
 import gc
 import random
+from collections import Counter
 import time
 import tracemalloc
 from array import array
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import PAPER_DSL
+from support import INLINE_SPACES, PAPER_DSL, SPACES, random_abstract_text, reference_parse_abstract
 from syncheck import (
     Envelope,
     MessageOccurrence,
@@ -158,6 +159,40 @@ class TestAbstract:
     )
     def test_error_positions(self, text, expected):
         assert _error_of(parse_abstract, text) == expected
+
+    @pytest.mark.parametrize("text", ["P0:a:b\nP1: b:a", "P0: a:b\nP1 :b:a", "P0:a :b\nP1:b: a"])
+    def test_rank_header_ends_at_its_first_colon(self, text):
+        model = parse_abstract(text)
+        assert [seq.rank for seq in model.sequences] == [0, 1]
+        assert model.space.entries == ["a", ":", "b"]
+        assert [seq.column.tolist() for seq in model.sequences] == [[0, 1, 2], [2, 1, 0]]
+
+    def test_whitespace_of_every_kind_is_deleted(self):
+        assert len(SPACES) == 29 and len(INLINE_SPACES) == 19
+        spaced = parse_abstract("P0:" + "a".join(INLINE_SPACES) + "\nP1:b" + "".join(INLINE_SPACES) + "a")
+        plain = parse_abstract("P0: " + "a" * 18 + "\nP1: ba")
+        assert [(seq.rank, seq.column) for seq in spaced.sequences] == [(seq.rank, seq.column) for seq in plain.sequences]
+        assert spaced.space.entries == plain.space.entries == ["a", "b"]
+
+    def test_agrees_with_the_reference_reader(self):
+        rng = random.Random(29)
+        outcomes = Counter()
+        for _ in range(4000):
+            text = random_abstract_text(rng)
+            try:
+                expected = reference_parse_abstract(text)
+            except ParseError as exc:
+                assert _error_of(parse_abstract, text) == (exc.category, exc.line, exc.column, exc.message), repr(text)
+                outcomes[exc.category] += 1
+                continue
+            model = parse_abstract(text)
+            assert [(seq.rank, seq.column) for seq in model.sequences] == [
+                (seq.rank, seq.column) for seq in expected.sequences
+            ], repr(text)
+            assert model.space.entries == expected.space.entries, repr(text)
+            outcomes["model"] += 1
+        # each outcome is common enough to be compared often
+        assert min(outcomes[kind] for kind in ("model", "BadInteger", "DuplicateProcess")) >= 200, outcomes
 
 
 class TestDsl:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncheck import Envelope, Illegal, Mode, Model, Sequence, SignatureSpace, check
-from syncheck.signatures import _Interner
+from syncheck.signatures import _CharTable
 
 
 def test_first_issue_is_zero():
@@ -126,14 +126,32 @@ def test_density_and_idempotence(quads):
         assert space.envelope_of(sig) == env
 
 
-def test_interner_issues_signatures_in_order_of_first_lookup():
-    index = _Interner()
-    assert [index[key] for key in "xyxz"] == [0, 1, 0, 2]
-    assert list(index) == ["x", "y", "z"]
+def test_char_table_issues_signatures_in_order_of_first_lookup():
+    entries = []
+    table = _CharTable(entries)
+    assert [table[ord(ch)] for ch in "xyxz"] == [0, 1, 0, 2]
+    assert entries == ["x", "y", "z"]
+    # each entry is appended as its signature is issued, so a caller's list
+    # names every signature the table has handed out
+    table[ord("\xe9")]
+    assert entries == ["x", "y", "z", "\xe9"]
     # str.translate looks up each code point, so one pass interns a line
-    table = _Interner()
-    assert "b\xe9b\U0001f600".translate(table) == "\x00\x01\x00\x02"
-    assert list(table) == [ord("b"), 0xE9, 0x1F600]
+    # and deletes its whitespace, which gets no signature
+    entries = []
+    table = _CharTable(entries)
+    assert "b \xe9\tb\u3000\U0001f600\x1f".translate(table) == "\x00\x01\x00\x02"
+    assert entries == ["b", "\xe9", "\U0001f600"]
+    assert table[ord(" ")] is None and table[0x3000] is None
+    assert list(table.column("\U0001f600 b\xa0")) == [2, 0]
+
+
+def test_char_table_deletes_what_str_split_splits_at():
+    spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+    assert len(spaces) == 29
+    text = "a".join(spaces) + "a"
+    entries = []
+    assert text.translate(_CharTable(entries)) == "".join(text.split()).translate({ord("a"): 0})
+    assert entries == ["a"]
 
 
 @pytest.mark.parametrize(
