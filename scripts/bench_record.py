@@ -1,17 +1,16 @@
 """Record the benchmark's end-to-end metrics in a BENCH_<label>.json file,
 or compare two such files.
 
-    python3 scripts/bench_record.py LABEL [--runs 3] [--workload NAME ...]
+    python3 scripts/bench_record.py LABEL [--size tiny] [--workload NAME ...]
     python3 scripts/bench_record.py --compare BENCH_baseline.json BENCH_new.json
 
-A record runs `perfbench/run.py --trace 0` `--runs` times (at least 3) per
-workload that BENCHMARK.json lists, one after another at seed 0, for
-BENCHMARK.json's `run_seconds` unless `--seconds` says otherwise.  It writes
-BENCH_<label>.json, at the checkout root unless `--out` names a directory.
-The file holds the git revision, the Python version, the CPU count,
-perfbench's speed-kernel readings (one before each workload's runs and one
-after the last) and, for each workload, each end-to-end metric's values,
-median and interquartile range over the runs.
+A record runs `perfbench/run.py --trace 0` three times per workload that
+BENCHMARK.json lists, one after another at seed 0, for BENCHMARK.json's
+`run_seconds`.  It writes BENCH_<label>.json at the checkout root.  The file
+holds the git revision, the Python version, the CPU count, perfbench's
+speed-kernel readings (one before each workload's runs and one after the
+last) and, for each workload, each end-to-end metric's values, median and
+interquartile range over the runs.
 
 `--compare A B` prints, for each workload and end-to-end metric in both
 files, B's median over A's and the bound BENCHMARK.json gives that metric.
@@ -30,6 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 0  # one seed, so a workload's spread is the runs' own
+RUNS = 3  # the fewest that give an interquartile range
 sys.path.insert(0, str(ROOT / "perfbench"))
 from common import time_kernel  # noqa: E402  (perfbench is a directory of scripts, not a package)
 
@@ -66,7 +66,7 @@ def _spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def record(label: str, workloads: list, runs: int, seconds: float, size: str) -> dict:
+def record(label: str, workloads: list, seconds: float, size: str) -> dict:
     result = {
         "label": label,
         "revision": _revision(),
@@ -75,13 +75,13 @@ def record(label: str, workloads: list, runs: int, seconds: float, size: str) ->
         "seed": SEED,
         "seconds": seconds,
         "size": size,
-        "runs": runs,
+        "runs": RUNS,
         "kernel_s": [],
         "workloads": {},
     }
     for workload in workloads:
         result["kernel_s"].append(time_kernel())
-        summaries = [_one_run(workload, SEED, seconds, size) for _ in range(runs)]
+        summaries = [_one_run(workload, SEED, seconds, size) for _ in range(RUNS)]
         metrics = {}
         for name, first in summaries[0]["metrics"].items():
             values = [summary["metrics"][name]["value"] for summary in summaries]
@@ -125,11 +125,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("label", nargs="?", help="writes BENCH_<label>.json")
     p.add_argument("--compare", nargs=2, metavar=("A", "B"), help="print B's medians against A's; write nothing")
-    p.add_argument("--runs", type=int, default=3, help="runs per workload, at least 3 (default 3)")
-    p.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
     p.add_argument("--size", choices=("full", "tiny"), default="full")
     p.add_argument("--workload", nargs="+", choices=names, default=names)
-    p.add_argument("--out", type=Path, default=ROOT, help="directory of the record (default: the checkout root)")
     args = p.parse_args(argv)
     if args.compare:
         base, new = (json.loads(Path(path).read_text(encoding="utf-8")) for path in args.compare)
@@ -137,10 +134,8 @@ def main(argv=None) -> int:
         return 0
     if not args.label:
         p.error("a label, or --compare A B, is required")
-    if args.runs < 3:
-        p.error("--runs must be at least 3, for an interquartile range")
-    result = record(args.label, args.workload, args.runs, args.seconds, args.size)
-    path = args.out / f"BENCH_{args.label}.json"
+    result = record(args.label, args.workload, benchmark["run_seconds"], args.size)
+    path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}")
     return 0

@@ -18,7 +18,7 @@ from .model import Envelope, Illegal, Mode, Model, NoDeadlock, validate_static
 from .oracle import StateCapExceeded, cycle_check, simulate_exhaustive
 from .parser import ParseError, decimal, parse_abstract, parse_dsl, parse_model, render_abstract, render_dsl
 from .report import build_report, exit_code_for, to_json, to_text
-from .signatures import SignatureSpace, _CharTable
+from .signatures import SignatureSpace
 
 
 class _ParserExit(Exception):
@@ -168,7 +168,7 @@ def _new_token_signature(token: str, space: SignatureSpace, known: dict) -> int:
 def cmd_stream(args, out, err, stdin) -> int:
     space = SignatureSpace()
     known: dict = {}  # strict token -> signature, for this session
-    table: Optional[_CharTable] = None  # made at the first abstract append
+    table = space.char_table()  # abstract character -> signature; a session is one mode
     engine = Engine(space)
     # the token format; under auto, the first append sets it
     mode = {"strict": Mode.STRICT, "abstract": Mode.ABSTRACT, "auto": None}[args.mode]
@@ -201,8 +201,6 @@ def cmd_stream(args, out, err, stdin) -> int:
                 if mode is Mode.STRICT:
                     engine.append(rank, _strict_signatures(fields[2:], space, known))
                 else:  # each character is an occurrence, as in the abstract format
-                    if table is None:
-                        table = _CharTable(space.entries)
                     engine.append(rank, table.column("".join(fields[2:])))
             else:
                 if len(fields) > 2:

@@ -46,7 +46,7 @@ from itertools import chain, repeat
 from typing import List, NoReturn, Optional, Union
 
 from .model import COLUMN_TYPECODE, Mode, Model, Sequence
-from .signatures import SignatureSpace, _CharTable
+from .signatures import SignatureSpace
 
 
 class ParseError(Exception):
@@ -118,7 +118,8 @@ def parse_abstract(text: str) -> Model:
     sequences: List[Sequence] = []
     used_ranks: set = set()
     auto_rank = 0
-    table = _CharTable([])  # characters get signatures in order of first appearance
+    space = SignatureSpace()
+    table = space.char_table()  # characters get signatures in order of first appearance
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -134,7 +135,7 @@ def parse_abstract(text: str) -> Model:
             raise ParseError(lineno, 1, f"process {rank} defined twice", "DuplicateProcess")
         used_ranks.add(rank)
         sequences.append(Sequence(rank=rank, column=table.column(body)))
-    return Model(sequences=sequences, mode=Mode.ABSTRACT, space=SignatureSpace._adopt(table.entries))
+    return Model(sequences=sequences, mode=Mode.ABSTRACT, space=space)
 
 
 # `#` is never a token: without it, backtracking could un-skip a comment.

@@ -15,9 +15,10 @@ from .model import _UTF32_NATIVE, COLUMN_TYPECODE, Envelope, check_envelope
 class _CharTable(dict):
     """Code point -> signature, the table `str.translate` interns abstract
     text with.  The first lookup of a character appends it to `entries`,
-    which this table alone extends, and its index there is its signature;
-    a whitespace character (`str.isspace`, the test `str.split` uses) maps
-    to None, so `translate` deletes it."""
+    and its index there is its signature; a whitespace character
+    (`str.isspace`, the test `str.split` uses) maps to None, so `translate`
+    deletes it.  `SignatureSpace.char_table` makes one over a space's
+    entries."""
 
     __slots__ = ("entries",)  # a slot reads faster than an instance dict on each new character
 
@@ -77,6 +78,12 @@ class SignatureSpace:
         validates, also when an equal one is already interned."""
         check_envelope(env)
         return self._intern(env)
+
+    def char_table(self) -> _CharTable:
+        """A `_CharTable` that appends new characters to this space's
+        entries.  Either the table or `_intern` extends a space, never both:
+        neither sees what the other appends."""
+        return _CharTable(self._entries)
 
     def intern_character(self, ch: str) -> int:
         """Create-or-retrieve the signature of an abstract character token;

@@ -1,23 +1,22 @@
 """The benchmark recorder, `scripts/bench_record.py`, on one tiny workload."""
-import json
-import subprocess
-import sys
+import importlib.util
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
 
 
-def _run(*args):
-    return subprocess.run([sys.executable, str(SCRIPT), *args], capture_output=True, text=True, timeout=120)
+def _load():
+    spec = importlib.util.spec_from_file_location("bench_record", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def test_record_and_compare(tmp_path):
-    done = _run("tiny", "--runs", "3", "--seconds", "0.05", "--size", "tiny", "--workload", "check-abstract-pairs",
-                "--out", str(tmp_path))
-    assert done.returncode == 0, done.stderr
-    record = json.loads((tmp_path / "BENCH_tiny.json").read_text())
+def test_record_and_compare():
+    bench_record = _load()
+    record = bench_record.record("tiny", ["check-abstract-pairs"], 0.05, "tiny")
     assert set(record) == {"label", "revision", "python", "cpus", "seed", "seconds", "size", "runs", "kernel_s", "workloads"}
-    assert (record["label"], record["runs"], record["size"]) == ("tiny", 3, "tiny")
+    assert (record["label"], record["runs"], record["seconds"], record["size"]) == ("tiny", 3, 0.05, "tiny")
     assert len(record["kernel_s"]) == 2 and all(t > 0 for t in record["kernel_s"])
     workload = record["workloads"]["check-abstract-pairs"]
     assert workload["correct"] is True and workload["failed"] == 0
@@ -27,16 +26,6 @@ def test_record_and_compare(tmp_path):
         assert metric["q1"] <= metric["median"] <= metric["q3"]
         assert metric["iqr"] == metric["q3"] - metric["q1"]
 
-    path = str(tmp_path / "BENCH_tiny.json")
-    compared = _run("--compare", path, path)
-    assert compared.returncode == 0, compared.stderr
-    lines = compared.stdout.splitlines()
+    lines = bench_record.compare(record, record, bench_record._benchmark()["end_to_end"])
     assert len(lines) == 5  # a heading, then one line per end-to-end metric
     assert all("check-abstract-pairs" in line and "ratio 1.000" in line and "within bound" in line for line in lines[1:])
-
-
-def test_fewer_than_three_runs_is_a_usage_error(tmp_path):
-    done = _run("tiny", "--runs", "2", "--size", "tiny", "--out", str(tmp_path))
-    assert done.returncode == 2
-    assert "--runs must be at least 3" in done.stderr
-    assert not list(tmp_path.iterdir())

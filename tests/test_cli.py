@@ -15,7 +15,6 @@ from support import INLINE_SPACES, PAPER_DSL, random_abstract_text, reference_st
 from syncheck.bench import GenSpec, generate
 import syncheck
 from syncheck import Envelope, ParseError, SignatureSpace, check, parse_abstract
-from syncheck import cli as cli_mod
 from syncheck.cli import _build_parser, _strict_signatures, main
 from syncheck.engine import Engine
 from syncheck.model import Illegal
@@ -455,18 +454,6 @@ class TestStream:
         assert reason["signature"] == "b"
         # each chunk reaches Legality as an array('i') of at least 1,024 signatures
         assert [(type(chunk), chunk.typecode, len(chunk)) for chunk in chunks] == [(array, "i", 1200)] * 3
-
-    @pytest.mark.parametrize("mode", ["strict", "auto"])
-    def test_a_strict_session_makes_no_char_table(self, monkeypatch, mode):
-        events = "append 0 1,0,1\nappend 1 1,0,1 2,1,0\nappend 0 2,1,0\nclose 0\nclose 1\nend\n"
-        expected = run_cli(["stream", "--mode", mode, "--format", "json"], events)
-
-        def no_table(entries):
-            raise AssertionError("a strict session made a character table")
-
-        monkeypatch.setattr(cli_mod, "_CharTable", no_table)
-        assert run_cli(["stream", "--mode", mode, "--format", "json"], events) == expected
-        assert expected[0] == 0
 
     @pytest.mark.parametrize(
         "events",
