@@ -29,8 +29,8 @@ signature; that, encoded as native-order UTF-32, is the column's bytes.
 
 The DSL is read in bulk.  One substitution blanks the comments, and one
 ``findall`` per window of a process body (about 16 KiB, ending just after a
-``;``) reads its statements, which become envelope tuples and signatures a
-window at a time, with no token or Match object.  The bulk reader declines
+``;``) reads its statements, with no token or Match object.  One loop turns
+each statement's groups into its envelope tuple and interns that.  The bulk reader declines
 anything that does not read: junk, a missing ``}``, a nonblank tail, a
 duplicate rank, a self-message or an integer too long for ``int()``.  It
 then reports the unit boundary where it stopped: the header, or the
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import re
 from array import array
-from itertools import chain, repeat
+from itertools import chain
 from typing import List, NoReturn, Optional, Union
 
 from .model import COLUMN_TYPECODE, Mode, Model, Sequence
@@ -152,7 +152,7 @@ _BULK_HEADER_RE = re.compile(r"\s*process\s+(\d+)\s*\{")
 # which leaves every group empty.  Each match sets its own groups, so
 # `(?(1)...)` reads this statement's verb.
 _BULK_STATEMENT_RE = re.compile(
-    r"\s*(?:(send)|recv)\s+tag\s*=\s*(\d+)\s*(?(1)to|from)\s+(\d+)(?:\s*comm\s*=\s*(\d+))?\s*;"
+    r"\s*(?:(s)end|recv)\s+tag\s*=\s*(\d+)\s*(?(1)to|from)\s+(\d+)(?:\s*comm\s*=\s*(\d+))?\s*;"
     r"|\s*\S[^;]*"
 )
 _WINDOW = 1 << 14  # characters of a body per findall, so its tuples stay few
@@ -194,8 +194,6 @@ def _read_bulk(text: str) -> Union[Model, tuple]:
             end = len(text)  # read on, to find the first statement that does not read
         column = array(COLUMN_TYPECODE)
         append = column.append
-        # a send's envelope runs from this rank to the peer, a recv's back
-        sources, destinations = {"send": rank}, {"": rank}
         window = _WINDOW
         while start < end:
             # a window ends just after its last `;`, so it cuts no statement;
@@ -209,21 +207,18 @@ def _read_bulk(text: str) -> Union[Model, tuple]:
                     return start, rank, ranks
                 break
             try:
-                found = _BULK_STATEMENT_RE.findall(text, start, stop)
-                if found:
-                    sends, tags, peers, comms = zip(*found)
-                    peers = list(map(int, peers))  # junk's empty peer raises ValueError
-                    if rank in peers:
+                # A window that raises may leave some of its statements appended
+                # and interned.  That is harmless: read again a statement at a
+                # time, it raises again, and the reader declines.
+                for send, tag, peer, comm in _BULK_STATEMENT_RE.findall(text, start, stop):
+                    peer = int(peer)  # junk's empty peer raises ValueError
+                    if peer == rank:
                         raise ValueError("self-message")
-                    keys = zip(
-                        map(int, tags),
-                        map(sources.get, sends, peers),
-                        map(destinations.get, sends, peers),
-                        [int(c) if c else 0 for c in comms] if any(comms) else repeat(0),
-                    )
-                    # faster than a dict with __missing__, whose misses (half the lookups) are Python calls
-                    for key in keys:
-                        append(setdefault(key, len(index)))
+                    comm = int(comm) if comm else 0
+                    # a send's envelope runs from this rank to the peer, a recv's back
+                    key = (int(tag), rank, peer, comm) if send else (int(tag), peer, rank, comm)
+                    # faster than a dict with __missing__, whose misses are Python calls
+                    append(setdefault(key, len(index)))
             except ValueError:
                 if not window:
                     return start, rank, ranks

@@ -27,6 +27,7 @@ from syncheck import (
     cycle_check,
     parse_abstract,
     parse_dsl,
+    render_dsl,
     simulate_exhaustive,
 )
 from syncheck.bench import GenSpec, generate
@@ -175,6 +176,24 @@ def test_criterion_5_linearity():
         ratios = sorted(times[2 ** (e + 1)] / times[2**e] for e in range(17, 21))
         median_ratio = (ratios[1] + ratios[2]) / 2
         assert 1.5 <= median_ratio <= 3.0, f"median t(2n)/t(n): {median_ratio:.2f} ({ratios})"
+
+
+def test_parse_dsl_linearity():
+    with criterion("5 linearity, parse_dsl"):
+        # n = 2^16 parses in about 60 ms on a 2-CPU VM; the texts are
+        # rendered before the timed region, and n and 2n alternate
+        n = 2**16
+        for pattern, processes in (("pairs", 2), ("random", 64)):
+            texts = {k: render_dsl(generate(GenSpec(pattern, processes, k // processes))) for k in (n, 2 * n)}
+            runs = {k: [] for k in texts}
+            for _ in range(3):
+                for k, text in texts.items():
+                    gc.collect()
+                    start = time.perf_counter()
+                    parse_dsl(text)
+                    runs[k].append(time.perf_counter() - start)
+            ratio = statistics.median(runs[2 * n]) / statistics.median(runs[n])
+            assert 1.5 <= ratio <= 3.0, f"{pattern}: median t(2n)/t(n) {ratio:.2f} ({runs})"
 
 
 def _report_body(verdict, space, engine):

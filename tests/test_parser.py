@@ -7,7 +7,7 @@ from array import array
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from support import INLINE_SPACES, PAPER_DSL, SPACES, random_abstract_text, reference_parse_abstract
@@ -554,6 +554,26 @@ _DSL_RENDERINGS = [
 ]
 
 
+# process 0's body runs to about 68 KB, four windows of _WINDOW characters
+_LONG_PAIRS = render_dsl(generate(GenSpec("pairs", 2, 3000)))
+
+
+def _bad_statement_in_a_long_body(test):
+    """Examples with one bad statement in the middle of process 0's body, or
+    last in it: a self-message, a tag of more digits than int() converts,
+    or junk, which a window of _WINDOW characters reads after appending
+    and interning the statements before it."""
+    body_end = _LONG_PAIRS.index("}")
+    for statement in (_LONG_PAIRS.index("\n  ", body_end // 2) + 3, _LONG_PAIRS.rindex("\n  ", 0, body_end) + 3):
+        peer = _LONG_PAIRS.index(";", statement) - 1  # rank 1, one digit
+        tag = _LONG_PAIRS.index("=", statement) + 1
+        for where, piece in ((peer, "0"), (tag, "1" * 4301), (statement, "x")):
+            for window in (parser._WINDOW, 30):
+                test = example(base=_LONG_PAIRS, edits=[("replace", where, piece)], window=window)(test)
+    return test
+
+
+@_bad_statement_in_a_long_body
 @settings(max_examples=600, deadline=None)
 @given(
     base=st.sampled_from(_DSL_RENDERINGS),
