@@ -29,11 +29,11 @@ signature; that, encoded as native-order UTF-32, is the column's bytes.
 
 The DSL is read in bulk.  One substitution blanks the comments, and one
 ``findall`` per window of a process body (about 16 KiB, ending just after a
-``;``) reads its statements, with no token or Match object.  One loop turns
-each statement's groups into its envelope tuple and interns that.  The bulk reader declines
-anything that does not read: junk, a missing ``}``, a nonblank tail, a
-duplicate rank, a self-message or an integer too long for ``int()``.  It
-then reports the unit boundary where it stopped: the header, or the
+``;``) reads its statements, with no token or Match object, and one loop
+turns each statement into its envelope tuple and interns it.  The bulk
+reader declines anything that does not read: junk, a missing ``}``, a
+nonblank tail, a duplicate rank, a self-message or an integer too long for
+``int()``.  It then reports the unit boundary where it stopped: the header, or the
 statement that does not read.  A token reader names the error from there,
 reading one token at a time in grammar order, and reports the first token
 that does not fit.
@@ -209,7 +209,7 @@ def _read_bulk(text: str) -> Union[Model, tuple]:
             try:
                 # A window that raises may leave some of its statements appended
                 # and interned.  That is harmless: read again a statement at a
-                # time, it raises again, and the reader declines.
+                # time, it raises again, and the reader declines, returning no model.
                 for send, tag, peer, comm in _BULK_STATEMENT_RE.findall(text, start, stop):
                     peer = int(peer)  # junk's empty peer raises ValueError
                     if peer == rank:
