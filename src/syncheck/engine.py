@@ -20,7 +20,9 @@ report are therefore the same in any order.  After a match, the
 run of equal signatures that follows in both sequences is forced and
 consumed at once by slice compares.  `Legality` judges legality, through
 `validate_static` at `load` and at each append of a stream, so no third
-member rank is matched.
+member rank is matched.  Every engine has a signature space, `Engine(space)`:
+a stream's `Legality` indexes its one membership table by signature, and a
+report reads each blocked head's envelope there.
 Once the worklist is empty every unfinished rank is pending, so an empty
 table means every occurrence matched.  Total steps are bounded by the
 number of occurrences examined, so a batch check is linear in the message
@@ -65,7 +67,7 @@ class EngineError(Exception):
 
 
 class Engine:
-    def __init__(self, space=None):
+    def __init__(self, space):
         self._space = space  # SignatureSpace of the signatures; gives a report its envelopes
         # per-rank state kept as primitive maps; the matching loop is hot
         self._col: dict = {}  # rank -> array('i') of its signatures
@@ -225,7 +227,7 @@ def check(model: Model) -> Verdict:
 
 def check_with_engine(model: Model):
     """Like :func:`check` but also returns the engine for stats inspection."""
-    engine = Engine()
+    engine = Engine(model.space)
     engine.load(model)
     verdict = engine.drain()
     assert verdict is not None

@@ -3,9 +3,10 @@
 A "signature" is a dense nonnegative int, and its entry in its
 :class:`~syncheck.signatures.SignatureSpace` is its envelope (or character):
 the space is the one envelope authority.  Every sequence is one
-``array('i')`` column of signatures.  A `Model` is fixed once built; a
-strict one needs a space of envelopes, and checks each API-built
-occurrence's role once, when built.  `Legality` judges every other rule.
+``array('i')`` column of signatures.  A `Model` is fixed once built and
+needs a space in either mode; a strict one needs a space of envelopes, and
+checks each API-built occurrence's role once, when built.  `Legality`
+judges every other rule, with one membership table for both modes.
 """
 from __future__ import annotations
 
@@ -100,13 +101,13 @@ class Sequence:
 @dataclass(frozen=True)
 class Model:
     """A tuple of sequences, from any iterable, with pairwise-distinct ranks,
-    plus their signature space; fixed once built.  A strict model needs a
-    space of envelopes, and its API-built occurrences' roles are checked
-    once, here."""
+    plus their signature space, which every model needs; fixed once built.
+    A strict model needs a space of envelopes, and its API-built
+    occurrences' roles are checked once, here."""
 
     sequences: tuple  # tuple[Sequence, ...]
     mode: Mode
-    space: "object" = None  # SignatureSpace; untyped to avoid an import cycle
+    space: "object"  # SignatureSpace; untyped to avoid an import cycle
 
     def __post_init__(self) -> None:
         sequences = tuple(self.sequences)
@@ -115,8 +116,10 @@ class Model:
             raise ValueError(f"duplicate process ranks in model: {ranks}")
         object.__setattr__(self, "sequences", sequences)
         strict = self.mode is Mode.STRICT
-        if strict and (self.space is None or self.space.entries and isinstance(self.space.entries[0], str)):
-            raise ValueError(f"a strict model needs a signature space of envelopes, got {self.space and self.space.entries[0]!r}")
+        if self.space is None:  # Legality's table is indexed by signature
+            raise ValueError(f"{'a strict' if strict else 'an abstract'} model needs a signature space")
+        if strict and self.space.entries and isinstance(self.space.entries[0], str):
+            raise ValueError(f"a strict model needs a signature space of envelopes, got {self.space.entries[0]!r}")
         object.__setattr__(self, "_role_violation", _role_violation(sequences, self.space.entries) if strict else None)
 
     @property
@@ -240,6 +243,7 @@ def _tracked_distinct(signatures) -> Optional[dict]:
 
 _THIRD = "occurs in 3 sequences, expected exactly 2"
 _LONELY = "occurs in 1 sequence, expected exactly 2"
+_FREE = (None, None, None)  # an abstract signature's ends before its first member
 
 
 class Legality:
@@ -248,82 +252,75 @@ class Legality:
     a violation.  `add` reads a chunk's distinct signatures once, in order,
     and keeps the first violation; `finish` judges only lonely signatures.
 
-    A strict signature's members must be the endpoints of its entry in the
-    space, so its membership is two bits in a `bytearray`: 1 seen at the
-    source, 2 at the destination, each its endpoint's index in the entry.
-    Abstract members are kept in dicts.  In either mode a signature outside
-    a given space is a violation where it is met.  `strict` None, a
-    stream's, is read from the space's first entry at the first occurrence."""
+    One table serves both modes: items 1 and 2 of `ends[sig]` are its two
+    members, and `bits[sig]`, a byte, holds the index of each one seen.  A
+    strict `ends` is the space's own entries, whose endpoints are the
+    members; an abstract one learns each rank into a free slot.  Any other
+    rank is off the endpoints or a third member, and a signature outside the
+    space is a violation where it is met.  `strict` None, a stream's, is
+    read from the space's first entry."""
 
-    def __init__(self, space=None, strict: Optional[bool] = None) -> None:
+    def __init__(self, space, strict: Optional[bool] = None) -> None:
         self.violation: Optional[IllegalReason] = None
-        self._entries = None if space is None else space.entries  # a stream's grows in place
-        self._strict = strict
-        # abstract: signature -> its first and its second member rank; int to
-        # int, so the cyclic GC never scans them
-        self._first: dict = {}
-        self._second: dict = {}
-        self._bits = bytearray()  # strict: signature -> its bits
+        self._entries = space.entries  # a stream's grows in place
+        self._ends = None if strict is None else space.entries if strict else []
+        self._bits = bytearray()
 
     def add(self, rank: int, signatures) -> None:
         """Record `signatures`, the next occurrences of sequence `rank`."""
         if self.violation is not None:
             return
-        entries, strict = self._entries, self._strict
-        if strict is None and len(signatures):
-            strict = self._strict = bool(entries) and not isinstance(entries[0], str)
+        entries, ends = self._entries, self._ends
+        if ends is None and entries:  # with no entry, every signature is outside
+            ends = self._ends = [] if isinstance(entries[0], str) else entries
         # membership changes at most twice per signature, so look at each
         # distinct signature once, in order of first appearance
         distinct = _tracked_distinct(signatures)
         if distinct is None:
             distinct = dict.fromkeys(signatures)
-        size = None if entries is None else len(entries)
-        if strict:
-            bits = self._bits
-            if len(bits) < size:  # a stream's space grows; at least double
-                bits.extend(bytes(size))
-            for sig in distinct:
-                if not 0 <= sig < size:
-                    self.violation = _outside(sig, rank, size)
-                    return
-                env = entries[sig]
-                seen = 1 if rank == env[1] else 2 if rank == env[2] else 0
-                if not seen:
+        bits, size = self._bits, len(entries)
+        if len(bits) < size:  # a stream's space grows; at least double
+            bits.extend(bytes(size))
+            if ends is not entries:
+                ends += [_FREE] * (len(bits) - len(ends))
+        # abstract: this rank's ends alone, and with each first member, shared
+        mine, last, pairs = (None, rank, None), None, {}
+        for sig in distinct:
+            if not 0 <= sig < size:
+                self.violation = _outside(sig, rank, size)
+                return
+            env = ends[sig]
+            if env is _FREE:  # abstract, no member yet
+                ends[sig] = mine
+                bits[sig] = 1
+                continue
+            seen = 1 if rank == env[1] else 2 if rank == env[2] else 0
+            if not seen:
+                if env[2] is not None:
                     self.violation = self._off_endpoints(rank, sig)
                     return
-                bits[sig] |= seen
-        else:
-            first, second = self._first, self._second
-            for sig in distinct:
-                if size is not None and not 0 <= sig < size:
-                    self.violation = _outside(sig, rank, size)
-                    return
-                member = first.setdefault(sig, rank)
-                if member != rank and second.setdefault(sig, rank) != rank:
-                    self.violation = IllegalReason(sig, tuple(sorted((member, second[sig], rank))), _THIRD)
-                    return
+                if env is not last:  # abstract, one member: one lookup per run of one first member
+                    last, pair = env, pairs.get(env[1]) or pairs.setdefault(env[1], (None, env[1], rank))
+                ends[sig], seen = pair, 2
+            bits[sig] |= seen
 
     def _off_endpoints(self, rank: int, sig: int) -> IllegalReason:
-        """The violation of strict member `rank` of `sig`, off its entry's endpoints."""
-        env, seen = self._entries[sig], self._bits[sig]
+        """The violation of member `rank` of `sig`, neither of its ends."""
+        env, seen = self._ends[sig], self._bits[sig]
         if seen == 3:
             return IllegalReason(sig, tuple(sorted((env[1], env[2], rank))), _THIRD)
-        ranks, ends = sorted({rank, env[seen]} if seen else {rank}), sorted((env[1], env[2]))
-        return IllegalReason(sig, tuple(ranks), f"occurs in sequences {ranks} but its envelope endpoints are {ends}")
+        ranks, endpoints = sorted({rank, env[seen]} if seen else {rank}), sorted((env[1], env[2]))
+        return IllegalReason(sig, tuple(ranks), f"occurs in sequences {ranks} but its envelope endpoints are {endpoints}")
 
     def finish(self) -> Optional[IllegalReason]:
         """Judge the model as complete: every signature must have two members."""
         if self.violation is not None:
             return self.violation
-        first, bits = self._first, self._bits
-        if self._strict:
-            lonely = [sig for sig in (bits.find(1), bits.find(2)) if sig >= 0]  # two memchr passes
-            if lonely:
-                sig = min(lonely)
-                self.violation = IllegalReason(sig, (self._entries[sig][bits[sig]],), _LONELY)
-        elif len(first) > len(self._second):
-            sig = min(sig for sig in first if sig not in self._second)
-            self.violation = IllegalReason(sig, (first[sig],), _LONELY)
+        bits = self._bits
+        lonely = [sig for sig in (bits.find(1), bits.find(2)) if sig >= 0]  # two memchr passes
+        if lonely:
+            sig = min(lonely)
+            self.violation = IllegalReason(sig, (self._ends[sig][bits[sig]],), _LONELY)
         return self.violation
 
 
@@ -350,7 +347,7 @@ def deadlock_report(columns: dict, cursors: dict, space) -> DeadlockReport:
 
     Every occurrence before a cursor was consumed in a rendezvous; the
     occurrence at a cursor, if any, is a blocked head, whose envelope is
-    its signature's entry in `space` (none without a space).
+    its signature's entry in `space` (None for a character).
     """
     blocked = []
     total = consumed = 0
@@ -361,7 +358,7 @@ def deadlock_report(columns: dict, cursors: dict, space) -> DeadlockReport:
         consumed += cur
         if cur < len(column):
             sig = column[cur]
-            blocked.append(BlockedEntry(rank, cur, sig, None if space is None else space.envelope_of(sig)))
+            blocked.append(BlockedEntry(rank, cur, sig, space.envelope_of(sig)))
     return DeadlockReport(
         blocked=tuple(blocked),
         matched_pairs=consumed // 2,

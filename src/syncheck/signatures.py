@@ -18,12 +18,12 @@ class _CharTable(dict):
     and its index there is its signature; a whitespace character
     (`str.isspace`, the test `str.split` uses) maps to None, so `translate`
     deletes it.  `SignatureSpace.char_table` makes one over a space's
-    entries."""
+    entries, whose one-character entries keep their signatures."""
 
     __slots__ = ("entries",)  # a slot reads faster than an instance dict on each new character
 
     def __init__(self, entries: list) -> None:
-        super().__init__()
+        super().__init__((ord(e), sig) for sig, e in enumerate(entries) if isinstance(e, str) and len(e) == 1 and not e.isspace())
         self.entries = entries
 
     def __missing__(self, code: int) -> Optional[int]:

@@ -34,6 +34,12 @@ def abstract_model(*strings: str) -> Model:
     return parse_abstract("\n".join(strings))
 
 
+def char_space(size: int) -> SignatureSpace:
+    """A space of `size` characters, signature k the character chr(k), for
+    engines and `Legality` passes fed plain signatures."""
+    return SignatureSpace(map(chr, range(size)))
+
+
 def model_from_tuples(seqs) -> Model:
     """Build an abstract model straight from per-rank character tuples."""
     space = SignatureSpace()

@@ -210,7 +210,7 @@ def test_criterion_6_streaming_equivalence():
             batch_verdict, batch_engine = check_with_engine(model)
             batch = _report_body(batch_verdict, model.space, batch_engine)
 
-            engine = Engine()
+            engine = Engine(model.space)
             pending = {s.rank: list(s.column) for s in model.sequences}
             for rank in pending:
                 engine.append(rank, [])

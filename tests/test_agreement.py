@@ -6,6 +6,7 @@ random append/close interleavings, once through `Engine` and once through
 """
 import json
 import random
+import re
 
 import pytest
 
@@ -48,7 +49,7 @@ def test_engine_stream_agrees_with_check():
         model = model_from_tuples(rows)
         batch = check(model)
 
-        engine = Engine()
+        engine = Engine(model.space)
         for rank, start, end in events:
             if start is None:
                 engine.close(rank)
@@ -198,3 +199,50 @@ def test_abstract_and_strict_twins_name_the_same_violation():
     assert reasons[0] == reasons[1]
     assert reasons[0].message == "signature 5 at rank 0 is outside the signature space, range(2)"
     assert [check(model).reason for model in twins] == reasons
+
+
+def _rank_reports(tmp_path, r) -> str:
+    """The JSON reports, one per line, that models with a rank `r` above all
+    their other ranks get: two DSL models (one completes, one deadlocks) from
+    `check` and from a strict `stream`, which must agree; two abstract API
+    models from `check` and from an `Engine` stream; and violations that
+    name `r`, as a third member, off its endpoints or lonely."""
+    reports = []
+    path = tmp_path / "m.dsl"
+    for body, tokens in [
+        ("send tag=1 to {r}; recv tag=2 from {r};", "1,0,{r} 2,{r},0"),
+        ("recv tag=2 from {r}; send tag=1 to {r};", "2,{r},0 1,0,{r}"),
+    ]:
+        path.write_text(f"process 0 {{ {body.format(r=r)} }}\nprocess {r} {{ recv tag=1 from 0; send tag=2 to 0; }}\n")
+        events = f"append 0 {tokens.format(r=r)}\nappend {r} 1,0,{r} 2,{r},0\nclose 0\nclose {r}\n"
+        code, out, _ = run_cli(["check", str(path), "--format", "json"])
+        streamed = run_cli(["stream", "--mode", "strict", "--format", "json"], events)
+        keys = ("verdict", "blocked", "matchedPairs", "residual")
+        assert streamed[0] == code and [json.loads(streamed[1])[k] for k in keys] == [json.loads(out)[k] for k in keys]
+        reports.append(out)
+    space = SignatureSpace(["a", "b"])
+    for row in ([0, 1], [1, 0]):
+        model = Model([Sequence(0, column=[0, 1]), Sequence(r, column=row)], Mode.ABSTRACT, space)
+        engine = Engine(space)
+        for seq in model.sequences:
+            engine.append(seq.rank, seq.column)
+            engine.close(seq.rank)
+        assert engine.drain() == check(model)
+        reports.append(json.dumps(build_report(check(model), space, messages=model.message_count)))
+    for ranks in ([0, 3, r], [r, 0, 3], [r]):  # a third member, learned last or first; one member
+        model = Model([Sequence(rank, column=[0]) for rank in ranks], Mode.ABSTRACT, SignatureSpace(["a"]))
+        reports.append(json.dumps(build_report(check(model), model.space, messages=model.message_count)))
+    for events in (f"append 3 1,0,{r}", f"append 0 1,0,{r}\nappend {r} 1,0,{r}\nappend 3 1,0,{r}", f"append {r} 1,0,{r}\nclose {r}"):
+        reports.append(run_cli(["stream", "--format", "json"], events + "\n")[1])
+    return "\n".join(reports)
+
+
+@pytest.mark.parametrize("big", [2**31, 2**64 + 1], ids=["2**31", "2**64+1"])
+def test_a_rank_past_a_c_long_gets_the_verdicts_of_a_small_one(tmp_path, big):
+    # member ranks are kept as Python ints, so a rank that fits no C int or
+    # long is judged as rank 7 is, in every front end
+    small = _rank_reports(tmp_path, 7)
+    assert _rank_reports(tmp_path, big).replace(str(big), "7") == small
+    assert ['"verdict": "ok"', '"verdict": "deadlock"'] == re.findall(r'"verdict": "\w+"', small)[:2]
+    assert small.count("occurs in 3 sequences") == 3 and small.count("endpoints are [0, 7]") == 1
+    assert small.count("occurs in 1 sequence") == 2

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from support import (
     PAPER_DSL,
     abstract_model,
+    char_space,
     classify,
     in_order,
     interleaving,
@@ -93,41 +94,41 @@ class TestBatchFixtures:
 
 def assert_one_pending_per_signature(engine):
     # the table maps a signature to its one pending rank, and that rank is
-    # blocked on the signature; a stream's members live in its Legality:
-    # two distinct ranks per abstract signature, and a strict signature's
-    # pending rank is an endpoint of its entry that its bits have seen
-    legality = engine._legality
+    # blocked on the signature; until a violation, at most two sequences
+    # hold the signature, and a strict signature's pending rank is an
+    # endpoint of its entry
     for signature, pending in engine._table.items():
         assert engine._col[pending][engine._cursor[pending]] == signature
         assert pending not in engine._queue
-        if legality._strict:
-            entry = engine._space.entries[signature]
-            assert legality._bits[signature] & (1 if pending == entry[1] else 2 if pending == entry[2] else 0)
-    first, second = legality._first, legality._second
-    assert all(first[sig] != rank for sig, rank in second.items())
-    assert not (legality._strict and first)
+        members = [rank for rank, col in engine._col.items() if signature in col]
+        assert len(members) <= 2 or engine._legality.violation is not None
+        entry = engine._space.entries[signature]
+        assert isinstance(entry, str) or pending in (entry[1], entry[2])
 
 
 class TestStepSemantics:
     def test_paper_example_registers_three_pendings(self):
-        engine = Engine()
-        engine.load(abstract_model("ab", "bc", "ca"))
+        model = abstract_model("ab", "bc", "ca")
+        engine = Engine(model.space)
+        engine.load(model)
         assert isinstance(engine.drain(), Deadlock)
         assert engine.matched_pairs == 0
         assert engine.steps == 3
         assert sorted(engine._table.values()) == [0, 1, 2]
 
     def test_two_steps_complete_a_rendezvous(self):
-        engine = Engine()
-        engine.load(abstract_model("a", "a"))
+        model = abstract_model("a", "a")
+        engine = Engine(model.space)
+        engine.load(model)
         assert isinstance(engine.drain(), NoDeadlock)
         assert engine.steps == 2
         assert engine._cursor == {0: 1, 1: 1}
 
     def test_third_registration_halts_illegal(self):
         # the third member rank is seen at load, so drain halts before a step
-        engine = Engine()
-        engine.load(abstract_model("a", "a", "a"))
+        model = abstract_model("a", "a", "a")
+        engine = Engine(model.space)
+        engine.load(model)
         verdict = engine.drain()
         assert isinstance(verdict, Illegal)
         assert verdict.reason.ranks == (0, 1, 2)
@@ -136,8 +137,8 @@ class TestStepSemantics:
 
     def test_matchers_hold_at_most_one_pending(self):
         # streamed one occurrence at a time, so heads pend between drains
-        engine = Engine()
         space = abstract_model("").space
+        engine = Engine(space)
         for rank in (2, 3):
             engine.append(rank, [])
         for chars in ("abc", "cba"):
@@ -152,8 +153,8 @@ class TestStepSemantics:
 
 class TestStreaming:
     def test_batch_equals_streamed_paper_example(self):
-        engine = Engine()
         space = abstract_model("ab").space  # any space; characters intern on demand
+        engine = Engine(space)
         for rank, chars in enumerate(["ab", "bc", "ca"]):
             for ch in chars:
                 engine.append(rank, [sig(space, ch)])
@@ -166,8 +167,8 @@ class TestStreaming:
         assert verdict.report.residual == 6
 
     def test_pair_streamed(self):
-        engine = Engine()
         space = abstract_model("").space
+        engine = Engine(space)
         engine.append(0, [sig(space, "a")])
         engine.append(1, [sig(space, "a")])
         engine.close(0)
@@ -175,8 +176,8 @@ class TestStreaming:
         assert isinstance(engine.drain(), NoDeadlock)
 
     def test_append_to_blocked_sequence_keeps_head(self):
-        engine = Engine()
         space = abstract_model("").space
+        engine = Engine(space)
         engine.append(0, [sig(space, "a")])
         assert engine.drain() is None  # pending on a, rank 1 still open implicitly
         engine.append(0, [sig(space, "b")])
@@ -193,7 +194,7 @@ class TestStreaming:
     def test_append_reads_a_list_or_an_array_of_any_typecode(self, as_chunk):
         # ab/ba deadlocks after a and b run in lockstep; c lies in one sequence
         rows = {0: [0, 1, 0, 1, 2], 1: [0, 1, 1, 0], 2: [3], 3: [3]}
-        engine = Engine()
+        engine = Engine(char_space(4))
         for rank, row in rows.items():
             engine.append(rank, as_chunk(row[:2]))
             engine.append(rank, as_chunk(row[2:]))
@@ -215,7 +216,7 @@ class TestStreaming:
     def test_a_generator_chunk_is_judged_as_its_list(self, rows):
         # a one-shot iterator is read once, and Legality judges what the column received
         def run(as_chunk):
-            engine = Engine()
+            engine = Engine(char_space(2))
             for rank, row in rows.items():
                 engine.append(rank, as_chunk(row))
                 if engine.drain() is not None:
@@ -236,7 +237,7 @@ class TestStreaming:
             return paths[-1]
 
         monkeypatch.setattr(model_mod, "_tracked_distinct", spy)
-        engine = Engine()
+        engine = Engine(char_space(2))
         engine.append(0, array("i", [0, 1] * _TRACKED_MIN))
         engine.append(1, [0, 1] * _TRACKED_MIN)
         assert [path is not None for path in paths] == [True, False]
@@ -254,8 +255,8 @@ class TestStreaming:
         assert [engine._col[seq.rank] is seq.column for seq in model.sequences] == [True] * 4
 
     def test_exhausted_idle_sequence_requeued_on_append(self):
-        engine = Engine()
         space = abstract_model("").space
+        engine = Engine(space)
         engine.append(0, [sig(space, "a")])
         engine.append(1, [sig(space, "a")])
         assert engine.drain() is None
@@ -269,29 +270,29 @@ class TestStreaming:
         assert engine.matched_pairs == 2
 
     def test_append_after_close_fails(self):
-        engine = Engine()
         space = abstract_model("").space
+        engine = Engine(space)
         engine.append(0, [sig(space, "a")])
         engine.close(0)
         with pytest.raises(EngineError, match="closed"):
             engine.append(0, [sig(space, "b")])
 
     def test_double_close_fails(self):
-        engine = Engine()
         space = abstract_model("").space
+        engine = Engine(space)
         engine.append(0, [sig(space, "a")])
         engine.close(0)
         with pytest.raises(EngineError, match="already closed"):
             engine.close(0)
 
     def test_close_unknown_rank_fails(self):
-        engine = Engine()
+        engine = Engine(SignatureSpace())
         with pytest.raises(EngineError, match="unknown"):
             engine.close(3)
 
     def test_append_after_finalization_fails(self):
-        engine = Engine()
         space = abstract_model("").space
+        engine = Engine(space)
         engine.append(0, [sig(space, "a")])
         engine.append(1, [sig(space, "a")])
         engine.close(0)
@@ -303,8 +304,8 @@ class TestStreaming:
             engine.close(0)
 
     def test_streamed_open_sequence_defers_verdict_until_closed(self):
-        engine = Engine()
         space = abstract_model("").space
+        engine = Engine(space)
         engine.append(0, [sig(space, "a")])
         engine.append(1, [sig(space, "a")])
         engine.close(0)
@@ -318,8 +319,8 @@ class TestStreaming:
     def test_loaded_engine_takes_no_new_rank(self):
         # a loaded model is complete: a new rank would meet a Legality that
         # knows none of the loaded members
-        engine = Engine()
         model = abstract_model("a", "a")
+        engine = Engine(model.space)
         engine.load(model)
         with pytest.raises(EngineError, match="new rank 2"):
             engine.append(2, [sig(model.space, "a")])
@@ -328,8 +329,9 @@ class TestStreaming:
         assert isinstance(engine.drain(), NoDeadlock)
 
     def test_load_twice_fails(self):
-        engine = Engine()
-        engine.load(abstract_model("a", "a"))
+        model = abstract_model("a", "a")
+        engine = Engine(model.space)
+        engine.load(model)
         with pytest.raises(EngineError, match="already loaded"):
             engine.load(abstract_model("b", "b"))
 
@@ -351,26 +353,43 @@ class TestStreaming:
     def test_strict_engine_rejects_bare_occurrences(self):
         # occurrences enter only through load, where a strict one without an
         # envelope is illegal, as in a batch check
-        engine = Engine()
-        engine.load(Model([Sequence(0, [MessageOccurrence(0)])], Mode.STRICT, SignatureSpace()))
+        model = Model([Sequence(0, [MessageOccurrence(0)])], Mode.STRICT, SignatureSpace())
+        engine = Engine(model.space)
+        engine.load(model)
         verdict = engine.drain()
         assert isinstance(verdict, Illegal)
         assert verdict.reason.ranks == (0,)
         assert "no envelope" in verdict.reason.message
 
     def test_strict_role_mismatch_halts_illegal(self):
-        engine = Engine()
         env = Envelope(tag=1, source=0, destination=1)
         space = SignatureSpace()
+        engine = Engine(space)
         rows = [Sequence(1, [MessageOccurrence(space.signature_for(env), Role.SEND, env)])]  # rank 1 is not the source
         engine.load(Model(rows, Mode.STRICT, space))
         verdict = engine.drain()
         assert isinstance(verdict, Illegal)
         assert verdict.reason.message == "send at rank 1 pos 0 but envelope source is 0"
 
+    @pytest.mark.parametrize("interned", ["before", "after"])
+    def test_a_strict_stream_whose_first_append_is_empty_stays_strict(self, interned):
+        # the mode is read at the first occurrence, so rank 2, off the
+        # envelope's endpoints, is illegal as `check` finds, whether the
+        # envelope was in the space before the empty append or interned after
+        env = Envelope(1, 0, 1)
+        space = SignatureSpace([env] if interned == "before" else [])
+        engine = Engine(space)
+        engine.append(0, [])
+        x = space.signature_for(env)
+        engine.append(0, [x])
+        engine.append(2, [x])
+        verdict = engine.drain()
+        assert verdict == check(Model([Sequence(0, column=[x]), Sequence(2, column=[x])], Mode.STRICT, space))
+        assert verdict.reason.message == "occurs in sequences [0, 2] but its envelope endpoints are [0, 1]"
+
     def test_engines_are_independent(self):
-        a, b = Engine(), Engine()
         space = abstract_model("").space
+        a, b = Engine(space), Engine(space)
         a.append(0, [sig(space, "a")])
         b.append(0, [sig(space, "a")])
         a.append(1, [sig(space, "a")])
@@ -397,7 +416,7 @@ class TestColumnAdoption:
     def test_a_streamed_array_is_copied(self):
         # ab / ba deadlocks at both heads; rewritten to ba / ba, it would complete
         chunk = array("i", [0, 1])
-        engine = Engine()
+        engine = Engine(char_space(2))
         engine.append(0, chunk)
         engine.append(1, array("i", [1, 0]))
         chunk[0], chunk[1] = 1, 0
@@ -515,7 +534,7 @@ class TestInvariants:
         for _ in range(300):
             rows = random_rows(rng)
             model = model_from_tuples(rows)
-            engine = Engine()
+            engine = Engine(model.space)
             assert_queue_ok(engine)
             if rng.random() < 0.25:
                 order = [s.rank for s in model.sequences]
@@ -540,7 +559,7 @@ class TestInvariants:
             model = random_legal_abstract(rng)
             batch = check(model)
 
-            engine = Engine()
+            engine = Engine(model.space)
             pending = {
                 s.rank: list(s.column) for s in model.sequences
             }
@@ -598,7 +617,7 @@ class TestOrderFreedom:
         for count in range(4):
             for rows in itertools.product(lines, repeat=count):
                 model = model_from_tuples(rows)
-                plain, shuffled = Engine(), Engine()
+                plain, shuffled = Engine(model.space), Engine(model.space)
                 shuffled._queue = _RandomPop(rng)
                 plain.load(model)
                 shuffled.load(model)
@@ -722,7 +741,7 @@ def test_lockstep_runs_agree_with_cycle_check_batch_and_streamed():
         verdict, engine = check_with_engine(model)
         assert verdict == cycle_check(model).verdict
         for _ in range(2):
-            streamed = Engine()
+            streamed = Engine(model.space)
             rows = [seq.column for seq in model.sequences]
             for rank, start, end in interleaving(rng, rows):
                 if start is None:

@@ -3,7 +3,7 @@ from array import array
 
 import pytest
 
-from support import PAPER_DSL, OrderedLegality, abstract_model, interleaving, random_rows
+from support import PAPER_DSL, OrderedLegality, abstract_model, char_space, interleaving, random_rows
 from syncheck import (
     Envelope,
     MessageOccurrence,
@@ -263,11 +263,25 @@ def test_legality_sees_the_distinct_signatures_of_a_column(column):
     assert (tracked is not None) == takes_translate
     if tracked is not None:
         assert list(tracked) == list(dict.fromkeys(column))  # in order of first appearance
-    legality = Legality()
-    legality.add(0, column)
-    legality.add(1, column)
-    assert set(legality._first) == set(legality._second) == set(column)
-    assert legality.finish() is None
+    space = char_space(0xE000)  # every signature here but -7 and 2**31 - 1
+
+    def legality_of(*ranks):
+        legality = Legality(space)
+        for rank in ranks:
+            legality.add(rank, column)
+        return legality
+
+    outside = [sig for sig in column if not 0 <= sig < len(space)]
+    if outside:  # met where it occurs
+        message = f"signature {outside[0]} at rank 0 is outside the signature space, range({len(space)})"
+        assert _as_tuple(legality_of(0).violation) == (None, (0,), message)
+        return
+    # two ranks make every signature legal; one leaves the lowest lonely,
+    # and a third meets the first signature as a third member
+    assert legality_of(0, 1).finish() is None
+    if column:
+        assert _as_tuple(legality_of(0).finish()) == (min(column), (0,), "occurs in 1 sequence, expected exactly 2")
+        assert _as_tuple(legality_of(0, 1, 2).violation) == (column[0], (0, 1, 2), "occurs in 3 sequences, expected exactly 2")
 
 
 @pytest.mark.parametrize("length", [_TRACKED_MIN - 1, _TRACKED_MIN])
@@ -281,13 +295,22 @@ def test_tracked_min_decides_the_path_of_an_ascii_column(length, monkeypatch):
         return paths[-1]
 
     monkeypatch.setattr(model_mod, "_tracked_distinct", spy)
-    legality = Legality()
+    legality = Legality(char_space(101))
     legality.add(0, column)
     legality.add(1, column)
     assert [tracked is not None for tracked in paths] == [length >= _TRACKED_MIN] * 2
+    assert legality.finish() is None
     in_order = list(dict.fromkeys(column))
     assert in_order != sorted(in_order)
-    assert list(legality._first) == list(legality._second) == in_order
+    # members are met in order of first appearance: with every signature but
+    # the first on ranks 0 and 1, a third rank's column names the second
+    # (37) as a third member, where sorted order would name 1
+    legality = Legality(char_space(101))
+    legality.add(0, in_order[1:])
+    legality.add(1, in_order[1:])
+    legality.add(2, column)
+    assert [tracked is not None for tracked in paths[2:]] == [False, False, length >= _TRACKED_MIN]
+    assert _as_tuple(legality.violation) == (in_order[1], (0, 1, 2), "occurs in 3 sequences, expected exactly 2")
     # either path finds the same distinct signatures in the same order
     monkeypatch.setattr(model_mod, "_TRACKED_MIN", 1)
     assert list(_tracked_distinct(column)) == in_order

@@ -145,6 +145,17 @@ def test_char_table_issues_signatures_in_order_of_first_lookup():
     assert list(table.column("\U0001f600 b\xa0")) == [2, 0]
 
 
+def test_char_table_keeps_a_spaces_characters():
+    # a table over a space that holds characters reads them as the space's
+    # signatures and issues new ones only to new characters; a whitespace
+    # entry is still deleted, and an entry of two characters is no character
+    space = SignatureSpace(["a", "b", " ", "cd"])
+    assert list(space.char_table().column("ab a\tc")) == [0, 1, 0, 4]
+    assert space.entries == ["a", "b", " ", "cd", "c"]
+    assert list(space.char_table().column("cab")) == [4, 0, 1]
+    assert space.entries == ["a", "b", " ", "cd", "c"]
+
+
 def test_char_table_deletes_what_str_split_splits_at():
     spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
     assert len(spaces) == 29
