@@ -3,9 +3,9 @@
 A "signature" is a dense nonnegative int, and its entry in its
 :class:`~syncheck.signatures.SignatureSpace` is its envelope (or character):
 the space is the one envelope authority.  Every sequence is one
-``array('i')`` column of signatures.  A `Model` is fixed once built and
-needs a space in either mode; a strict one needs a space of envelopes, and
-checks each API-built occurrence's role once, when built.  `Legality`
+``array('i')`` column of signatures.  A `Model` is fixed once built, and
+its space holds its mode's kind, envelopes (strict) or characters; a strict
+one checks each API-built occurrence's role once, when built.  `Legality`
 judges every other rule, with one membership table for both modes.
 """
 from __future__ import annotations
@@ -102,8 +102,8 @@ class Sequence:
 class Model:
     """A tuple of sequences, from any iterable, with pairwise-distinct ranks,
     plus their signature space, which every model needs; fixed once built.
-    A strict model needs a space of envelopes, and its API-built
-    occurrences' roles are checked once, here."""
+    The space holds the mode's kind, envelopes (strict) or characters, and
+    a strict model's API-built occurrences' roles are checked once, here."""
 
     sequences: tuple  # tuple[Sequence, ...]
     mode: Mode
@@ -118,8 +118,8 @@ class Model:
         strict = self.mode is Mode.STRICT
         if self.space is None:  # Legality's table is indexed by signature
             raise ValueError(f"{'a strict' if strict else 'an abstract'} model needs a signature space")
-        if strict and self.space.entries and isinstance(self.space.entries[0], str):
-            raise ValueError(f"a strict model needs a signature space of envelopes, got {self.space.entries[0]!r}")
+        if self.space.entries and isinstance(self.space.entries[0], str) is strict:  # an empty space fits either mode
+            raise ValueError(f"{'a strict' if strict else 'an abstract'} model needs a signature space of {'envelopes' if strict else 'characters'}, got {self.space.entries[0]!r}")
         object.__setattr__(self, "_role_violation", _role_violation(sequences, self.space.entries) if strict else None)
 
     @property
@@ -257,13 +257,12 @@ class Legality:
     strict `ends` is the space's own entries, whose endpoints are the
     members; an abstract one learns each rank into a free slot.  Any other
     rank is off the endpoints or a third member, and a signature outside the
-    space is a violation where it is met.  `strict` None, a stream's, is
-    read from the space's first entry."""
+    space is a violation where it is met.  The first entry gives the mode."""
 
-    def __init__(self, space, strict: Optional[bool] = None) -> None:
+    def __init__(self, space) -> None:
         self.violation: Optional[IllegalReason] = None
         self._entries = space.entries  # a stream's grows in place
-        self._ends = None if strict is None else space.entries if strict else []
+        self._ends = None  # the entries, or an abstract table, from the first entry
         self._bits = bytearray()
 
     def add(self, rank: int, signatures) -> None:
@@ -336,7 +335,7 @@ def validate_static(model: Model) -> Optional[IllegalReason]:
     model order, else the lowest lonely signature."""
     if model._role_violation is not None:
         return model._role_violation
-    legality = Legality(model.space, model.mode is Mode.STRICT)
+    legality = Legality(model.space)
     for seq in model.sequences:
         legality.add(seq.rank, seq.column)
     return legality.finish()

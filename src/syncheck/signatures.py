@@ -1,8 +1,8 @@
 """Signature space: dense unique integers for message envelopes or characters.
 
-Entry k of a space, an envelope tuple or a character, has signature k.
-The flat dict from entries back to signatures is made on the first
-interning call, so a space built from a parser's entries keeps none.
+Entry k of a space has signature k; every entry has the kind of the first,
+envelope tuple or character.  The entry -> signature dict is made on the
+first interning call, so a space built from a parser's entries keeps none.
 """
 from __future__ import annotations
 
@@ -10,6 +10,15 @@ from array import array
 from typing import Iterable, Optional, Union
 
 from .model import _UTF32_NATIVE, COLUMN_TYPECODE, Envelope, check_envelope
+
+
+def _append(entries: list, entry: Union[tuple, str]) -> int:
+    """Append new `entry` to a space's `entries` and return its signature.  A
+    space holds one kind, that of its first entry, so the other raises."""
+    if entries and isinstance(entry, str) is not isinstance(entries[0], str):
+        raise ValueError(f"character {entry!r} in a space of envelopes" if isinstance(entry, str) else f"envelope {entry!r} in a space of characters")
+    entries.append(entry)
+    return len(entries) - 1
 
 
 class _CharTable(dict):
@@ -23,17 +32,13 @@ class _CharTable(dict):
     __slots__ = ("entries",)  # a slot reads faster than an instance dict on each new character
 
     def __init__(self, entries: list) -> None:
-        super().__init__((ord(e), sig) for sig, e in enumerate(entries) if isinstance(e, str) and len(e) == 1 and not e.isspace())
+        super().__init__((ord(e), sig) for sig, e in enumerate(entries) if len(e) == 1 and not e.isspace())
         self.entries = entries
 
     def __missing__(self, code: int) -> Optional[int]:
         ch = chr(code)
-        if ch.isspace():
-            self[code] = None
-            return None
-        entries = self.entries
-        sig = self[code] = len(entries)
-        entries.append(ch)
+        # a ValueError from `_append` stops `translate`, which reads a LookupError as "keep the character"
+        sig = self[code] = None if ch.isspace() else _append(self.entries, ch)
         return sig
 
     def column(self, text: str) -> array:
@@ -74,8 +79,8 @@ class SignatureSpace:
         return self._entries
 
     def signature_for(self, env: Envelope) -> int:
-        """Create-or-retrieve the signature of an envelope, which every call
-        validates, also when an equal one is already interned."""
+        """Create-or-retrieve the signature of an envelope, validated on every
+        call, also when an equal one is interned; a space of characters refuses a new one."""
         check_envelope(env)
         return self._intern(env)
 
@@ -86,10 +91,7 @@ class SignatureSpace:
         return _CharTable(self._entries)
 
     def intern_character(self, ch: str) -> int:
-        """Create-or-retrieve the signature of an abstract character token;
-        a space of envelopes refuses one, since its entries are read as envelopes."""
-        if self._entries and not isinstance(self._entries[0], str):
-            raise ValueError(f"character {ch!r} in a space of envelopes")
+        """Create-or-retrieve the signature of a character token; a space of envelopes refuses a new one."""
         return self._intern(ch)
 
     def _intern(self, entry: Union[tuple, str]) -> int:
@@ -99,8 +101,7 @@ class SignatureSpace:
             index = self._index = {e: sig for sig, e in enumerate(self._entries)}
         sig = index.get(entry)
         if sig is None:
-            sig = index[entry] = len(self._entries)
-            self._entries.append(entry)
+            sig = index[entry] = _append(self._entries, entry)
         return sig
 
     def envelope_of(self, sig: int) -> Optional[Envelope]:

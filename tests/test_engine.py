@@ -387,6 +387,20 @@ class TestStreaming:
         assert verdict == check(Model([Sequence(0, column=[x]), Sequence(2, column=[x])], Mode.STRICT, space))
         assert verdict.reason.message == "occurs in sequences [0, 2] but its envelope endpoints are [0, 1]"
 
+    def test_a_character_table_over_envelopes_refuses_a_character(self):
+        # the table once appended 'a' and 'b' to the space of envelopes, and
+        # `drain` then read them as envelopes: IndexError: string index
+        env = Envelope(1, 0, 1)
+        space = SignatureSpace([env])
+        table, engine = space.char_table(), Engine(space)
+        for rank in (0, 1):
+            with pytest.raises(ValueError, match="character 'a' in a space of envelopes"):
+                engine.append(rank, table.column("ab"))
+            engine.append(rank, [0])
+            engine.close(rank)
+        assert space.entries == [env]
+        assert engine.drain() == NoDeadlock()
+
     def test_engines_are_independent(self):
         space = abstract_model("").space
         a, b = Engine(space), Engine(space)

@@ -123,12 +123,14 @@ def test_duplicate_ranks_rejected_at_model_construction():
 
 
 def _abstracted(model: Model) -> Model:
-    """The model with roles and envelopes dropped, keeping signatures."""
+    """The model with roles and envelopes dropped, keeping signatures, over
+    a space of characters as large as the model's, since an abstract model
+    needs one."""
     seqs = [
         Sequence(s.rank, [MessageOccurrence(sig) for sig in s.column])
         for s in model.sequences
     ]
-    return Model(sequences=seqs, mode=Mode.ABSTRACT, space=model.space)
+    return Model(sequences=seqs, mode=Mode.ABSTRACT, space=SignatureSpace(map(chr, range(len(model.space)))))
 
 
 def test_abstracting_a_dsl_model_keeps_the_verdict():

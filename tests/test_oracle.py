@@ -124,6 +124,18 @@ class TestCycleCheck:
         assert result.unpaired == ((0, 1),)
         assert result.verdict.report.matched_pairs == 1
 
+    def test_a_wait_cycle_through_an_unpaired_occurrence_has_no_witness(self):
+        # P0 waits on P1 for `a` and P1 on P0 for `b`, a two-rank wait cycle;
+        # P0's order edges stop at its unpaired second `a`, so cycle_check
+        # reports that occurrence and no witness
+        model = parse_abstract("P0: aab\nP1: ba\n")
+        verdict = check(model)
+        assert [(b.rank, b.position, b.signature) for b in verdict.report.blocked] == [(0, 0, 0), (1, 0, 1)]
+        result = cycle_check(model)
+        assert result.verdict == verdict
+        assert result.witness is None
+        assert result.unpaired == ((0, 1),)
+
     def test_illegal_passes_through(self):
         result = cycle_check(abstract_model("a", "a", "a"))
         assert isinstance(result.verdict, Illegal)

@@ -1,4 +1,5 @@
 import re
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -209,6 +210,48 @@ def test_a_space_of_envelopes_refuses_a_character():
         space.intern_character("ab")
     assert space.entries == [Envelope(1, 0, 1)]
     assert isinstance(check(_out_of_space_model(space)), Illegal)  # was IndexError: string index
+
+
+def test_a_space_of_characters_refuses_an_envelope():
+    # an Engine once judged such an envelope as abstract, so ranks 5 and 7,
+    # off its endpoints 0 and 1, drained to NoDeadlock
+    space = SignatureSpace(["a"])
+    with pytest.raises(ValueError, match=re.escape("envelope Envelope(tag=1, source=0, destination=1, communicator=0) in a space of characters")):
+        space.signature_for(Envelope(1, 0, 1))
+    assert space.entries == ["a"]
+
+
+def test_a_character_table_over_envelopes_refuses_a_character():
+    space = SignatureSpace([Envelope(1, 0, 1)])
+    table = space.char_table()
+    with pytest.raises(ValueError, match=re.escape("character 'a' in a space of envelopes")):
+        table.column("ab")
+    assert space.entries == [Envelope(1, 0, 1)]
+    assert table.column(" \t") == array("i")  # whitespace is still deleted
+
+
+@pytest.mark.parametrize("first", ["table", "envelope"])
+def test_an_empty_space_takes_the_kind_of_its_first_entry(first):
+    space = SignatureSpace()
+    table = space.char_table()
+    if first == "table":
+        assert list(table.column("ab")) == [0, 1]
+        with pytest.raises(ValueError, match="in a space of characters"):
+            space.signature_for(Envelope(1, 0, 1))
+        assert space.entries == ["a", "b"]
+    else:
+        assert space.signature_for(Envelope(1, 0, 1)) == 0
+        with pytest.raises(ValueError, match=re.escape("character 'c' in a space of envelopes")):
+            table.column("c")
+        assert space.entries == [Envelope(1, 0, 1)]
+
+
+def test_a_model_needs_a_space_of_its_modes_kind():
+    columns = [Sequence(0, column=[0]), Sequence(1, column=[0])]
+    with pytest.raises(ValueError, match=re.escape("an abstract model needs a signature space of characters, got Envelope(")):
+        Model(columns, Mode.ABSTRACT, SignatureSpace([Envelope(1, 0, 1)]))
+    for mode in Mode:  # an empty space fits either mode
+        assert isinstance(check(Model(columns, mode, SignatureSpace())), Illegal)  # signature 0 is outside it
 
 
 def test_a_space_keeps_its_own_copy_of_a_callers_entries():
