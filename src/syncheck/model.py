@@ -79,17 +79,20 @@ class MessageOccurrence(NamedTuple):
 @dataclass(frozen=True)
 class Sequence:
     """One process's complete, ordered occurrences, given as exactly one of a
-    `column` of signatures and API-built `occurrences`, which are kept for the
-    `Model`'s role check.  Either way `column` becomes an `array('i')` here.
-    A growing sequence lives only in an `Engine`."""
+    `column` of signatures and API-built `occurrences`, which are kept as a
+    tuple for the `Model`'s role check, so they cannot leave the column.
+    Either way `column` becomes an `array('i')` here.  A growing sequence
+    lives only in an `Engine`."""
 
     rank: int
-    occurrences: Optional[list] = None  # list[MessageOccurrence]
+    occurrences: Optional[tuple] = None  # tuple[MessageOccurrence, ...], from any iterable
     column: Optional[array] = None
 
     def __post_init__(self) -> None:
         if (self.occurrences is None) == (self.column is None):
             raise ValueError(f"Sequence {self.rank} takes exactly one of occurrences and column")
+        if self.occurrences is not None:
+            object.__setattr__(self, "occurrences", tuple(self.occurrences))
         column = self.column if self.occurrences is None else [occ.signature for occ in self.occurrences]
         if type(column) is not array or column.typecode != COLUMN_TYPECODE:
             object.__setattr__(self, "column", array(COLUMN_TYPECODE, column))

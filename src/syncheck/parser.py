@@ -25,7 +25,8 @@ An abstract body becomes its column in one C pass: ``str.translate`` over a
 ``signatures._CharTable`` interns each new character, deletes whitespace
 and maps every other character to the character whose code point is its
 signature; that, encoded as native-order UTF-32, is the column's bytes.
-``stream`` reads abstract appends through the same table.
+``stream`` reads abstract appends through the same table.  The model gets
+the parse's entries in a space without an index, as a DSL model does.
 
 The DSL is read in bulk.  One substitution blanks the comments, and one
 ``findall`` per window of a process body (about 16 KiB, ending just after a
@@ -135,7 +136,7 @@ def parse_abstract(text: str) -> Model:
             raise ParseError(lineno, 1, f"process {rank} defined twice", "DuplicateProcess")
         used_ranks.add(rank)
         sequences.append(Sequence(rank=rank, column=table.column(body)))
-    return Model(sequences=sequences, mode=Mode.ABSTRACT, space=space)
+    return Model(sequences=sequences, mode=Mode.ABSTRACT, space=SignatureSpace._adopt(space.entries))
 
 
 # `#` is never a token: without it, backtracking could un-skip a comment.

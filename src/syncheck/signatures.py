@@ -1,8 +1,9 @@
 """Signature space: dense unique integers for message envelopes or characters.
 
 Entry k of a space has signature k; every entry has the kind of the first,
-envelope tuple or character.  The entry -> signature dict is made on the
-first interning call, so a space built from a parser's entries keeps none.
+envelope tuple or character.  A space keeps one entry -> signature dict,
+made on the first interning call, so a space built from a parser's entries
+keeps none; a character table is a code-point cache in front of it.
 """
 from __future__ import annotations
 
@@ -12,33 +13,22 @@ from typing import Iterable, Optional, Union
 from .model import _UTF32_NATIVE, COLUMN_TYPECODE, Envelope, check_envelope
 
 
-def _append(entries: list, entry: Union[tuple, str]) -> int:
-    """Append new `entry` to a space's `entries` and return its signature.  A
-    space holds one kind, that of its first entry, so the other raises."""
-    if entries and isinstance(entry, str) is not isinstance(entries[0], str):
-        raise ValueError(f"character {entry!r} in a space of envelopes" if isinstance(entry, str) else f"envelope {entry!r} in a space of characters")
-    entries.append(entry)
-    return len(entries) - 1
-
-
 class _CharTable(dict):
     """Code point -> signature, the table `str.translate` interns abstract
-    text with.  The first lookup of a character appends it to `entries`,
-    and its index there is its signature; a whitespace character
-    (`str.isspace`, the test `str.split` uses) maps to None, so `translate`
-    deletes it.  `SignatureSpace.char_table` makes one over a space's
-    entries, whose one-character entries keep their signatures."""
+    text with: a cache in front of its space's one index, so a character
+    has one signature however many tables and `intern_character` calls ask
+    for it.  A whitespace character (`str.isspace`, the test `str.split`
+    uses) maps to None, so `translate` deletes it."""
 
-    __slots__ = ("entries",)  # a slot reads faster than an instance dict on each new character
+    __slots__ = ("_intern",)  # a slot reads faster than an instance dict on each new character
 
-    def __init__(self, entries: list) -> None:
-        super().__init__((ord(e), sig) for sig, e in enumerate(entries) if len(e) == 1 and not e.isspace())
-        self.entries = entries
+    def __init__(self, space: "SignatureSpace") -> None:  # empty: dict.__new__ made it
+        self._intern = space._intern
 
     def __missing__(self, code: int) -> Optional[int]:
         ch = chr(code)
-        # a ValueError from `_append` stops `translate`, which reads a LookupError as "keep the character"
-        sig = self[code] = None if ch.isspace() else _append(self.entries, ch)
+        # a ValueError from `_intern` stops `translate`, which reads a LookupError as "keep the character"
+        sig = self[code] = None if ch.isspace() else self._intern(ch)
         return sig
 
     def column(self, text: str) -> array:
@@ -85,23 +75,25 @@ class SignatureSpace:
         return self._intern(env)
 
     def char_table(self) -> _CharTable:
-        """A `_CharTable` that appends new characters to this space's
-        entries.  Either the table or `_intern` extends a space, never both:
-        neither sees what the other appends."""
-        return _CharTable(self._entries)
+        """A `_CharTable` that interns new characters into this space."""
+        return _CharTable(self)
 
     def intern_character(self, ch: str) -> int:
         """Create-or-retrieve the signature of a character token; a space of envelopes refuses a new one."""
         return self._intern(ch)
 
     def _intern(self, entry: Union[tuple, str]) -> int:
-        # an Envelope and a plain tuple with the same fields are one entry
+        # the one place an entry is added; an Envelope and a plain tuple with the same fields are one entry
         index = self._index
         if index is None:
             index = self._index = {e: sig for sig, e in enumerate(self._entries)}
         sig = index.get(entry)
         if sig is None:
-            sig = index[entry] = _append(self._entries, entry)
+            entries = self._entries
+            if entries and isinstance(entry, str) is not isinstance(entries[0], str):
+                raise ValueError(f"character {entry!r} in a space of envelopes" if isinstance(entry, str) else f"envelope {entry!r} in a space of characters")
+            sig = index[entry] = len(entries)
+            entries.append(entry)
         return sig
 
     def envelope_of(self, sig: int) -> Optional[Envelope]:

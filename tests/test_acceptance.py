@@ -181,16 +181,18 @@ def test_criterion_5_linearity():
 def test_parse_dsl_linearity():
     with criterion("5 linearity, parse_dsl"):
         # n = 2^16 parses in about 60 ms on a 2-CPU VM; the texts are
-        # rendered before the timed region, and n and 2n alternate
+        # rendered before the timed region, and n and 2n alternate, each
+        # round starting with the size the last round ended with, so a
+        # burst of load falls on both sizes
         n = 2**16
         for pattern, processes in (("pairs", 2), ("random", 64)):
             texts = {k: render_dsl(generate(GenSpec(pattern, processes, k // processes))) for k in (n, 2 * n)}
             runs = {k: [] for k in texts}
-            for _ in range(3):
-                for k, text in texts.items():
+            for round_ in range(5):
+                for k in (n, 2 * n) if round_ % 2 == 0 else (2 * n, n):
                     gc.collect()
                     start = time.perf_counter()
-                    parse_dsl(text)
+                    parse_dsl(texts[k])
                     runs[k].append(time.perf_counter() - start)
             ratio = statistics.median(runs[2 * n]) / statistics.median(runs[n])
             assert 1.5 <= ratio <= 3.0, f"{pattern}: median t(2n)/t(n) {ratio:.2f} ({runs})"

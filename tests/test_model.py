@@ -113,6 +113,24 @@ def test_sequence_takes_exactly_one_of_occurrences_and_column(kwargs):
         Sequence(0, **kwargs)
 
 
+def test_a_built_models_occurrences_cannot_change():
+    # a list was kept: a second occurrence appended to rank 0's left its
+    # column, and so `len` and `check`, as they were
+    space = SignatureSpace()
+    env = Envelope(tag=1, source=0, destination=1)
+    sig = space.signature_for(env)
+    occurrences = [MessageOccurrence(sig, Role.SEND, env)]
+    model = Model(
+        [Sequence(0, occurrences), Sequence(1, [MessageOccurrence(sig, Role.RECV, env)])], Mode.STRICT, space
+    )
+    occurrences.append(MessageOccurrence(sig, Role.SEND, env))  # the caller's list is not the model's
+    assert model.sequences[0].occurrences == (MessageOccurrence(sig, Role.SEND, env),)
+    with pytest.raises(AttributeError):
+        model.sequences[0].occurrences.append(MessageOccurrence(sig, Role.SEND, env))
+    assert len(model.sequences[0]) == 1
+    assert check(model) == NoDeadlock()
+
+
 def test_duplicate_ranks_rejected_at_model_construction():
     with pytest.raises(ValueError, match="duplicate"):
         Model(

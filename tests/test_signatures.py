@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncheck import Envelope, Illegal, Mode, Model, Sequence, SignatureSpace, check
-from syncheck.signatures import _CharTable
+from syncheck import Envelope, Illegal, Mode, Model, NoDeadlock, Sequence, SignatureSpace, check, parse_abstract
 
 
 def test_first_issue_is_zero():
@@ -128,8 +127,8 @@ def test_density_and_idempotence(quads):
 
 
 def test_char_table_issues_signatures_in_order_of_first_lookup():
-    entries = []
-    table = _CharTable(entries)
+    space = SignatureSpace()
+    table, entries = space.char_table(), space.entries
     assert [table[ord(ch)] for ch in "xyxz"] == [0, 1, 0, 2]
     assert entries == ["x", "y", "z"]
     # each entry is appended as its signature is issued, so a caller's list
@@ -138,8 +137,8 @@ def test_char_table_issues_signatures_in_order_of_first_lookup():
     assert entries == ["x", "y", "z", "\xe9"]
     # str.translate looks up each code point, so one pass interns a line
     # and deletes its whitespace, which gets no signature
-    entries = []
-    table = _CharTable(entries)
+    space = SignatureSpace()
+    table, entries = space.char_table(), space.entries
     assert "b \xe9\tb\u3000\U0001f600\x1f".translate(table) == "\x00\x01\x00\x02"
     assert entries == ["b", "\xe9", "\U0001f600"]
     assert table[ord(" ")] is None and table[0x3000] is None
@@ -157,12 +156,50 @@ def test_char_table_keeps_a_spaces_characters():
     assert space.entries == ["a", "b", " ", "cd", "c"]
 
 
+def test_a_table_and_intern_character_give_a_character_one_signature():
+    # a table once appended to the entries behind the space's index, so
+    # intern_character gave 'a' a second signature, 2, and ranks 0 and 1
+    # over the two were Illegal ("occurs in 1 sequence")
+    space = SignatureSpace()
+    space.intern_character("x")
+    assert list(space.char_table().column("a")) == [1]
+    assert space.intern_character("a") == 1
+    assert space.entries == ["x", "a"]
+    sequences = [Sequence(0, column=[0, 1]), Sequence(1, column=[0, space.intern_character("a")])]
+    assert check(Model(sequences, Mode.ABSTRACT, space)) == NoDeadlock()
+
+
+def test_two_tables_on_one_space_give_a_character_one_signature():
+    space = SignatureSpace()
+    first, second = space.char_table(), space.char_table()
+    assert list(first.column("a")) == [0]
+    assert list(second.column("a")) == [0]
+    assert space.entries == ["a"]
+
+
+def test_a_table_reads_what_intern_character_added_after_it_was_made():
+    space = SignatureSpace()
+    table = space.char_table()
+    sig = space.intern_character("a")
+    assert list(table.column("a")) == [sig]
+    assert space.entries == ["a"]
+
+
+def test_intern_character_on_a_parsed_space_returns_the_parsed_signatures():
+    model = parse_abstract("P0: ab c\nP1: ba\nP2: c")
+    space = model.space
+    assert space._index is None  # the parse's index lived only during the parse, as a DSL parse's
+    assert [space.intern_character(ch) for ch in "abc"] == [0, 1, 2]
+    assert space.entries == ["a", "b", "c"]
+
+
 def test_char_table_deletes_what_str_split_splits_at():
     spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
     assert len(spaces) == 29
     text = "a".join(spaces) + "a"
-    entries = []
-    assert text.translate(_CharTable(entries)) == "".join(text.split()).translate({ord("a"): 0})
+    space = SignatureSpace()
+    table, entries = space.char_table(), space.entries
+    assert text.translate(table) == "".join(text.split()).translate({ord("a"): 0})
     assert entries == ["a"]
 
 
