@@ -131,8 +131,8 @@ def test_char_table_issues_signatures_in_order_of_first_lookup():
     table, entries = space.char_table(), space.entries
     assert [table[ord(ch)] for ch in "xyxz"] == [0, 1, 0, 2]
     assert entries == ["x", "y", "z"]
-    # each entry is appended as its signature is issued, so a caller's list
-    # names every signature the table has handed out
+    # each entry is appended as its signature is issued, so the space's
+    # entries name every signature the table has handed out
     table[ord("\xe9")]
     assert entries == ["x", "y", "z", "\xe9"]
     # str.translate looks up each code point, so one pass interns a line
