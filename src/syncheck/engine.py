@@ -16,13 +16,14 @@ a worklist whose order is free: legality leaves each signature two member
 sequences, so a head can only ever match the head of the other member, and
 whichever ready head is served first, the same pairs match (the matching
 is confluent).  The verdict, the step count, the pending heads and the
-report are therefore the same in any order.  After a match, the
-run of equal signatures that follows in both sequences is forced and
-consumed at once by slice compares.  `Legality` judges legality, through
-`validate_static` at `load` and at each append of a stream, so no third
-member rank is matched.  Every engine has a signature space, `Engine(space)`:
-a stream's `Legality` indexes its one membership table by signature, and a
-report reads each blocked head's envelope there.
+report are therefore the same in any order.  After a match, the run of
+equal signatures that follows in both sequences is forced and consumed at
+once: its first pair by one compare, the rest by slice compares that start
+past that pair, so no pair is compared twice.  `Legality` judges legality,
+through `validate_static` at `load` and at each append of a stream, so no
+third member rank is matched.  Every engine has a signature space,
+`Engine(space)`: a stream's `Legality` indexes its one membership table by
+signature, and a report reads each blocked head's envelope there.
 Once the worklist is empty every unfinished rank is pending, so an empty
 table means every occurrence matched.  Total steps are bounded by the
 number of occurrences examined, so a batch check is linear in the message
@@ -39,26 +40,24 @@ from .model import COLUMN_TYPECODE, Deadlock, Illegal, Legality, Model, NoDeadlo
 def _common_run(a: array, i: int, b: array, j: int) -> int:
     """Length of the longest common prefix of `a[i:]` and `b[j:]`.
 
-    Galloping: compare chunks of doubling size, then bisect inside the
-    first chunk that differs.  O(k + 1) work in C and O(log k) Python steps
-    for a common prefix of length k.
+    Galloping: compare chunks of doubling size, then halve the first chunk
+    that differs.  O(k + 1) work in C and O(log k) Python steps for a
+    common prefix of length k.
     """
     end = min(len(a) - i, len(b) - j)
     lo, size = 0, 1
     while lo < end:
-        hi = min(lo + size, end)
-        if a[i + lo:i + hi] != b[j + lo:j + hi]:
+        if a[i + lo:i + lo + size] != b[j + lo:j + lo + size]:
             break
-        lo, size = hi, 2 * size
-    else:
-        return lo
-    # a[i:i+lo] == b[j:j+lo] and the first difference lies before hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if a[i + lo:i + mid] == b[j + lo:j + mid]:
-            lo = mid
-        else:
-            hi = mid
+        lo, size = lo + size, 2 * size
+    else:  # lo passes end only if both tails end in the last chunk
+        return min(lo, end)
+    # a[i:i+lo] == b[j:j+lo]; the first difference, or the shorter tail's
+    # end, lies in the next `size` items
+    while size > 1:
+        size //= 2
+        if a[i + lo:i + lo + size] == b[j + lo:j + lo + size]:
+            lo += size
     return lo
 
 
@@ -184,7 +183,7 @@ class Engine:
                 # final cursors do not depend on match order, so the whole
                 # common run is matched here.
                 if pos < len(col) and other_pos < len(other_col) and col[pos] == other_col[other_pos]:
-                    run = _common_run(col, pos, other_col, other_pos)
+                    run = 1 + _common_run(col, pos + 1, other_col, other_pos + 1)
                     pos += run
                     other_pos += run
                     matched += run

@@ -50,6 +50,26 @@ def model_from_tuples(seqs) -> Model:
     return Model(sequences=sequences, mode=Mode.ABSTRACT, space=space)
 
 
+def halo_model(processes: int, iterations: int, safe: bool = True) -> Model:
+    """A 1-D periodic halo exchange over `processes` ranks, as a strict
+    model of columns: each iteration, rank r sends `right[r]` to r + 1 and
+    `left[r]` to r - 1, and receives `right[r - 1]` and `left[r + 1]`, ranks
+    mod `processes`, one envelope per direction and rank reused every
+    iteration.  Signature r is `right[r]`, tag 0, and `processes + r` is
+    `left[r]`, tag 1.  A period is the two sends, then the two receives; in
+    the safe ordering odd ranks receive first, which completes when
+    `processes` is even, and in the unsafe one every rank sends first, which
+    deadlocks at once under rendezvous."""
+    P = processes
+    space = SignatureSpace([(0, r, (r + 1) % P, 0) for r in range(P)] + [(1, r, (r - 1) % P, 0) for r in range(P)])
+    sequences = []
+    for r in range(P):
+        sends, recvs = [r, P + r], [(r - 1) % P, P + (r + 1) % P]
+        period = recvs + sends if safe and r % 2 else sends + recvs
+        sequences.append(Sequence(rank=r, column=array("i", period * iterations)))
+    return Model(sequences=sequences, mode=Mode.STRICT, space=space)
+
+
 def in_order(model: Model, order) -> Model:
     """The model with its sequences listed in `order`, a permutation of its
     ranks, so that `Engine.load` appends and closes them in that order."""

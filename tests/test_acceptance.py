@@ -12,7 +12,7 @@ import statistics
 import time
 from contextlib import contextmanager
 
-from support import PAPER_DSL, classify, in_order, model_from_tuples, random_legal_abstract, run_cli
+from support import PAPER_DSL, classify, halo_model, in_order, model_from_tuples, random_legal_abstract, run_cli
 from syncheck import (
     Deadlock,
     Engine,
@@ -125,6 +125,30 @@ def test_criterion_4_randomized_differential():
             assert classify(check(model)) == classify(cycle_check(model).verdict)
 
 
+def test_criterion_3_halo_against_simulate_exhaustive():
+    with criterion("3 exhaustive differential, halo"):
+        # every small halo exchange, both orderings: the engine's verdict is
+        # the one every interleaving reaches
+        for processes in range(2, 6):
+            for iterations in (1, 2):
+                for safe in (True, False):
+                    model = halo_model(processes, iterations, safe)
+                    sim = simulate_exhaustive(model)
+                    assert sim.confluence_agreed
+                    assert check(model) == sim.verdict, (processes, iterations, safe)
+
+
+def test_criterion_4_randomized_differential_halo():
+    with criterion("4 randomized differential, halo"):
+        # reused envelopes, so forced runs of length 1 in the safe ordering;
+        # the unsafe one deadlocks at once, and an odd safe one after a few
+        # matches
+        rng = random.Random(20241)
+        for _ in range(200):
+            model = halo_model(rng.randint(2, 9), rng.randint(1, 40), rng.random() < 0.5)
+            assert check(model) == cycle_check(model).verdict
+
+
 def test_criterion_5_linearity():
     with criterion("5 linearity"):
         # exact step bound and memory bound at n = 10^6
@@ -198,6 +222,66 @@ def test_parse_dsl_linearity():
             assert 1.5 <= ratio <= 3.0, f"{pattern}: median t(2n)/t(n) {ratio:.2f} ({runs})"
 
 
+def test_per_head_linearity():
+    with criterion("5 linearity, per-head matching"):
+        # a safe halo matches every head by a step of `_run` or a forced run
+        # of length 1, never by a long gallop, so criterion 5's pairs model
+        # does not time this path; n = 2^18 checks in about 0.1 s, and n and
+        # 2n alternate as in the parse gate
+        n = 2**18
+        models = {k: halo_model(64, k // 256) for k in (n, 2 * n)}
+        runs = {k: [] for k in models}
+        for round_ in range(5):
+            for k in (n, 2 * n) if round_ % 2 == 0 else (2 * n, n):
+                gc.collect()
+                gc.disable()
+                try:
+                    start = time.perf_counter()
+                    verdict, engine = check_with_engine(models[k])
+                    runs[k].append(time.perf_counter() - start)
+                finally:
+                    gc.enable()
+                assert classify(verdict) == "ok"
+                assert engine.steps == k
+        ratio = statistics.median(runs[2 * n]) / statistics.median(runs[n])
+        assert 1.5 <= ratio <= 3.0, f"median t(2n)/t(n) {ratio:.2f} ({runs})"
+
+
+def test_criterion_9_comparison_with_cycle_check():
+    with criterion("9 comparison with cycle_check"):
+        # the paper's claim that matching beats circle detection: in one
+        # process, at n = 2^17, engine and cycle_check alternate, 3 runs
+        # each, so a ratio of medians does not move with the machine's
+        # drift as seconds do
+        n = 2**17
+        models = {
+            "pairs": generate(GenSpec("pairs", 2, n // 2)),
+            "random": generate(GenSpec("random", 64, n // 64)),
+            "ring": generate(GenSpec("ring", 64, n // 128)),
+            "safe halo": halo_model(64, n // 256),
+            "unsafe halo": halo_model(64, n // 256, safe=False),
+        }
+        ratios = {}
+        gc.collect()
+        gc.disable()
+        try:
+            for name, model in models.items():
+                assert model.message_count == n
+                runs = {check_with_engine: [], cycle_check: []}
+                for _ in range(3):
+                    for backend, times in runs.items():
+                        start = time.perf_counter()
+                        backend(model)
+                        times.append(time.perf_counter() - start)
+                ratios[name] = statistics.median(runs[cycle_check]) / statistics.median(runs[check_with_engine])
+        finally:
+            gc.enable()
+        print("cycle_check / engine:", {name: round(ratio, 2) for name, ratio in ratios.items()})
+        floors = {"safe halo": 1.25}  # every head is a step of `_run` there
+        low = {name: ratio for name, ratio in ratios.items() if ratio < floors.get(name, 2.0)}
+        assert not low, f"cycle_check / engine below its floor: {ratios}"
+
+
 def _report_body(verdict, space, engine):
     body = build_report(verdict, space, messages=engine.message_count, steps=engine.steps)
     body["stats"].pop("steps")  # drain-call count legitimately differs
@@ -231,6 +315,30 @@ def test_criterion_6_streaming_equivalence():
             assert verdict is not None
             streamed = _report_body(verdict, model.space, engine)
             assert streamed == batch
+
+
+def test_criterion_6_streaming_equivalence_halo():
+    with criterion("6 streaming equivalence, halo"):
+        # appends of `chunk` signatures go round-robin over the ranks, then
+        # every rank closes, so forced runs are cut at a tail and resumed
+        rng = random.Random(27182)
+        for _ in range(60):
+            model = halo_model(rng.randint(2, 8), rng.randint(1, 12), rng.random() < 0.5)
+            batch_verdict, batch_engine = check_with_engine(model)
+            batch = _report_body(batch_verdict, model.space, batch_engine)
+
+            engine = Engine(model.space)
+            chunk = rng.randint(1, 9)
+            columns = {s.rank: s.column for s in model.sequences}
+            for start in range(0, max(map(len, columns.values())), chunk):
+                for rank, column in columns.items():
+                    engine.append(rank, column[start:start + chunk])
+                    assert engine.drain() is None
+            for rank in columns:
+                engine.close(rank)
+                verdict = engine.drain()
+            assert verdict is not None
+            assert _report_body(verdict, model.space, engine) == batch
 
 
 def test_criterion_7_order_invariance():

@@ -15,6 +15,7 @@ from support import (
     abstract_model,
     char_space,
     classify,
+    halo_model,
     in_order,
     interleaving,
     model_from_tuples,
@@ -41,6 +42,7 @@ from syncheck import (
     parse_dsl,
     parse_model,
 )
+from syncheck import engine as engine_mod
 from syncheck import model as model_mod
 from syncheck.bench import GenSpec, generate
 from syncheck.engine import _common_run
@@ -660,6 +662,56 @@ class TestOrderFreedom:
             verdict = plain.drain()
             assert verdict is not None
             assert _observed(shuffled, shuffled.drain()) == _observed(plain, verdict)
+
+    def test_halo_models(self):
+        # reused envelopes, so a forced run follows most matches of a safe
+        # halo; loaded, then streamed in random chunks
+        rng = random.Random(7)
+        for processes in range(2, 8):
+            for safe in (True, False):
+                model = halo_model(processes, rng.randint(1, 20), safe)
+                plain, shuffled = Engine(model.space), Engine(model.space)
+                shuffled._queue = _RandomPop(rng)
+                plain.load(model)
+                shuffled.load(model)
+                assert _observed(shuffled, shuffled.drain()) == _observed(plain, plain.drain())
+                rows = [seq.column for seq in model.sequences]
+                plain, shuffled = Engine(model.space), Engine(model.space)
+                shuffled._queue = _RandomPop(rng)
+                for rank, start, end in interleaving(rng, rows):
+                    for engine in (plain, shuffled):
+                        if start is None:
+                            engine.close(rank)
+                        else:
+                            engine.append(rank, rows[rank][start:end])
+                    assert _observed(shuffled, shuffled.drain()) == _observed(plain, plain.drain())
+
+
+def test_a_forced_run_compares_each_pair_of_heads_once(monkeypatch):
+    # every forced run of a safe halo has length 1, P/2 of them per
+    # iteration and P/2 per boundary between two: `_run` compares the pair
+    # after a match, and `_common_run` starts past it, so such a run costs
+    # one slice compare
+    slices = []
+
+    class Counting(array):
+        def __getitem__(self, key):
+            if isinstance(key, slice):
+                slices.append(key)
+            return array.__getitem__(self, key)
+
+    runs = []
+
+    def counted(a, i, b, j):
+        runs.append(_common_run(Counting(a.typecode, a[i:]), 0, Counting(b.typecode, b[j:]), 0))
+        return runs[-1]
+
+    monkeypatch.setattr(engine_mod, "_common_run", counted)
+    verdict, engine = check_with_engine(halo_model(8, 10))
+    assert verdict == NoDeadlock()
+    assert engine.steps == 8 * 4 * 10
+    assert runs == [0] * (4 * (10 + 9))
+    assert len(slices) == 2 * len(runs)
 
 
 def _naive_common_run(a, i, b, j):
