@@ -126,48 +126,47 @@ def cmd_check(args, out, err, stdin) -> int:
     return _emit(report, args.format, out)
 
 
-def _strict_signatures(tokens: list, space: SignatureSpace, known: dict) -> list:
-    """The signatures of one append's strict tokens, read for syntax only (the
-    stream's `Legality` judges their ranks): known ones from `known`, new ones
-    by `_new_token_signature`."""
-    return [known[token] if token in known else _new_token_signature(token, space, known) for token in tokens]
+class _TokenTable(dict):
+    """Strict token -> signature, a cache in front of its space's one index
+    as a character table is.  A new token is read for syntax only (the
+    stream's `Legality` judges its ranks): split at its commas into 3 or 4
+    fields, `tag,src,dst[,comm]` with comm 0 when omitted, each a run of
+    decimal digits as in the DSL (int() alone would also take `+1`, `1_0`
+    and `-0`), and interned through `signature_for`, which rejects a
+    self-message.  A malformed token is named here, its checks in this
+    order; a field with more digits than int() converts is named by `decimal`."""
 
+    __slots__ = ("_space",)  # a slot reads faster than an instance dict on each new token
 
-def _new_token_signature(token: str, space: SignatureSpace, known: dict) -> int:
-    """The signature of `token`, interned through `signature_for`, which
-    rejects a self-message, and cached in `known`.
+    def __init__(self, space: SignatureSpace) -> None:  # empty: dict.__new__ made it
+        self._space = space
 
-    The token is split at its commas into 3 or 4 fields, `tag,src,dst[,comm]`
-    with comm 0 when omitted, each a run of decimal digits as in the DSL
-    (int() alone would also take `+1`, `1_0` and `-0`).  A malformed token
-    is named here, its checks in this order; a field with more digits than
-    int() converts is named by `decimal`.
-    """
-    fields = token.split(",")
-    if len(fields) == 3:
-        fields.append("0")
-    elif len(fields) != 4:
-        raise ValueError(f"expected tag,src,dst[,comm], got {token!r}")
-    # named, not mapped: four isdecimal() and four int() calls take 0.66-0.71
-    # us against 1.16-1.53 us for all(map(str.isdecimal, fields)) and
-    # tuple(map(int, fields)) (timeit, Python 3.11)
-    tag, src, dst, comm = fields
-    if not (tag.isdecimal() and src.isdecimal() and dst.isdecimal() and comm.isdecimal()):
-        raise ValueError(f"expected decimal integers tag,src,dst[,comm], got {token!r}")
-    try:
-        tag, src, dst, comm = int(tag), int(src), int(dst), int(comm)
-    except ValueError:  # more digits than int() converts
-        tag, src, dst, comm = map(decimal, fields, Envelope._fields)  # decimal names the field
-    # what Envelope._make does, without its length check: 0.20-0.24 us
-    # against 0.36-0.44 us for Envelope(tag, src, dst, comm) (timeit, Python
-    # 3.11), on every new token
-    sig = known[token] = space.signature_for(tuple.__new__(Envelope, (tag, src, dst, comm)))
-    return sig
+    def __missing__(self, token: str) -> int:
+        fields = token.split(",")
+        if len(fields) == 3:
+            fields.append("0")
+        elif len(fields) != 4:
+            raise ValueError(f"expected tag,src,dst[,comm], got {token!r}")
+        # named, not mapped: four isdecimal() and four int() calls take 0.66-0.71
+        # us against 1.16-1.53 us for all(map(str.isdecimal, fields)) and
+        # tuple(map(int, fields)) (timeit, Python 3.11)
+        tag, src, dst, comm = fields
+        if not (tag.isdecimal() and src.isdecimal() and dst.isdecimal() and comm.isdecimal()):
+            raise ValueError(f"expected decimal integers tag,src,dst[,comm], got {token!r}")
+        try:
+            tag, src, dst, comm = int(tag), int(src), int(dst), int(comm)
+        except ValueError:  # more digits than int() converts
+            tag, src, dst, comm = map(decimal, fields, Envelope._fields)  # decimal names the field
+        # what Envelope._make does, without its length check: 0.20-0.24 us
+        # against 0.36-0.44 us for Envelope(tag, src, dst, comm) (timeit, Python
+        # 3.11), on every new token
+        sig = self[token] = self._space.signature_for(tuple.__new__(Envelope, (tag, src, dst, comm)))
+        return sig
 
 
 def cmd_stream(args, out, err, stdin) -> int:
     space = SignatureSpace()
-    known: dict = {}  # strict token -> signature, for this session
+    tokens = _TokenTable(space)  # strict token -> signature
     table = space.char_table()  # abstract character -> signature; a session is one mode
     engine = Engine(space)
     # the token format; under auto, the first append sets it
@@ -199,7 +198,7 @@ def cmd_stream(args, out, err, stdin) -> int:
                 if mode is None:
                     mode = Mode.STRICT if "," in fields[2] else Mode.ABSTRACT
                 if mode is Mode.STRICT:
-                    engine.append(rank, _strict_signatures(fields[2:], space, known))
+                    engine.append(rank, list(map(tokens.__getitem__, fields[2:])))
                 else:  # each character is an occurrence, as in the abstract format
                     engine.append(rank, table.column("".join(fields[2:])))
             else:

@@ -5,11 +5,13 @@ lines; the timing-sensitive criteria assume an otherwise idle machine.
 """
 import functools
 import gc
+import io
 import itertools
 import json
 import random
 import statistics
 import time
+import tracemalloc
 from contextlib import contextmanager
 
 from support import PAPER_DSL, classify, halo_model, in_order, model_from_tuples, random_legal_abstract, run_cli
@@ -31,6 +33,7 @@ from syncheck import (
     simulate_exhaustive,
 )
 from syncheck.bench import GenSpec, generate
+from syncheck.cli import main
 from syncheck.report import build_report
 
 
@@ -250,9 +253,10 @@ def test_per_head_linearity():
 def test_criterion_9_comparison_with_cycle_check():
     with criterion("9 comparison with cycle_check"):
         # the paper's claim that matching beats circle detection: in one
-        # process, at n = 2^17, engine and cycle_check alternate, 3 runs
+        # process, at n = 2^17, engine and cycle_check alternate, 5 runs
         # each, so a ratio of medians does not move with the machine's
-        # drift as seconds do
+        # drift as seconds do, and a burst of load must hit 3 runs of one
+        # backend to move it
         n = 2**17
         models = {
             "pairs": generate(GenSpec("pairs", 2, n // 2)),
@@ -268,7 +272,7 @@ def test_criterion_9_comparison_with_cycle_check():
             for name, model in models.items():
                 assert model.message_count == n
                 runs = {check_with_engine: [], cycle_check: []}
-                for _ in range(3):
+                for _ in range(5):
                     for backend, times in runs.items():
                         start = time.perf_counter()
                         backend(model)
@@ -280,6 +284,83 @@ def test_criterion_9_comparison_with_cycle_check():
         floors = {"safe halo": 1.25}  # every head is a step of `_run` there
         low = {name: ratio for name, ratio in ratios.items() if ratio < floors.get(name, 2.0)}
         assert not low, f"cycle_check / engine below its floor: {ratios}"
+
+
+def test_criterion_9_space_linearity(tmp_path):
+    with criterion("9 space, check"):
+        # the paper's O(n) space claim: the tracemalloc peak of a whole
+        # in-process `check`, text read included, at n and 2n on generated
+        # DSL files; TestCheckMemory bounds bytes per occurrence at one n
+        n = 2**15
+        peaks = {}
+        for k in (n, 2 * n):
+            path = tmp_path / f"random-{k}.dsl"
+            path.write_text(render_dsl(generate(GenSpec("random", 64, k // 64))))
+            # a first call, so one-time costs (lazy imports, caches) fall on neither size
+            main(["check", str(path), "--format", "json"], stdout=io.StringIO(), stderr=io.StringIO())
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                code = main(["check", str(path), "--format", "json"], stdout=io.StringIO(), stderr=io.StringIO())
+                peaks[k] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert code == 2
+        ratio = peaks[2 * n] / peaks[n]
+        print(f"check peak(2n)/peak(n): {ratio:.2f}, {peaks[n] / n:.1f} -> {peaks[2 * n] / (2 * n):.1f} B/occurrence")
+        assert 1.5 <= ratio <= 2.5, f"peak(2n)/peak(n) {ratio:.2f} ({peaks})"
+
+
+def _rank_events(processes: int) -> str:
+    """perfbench's `stream-ranks` events: a generated pairs model of 12
+    occurrences per rank as `tag,src,dst` tokens, appended 4 at a time
+    round-robin over a seeded rank order, then closed in first-append order."""
+    model = generate(GenSpec("pairs", processes, 12))
+    order = random.Random(0).sample([s.rank for s in model.sequences], len(model.sequences))
+    tokens = {
+        s.rank: [f"{o.envelope.tag},{o.envelope.source},{o.envelope.destination}" for o in s.occurrences]
+        for s in model.sequences
+    }
+    lines = [f"append {rank} {' '.join(tokens[rank][i:i + 4])}" for i in range(0, 12, 4) for rank in order]
+    return "\n".join(lines + [f"close {rank}" for rank in order] + ["end"]) + "\n"
+
+
+def test_stream_linearity():
+    with criterion("5 linearity, stream"):
+        # a whole in-process `stream` session, token reading, appends,
+        # closes and drains, at P = 4,000 and 8,000 ranks; closes in
+        # first-append order are the shape whose drains once grew with the
+        # closed-rank count.  Sizes alternate as in the parse gate, the CPU
+        # clock leaves out the time the process waits for a CPU, and each
+        # size counts its fastest run.  On a shared machine a session's CPU
+        # time can still read 1.6x for seconds, which took single
+        # measurements to 1.30 and 3.03 on code that reads 2.1-2.3 otherwise,
+        # so the gate fails only if 3 measurements in a row are out of range:
+        # a path that is not linear reads out of range every time
+        n = 4000
+        events = {k: _rank_events(k) for k in (n, 2 * n)}
+        ratios = []
+        for _ in range(3):
+            runs = {k: [] for k in events}
+            for round_ in range(5):
+                for k in (n, 2 * n) if round_ % 2 == 0 else (2 * n, n):
+                    out = io.StringIO()
+                    gc.collect()
+                    gc.disable()
+                    try:
+                        start = time.process_time()
+                        code = main(["stream", "--format", "json"], stdin=io.StringIO(events[k]), stdout=out, stderr=io.StringIO())
+                        runs[k].append(time.process_time() - start)
+                    finally:
+                        gc.enable()
+                    assert code == 0
+                    assert json.loads(out.getvalue())["stats"]["messages"] == 12 * k
+            ratios.append(min(runs[2 * n]) / min(runs[n]))
+            if 1.5 <= ratios[-1] <= 3.0:
+                break
+        print("stream t(2n)/t(n):", [round(ratio, 2) for ratio in ratios])
+        assert 1.5 <= ratios[-1] <= 3.0, f"fastest t(2n)/t(n) in each measurement: {ratios}"
 
 
 def _report_body(verdict, space, engine):

@@ -15,7 +15,7 @@ from support import INLINE_SPACES, PAPER_DSL, random_abstract_text, reference_st
 from syncheck.bench import GenSpec, generate
 import syncheck
 from syncheck import Envelope, ParseError, SignatureSpace, check, parse_abstract
-from syncheck.cli import _build_parser, _strict_signatures, main
+from syncheck.cli import _build_parser, _TokenTable, main
 from syncheck.engine import Engine
 from syncheck.model import Illegal
 from syncheck.parser import render_dsl
@@ -342,18 +342,19 @@ class TestStream:
         rng = random.Random(23)
         outcomes = set()
         for _ in range(5000):
-            space, known = SignatureSpace(), {}
+            space = SignatureSpace()
+            table = _TokenTable(space)
             ref_space, ref_known = SignatureSpace(), {}
             for _ in range(rng.randint(1, 5)):
                 tokens = [",".join(rng.choices(pool, k=rng.randint(2, 5))) for _ in range(rng.randint(1, 4))]
                 results = []
-                for read, sp, kn in ((_strict_signatures, space, known), (reference_strict_signatures, ref_space, ref_known)):
+                for read in (lambda: [table[t] for t in tokens], lambda: reference_strict_signatures(tokens, ref_space, ref_known)):
                     try:
-                        results.append(read(tokens, sp, kn))
+                        results.append(read())
                     except ValueError as exc:
                         results.append((type(exc), str(exc)))
                 assert results[0] == results[1], tokens
-                assert known == ref_known
+                assert dict(table) == ref_known
                 assert space.entries == ref_space.entries
                 assert all(type(env) is Envelope for env in space.entries)
                 outcomes.add(results[0][1].split(" ")[0] if isinstance(results[0], tuple) else "ok")
@@ -390,11 +391,12 @@ class TestStream:
 
         monkeypatch.setattr(SignatureSpace, "signature_for", counting)
         spellings = ["1,0,1", "1,0,1,0", "01,0,1", "\u0661,\u0660,\u0661"]
-        space, known = SignatureSpace(), {}
-        assert _strict_signatures(spellings, space, known) == [0, 0, 0, 0]
-        assert _strict_signatures(spellings + spellings, space, known) == [0] * 8
+        space = SignatureSpace()
+        table = _TokenTable(space)
+        assert [table[t] for t in spellings] == [0, 0, 0, 0]
+        assert [table[t] for t in spellings + spellings] == [0] * 8
         assert calls == [Envelope(1, 0, 1, 0)] * 4
-        assert known == dict.fromkeys(spellings, 0)
+        assert dict(table) == dict.fromkeys(spellings, 0)
         assert space.entries == [(1, 0, 1, 0)]
         # the reader builds an Envelope, not a plain tuple
         assert type(space.entries[0]) is Envelope
