@@ -12,9 +12,10 @@ speed-kernel readings (one before each workload's runs and one after the
 last) and, for each workload, each end-to-end metric's values, median and
 interquartile range over the runs.
 
-`--compare A B` prints, for each workload and end-to-end metric in both
-files, B's median over A's and the bound BENCHMARK.json gives that metric.
-It reports and does not gate: it exits 0 whatever the ratios are.
+`--compare A B` prints a heading with each file's median speed-kernel
+reading and B's over A's, then, for each workload and end-to-end metric in
+both files, B's median over A's and the bound BENCHMARK.json gives that
+metric.  It reports and does not gate: it exits 0 whatever the ratios are.
 """
 from __future__ import annotations
 
@@ -97,9 +98,15 @@ def record(label: str, workloads: list, seconds: float, size: str) -> dict:
 
 
 def compare(base: dict, new: dict, bounds: list) -> list:
-    """One line per workload and end-to-end metric in both records: the two
-    medians, new over base, and the metric's bound."""
-    lines = [f"{base['label']} ({base['revision'][:12]}) -> {new['label']} ({new['revision'][:12]})"]
+    """A heading that gives each record's median speed-kernel reading and
+    their ratio, so that a reader can tell the machine's drift from a
+    change, then one line per workload and end-to-end metric in both
+    records: the two medians, new over base, and the metric's bound."""
+    kernels = [statistics.median(r["kernel_s"]) for r in (base, new)]
+    lines = [
+        f"{base['label']} ({base['revision'][:12]}) -> {new['label']} ({new['revision'][:12]}):"
+        f" kernel_s {kernels[0]:.4g} -> {kernels[1]:.4g}, kernel ratio {kernels[1] / kernels[0]:.3f}"
+    ]
     for workload, before in base["workloads"].items():
         after = new["workloads"].get(workload)
         if after is None:

@@ -16,7 +16,9 @@ a worklist whose order is free: legality leaves each signature two member
 sequences, so a head can only ever match the head of the other member, and
 whichever ready head is served first, the same pairs match (the matching
 is confluent).  The verdict, the step count, the pending heads and the
-report are therefore the same in any order.  After a match, the run of
+report are therefore the same in any order.  Only the violation named for
+an illegal model may depend on the append order (model order for `load`),
+since the first one met is kept.  After a match, the run of
 equal signatures that follows in both sequences is forced and consumed at
 once: its first pair by one compare, the rest by slice compares that start
 past that pair, so no pair is compared twice.  `Legality` judges legality,

@@ -260,7 +260,11 @@ class Legality:
     strict `ends` is the space's own entries, whose endpoints are the
     members; an abstract one learns each rank into a free slot.  Any other
     rank is off the endpoints or a third member, and a signature outside the
-    space is a violation where it is met.  The first entry gives the mode."""
+    space is a violation where it is met.  The first entry gives the mode.
+    Member ranks stay Python ints, so a rank of any size fits, 2^64 and past.
+    `finish` finds the lowest lonely signature with two `bytearray.find`
+    calls, each one `memchr` pass in C, and names its member
+    `ends[sig][bits[sig]]`."""
 
     def __init__(self, space) -> None:
         self.violation: Optional[IllegalReason] = None

@@ -205,24 +205,44 @@ def test_criterion_5_linearity():
         assert 1.5 <= median_ratio <= 3.0, f"median t(2n)/t(n): {median_ratio:.2f} ({ratios})"
 
 
+def _blank_runs(k: int) -> str:
+    """A pairs DSL rendering of k occurrences with a run of blanks and a
+    comment after every statement, the shape on which the bulk reader once
+    grew quadratically."""
+    return render_dsl(generate(GenSpec("pairs", 2, k // 2))).replace(";\n", ";" + " " * 64 + "# c } ; {\n")
+
+
+def _spaced_abstract(k: int) -> str:
+    """Abstract pairs of k occurrences, each character followed by a run of
+    64 blanks and tabs, which the interning pass deletes."""
+    gap = " \t" * 32
+    return "".join(f"P{rank}: {gap.join('ab' * (k // 4))}\n" for rank in (0, 1))
+
+
 def test_parse_dsl_linearity():
     with criterion("5 linearity, parse_dsl"):
-        # n = 2^16 parses in about 60 ms on a 2-CPU VM; the texts are
+        # each n parses in at least 20 ms on a 2-CPU VM; the texts are
         # rendered before the timed region, and n and 2n alternate, each
         # round starting with the size the last round ended with, so a
         # burst of load falls on both sizes
-        n = 2**16
-        for pattern, processes in (("pairs", 2), ("random", 64)):
-            texts = {k: render_dsl(generate(GenSpec(pattern, processes, k // processes))) for k in (n, 2 * n)}
+        shapes = {
+            "pairs": (2**16, parse_dsl, lambda k: render_dsl(generate(GenSpec("pairs", 2, k // 2)))),
+            "random": (2**16, parse_dsl, lambda k: render_dsl(generate(GenSpec("random", 64, k // 64)))),
+            "blank runs": (2**15, parse_dsl, _blank_runs),
+            "spaced abstract": (2**17, parse_abstract, _spaced_abstract),
+        }
+        for name, (n, parse, make) in shapes.items():
+            texts = {k: make(k) for k in (n, 2 * n)}
             runs = {k: [] for k in texts}
             for round_ in range(5):
                 for k in (n, 2 * n) if round_ % 2 == 0 else (2 * n, n):
                     gc.collect()
                     start = time.perf_counter()
-                    parse_dsl(texts[k])
+                    model = parse(texts[k])
                     runs[k].append(time.perf_counter() - start)
+                    assert model.message_count == k
             ratio = statistics.median(runs[2 * n]) / statistics.median(runs[n])
-            assert 1.5 <= ratio <= 3.0, f"{pattern}: median t(2n)/t(n) {ratio:.2f} ({runs})"
+            assert 1.5 <= ratio <= 3.0, f"{name}: median t(2n)/t(n) {ratio:.2f} ({runs})"
 
 
 def test_per_head_linearity():

@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from support import classify, interleaving, model_from_tuples, random_rows, run_cli
+from support import classify, halo_model, interleaving, model_from_tuples, random_rows, run_cli
 from syncheck import (
     Engine,
     Envelope,
@@ -22,8 +22,11 @@ from syncheck import (
     Sequence,
     SignatureSpace,
     check,
+    parse_dsl,
+    render_dsl,
     validate_static,
 )
+from syncheck.bench import GenSpec, generate
 from syncheck.report import build_report, exit_code_for
 
 
@@ -185,6 +188,40 @@ def test_a_member_off_its_endpoints_gets_one_verdict_from_check_and_stream(rows,
     assert (code, err) == (exit_code_for(batch), "") == (3, "")
     assert streamed["verdict"] == batch["verdict"] == "illegal"
     assert streamed["reason"] == batch["reason"] == dict(zip(("signature", "processes", "message"), reason))
+
+
+@pytest.mark.parametrize(
+    "make, code",
+    [
+        (lambda: generate(GenSpec("ring", 64, 200)), 2),
+        (lambda: generate(GenSpec("random", 64, 800)), 2),
+        # envelopes reused every iteration
+        (lambda: halo_model(64, 20), 0),
+        (lambda: halo_model(64, 20, safe=False), 2),
+    ],
+    ids=["ring", "random", "safe-halo", "unsafe-halo"],
+)
+def test_a_generated_strict_model_streams_as_it_checks(tmp_path, make, code):
+    # its DSL rendering's columns as `tag,src,dst,comm` tokens, 50 to an
+    # append, round-robin over the ranks, then every rank closed; the cycle
+    # oracle gives the exit code too
+    path = tmp_path / "m.dsl"
+    path.write_text(render_dsl(make()))
+    model = parse_dsl(path.read_text())
+    rows = [(s.rank, [",".join(map(str, model.space.envelope_of(sig))) for sig in s.column]) for s in model.sequences]
+    events = [
+        f"append {rank} {' '.join(tokens[k:k + 50])}"
+        for k in range(0, max(len(tokens) for _, tokens in rows), 50)
+        for rank, tokens in rows
+        if tokens[k:k + 50]
+    ]
+    events += [f"close {rank}" for rank, tokens in rows if tokens]
+    check_code, check_out, _ = run_cli(["check", str(path), "--format", "json"])
+    stream_code, stream_out, err = run_cli(["stream", "--mode", "strict", "--format", "json"], "\n".join(events) + "\n")
+    assert (check_code, stream_code, err) == (code, code, "")
+    keys = ("verdict", "blocked", "matchedPairs", "residual")
+    assert [json.loads(stream_out)[k] for k in keys] == [json.loads(check_out)[k] for k in keys]
+    assert run_cli(["oracle", str(path), "--backend", "cycle"])[0] == code
 
 
 def test_abstract_and_strict_twins_name_the_same_violation():

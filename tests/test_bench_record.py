@@ -28,4 +28,5 @@ def test_record_and_compare():
 
     lines = bench_record.compare(record, record, bench_record._benchmark()["end_to_end"])
     assert len(lines) == 5  # a heading, then one line per end-to-end metric
+    assert lines[0].endswith("kernel ratio 1.000")
     assert all("check-abstract-pairs" in line and "ratio 1.000" in line and "within bound" in line for line in lines[1:])

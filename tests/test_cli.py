@@ -28,6 +28,30 @@ def paper_file(tmp_path):
     return str(path)
 
 
+def _wide_row() -> str:
+    """60,000 distinct non-space characters, more than 0xD800, so that some
+    signatures are surrogate code points, in a shuffled order."""
+    codes = [c for c in range(0x21, 0x20000) if not 0xD800 <= c < 0xE000 and not chr(c).isspace()]
+    return "".join(random.Random(0).sample([chr(c) for c in codes[:60000]], 60000))
+
+
+def _rows_past_127() -> list:
+    """Four lines of 10^5 occurrences, whose columns `Legality` reads in one
+    C pass while their signatures are below 128; 130 distinct characters,
+    so the last two lines hold signatures past 127, and deadlock there."""
+    chars = [chr(c) for c in range(0x21, 0x7F)] + [chr(c) for c in range(0x3B1, 0x3B1 + 36)]
+    head, tail = "".join(chars[:64]), "".join(chars[64:])
+    body = (tail * 1516)[:99998]
+    return [(head * 1563)[:100000]] * 2 + [body + tail[0] + tail[1], body + tail[1] + tail[0]]
+
+
+def _labels_mapped(report: dict, rename: dict) -> dict:
+    for item in report["blocked"] + report.get("witness", []) + [report["reason"] or {}]:
+        if item.get("signature") is not None:
+            item["signature"] = rename[item["signature"]]
+    return report
+
+
 class TestCheck:
     def test_paper_example_exit_2(self, paper_file):
         code, out, _ = run_cli(["check", paper_file])
@@ -170,9 +194,41 @@ class TestCheck:
         assert err.startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "make, code",
+        [
+            (lambda: [_wide_row()] * 2, 0),
+            # a third member, which the report names
+            (lambda: [_wide_row()] * 2 + [_wide_row()[55555]], 3),
+            (lambda: ["xyzab", "xyzbac", "c"], 2),
+            (_rows_past_127, 2),
+        ],
+        ids=["wide", "wide-third-member", "ascii", "past-127"],
+    )
+    def test_a_renamed_copy_gets_the_same_reports(self, tmp_path, make, code):
+        # `check` and the cycle oracle on a model and on its copy with each
+        # character renamed to a non-ASCII one, BMP and astral alternately:
+        # the same exit code, and the same report once the names are mapped back
+        rows = make()
+        rename = {ch: chr((0x4E00 if i % 2 else 0x20000) + i // 2) for i, ch in enumerate(dict.fromkeys("".join(rows)))}
+        back = {new: old for old, new in rename.items()}
+        plain, renamed = tmp_path / "plain.txt", tmp_path / "renamed.txt"
+        for path, table in ((plain, {}), (renamed, str.maketrans(rename))):
+            path.write_text("".join(f"P{rank}: {row.translate(table)}\n" for rank, row in enumerate(rows)), encoding="utf-8")
+        for args in (["check"], ["oracle", "--backend", "cycle"]):
+            (code_a, out_a, _), (code_b, out_b, _) = (run_cli(args + [str(path), "--format", "json"]) for path in (plain, renamed))
+            assert code_a == code_b == code
+            assert _labels_mapped(json.loads(out_b), back) == json.loads(out_a)
+            if code == 3:
+                assert json.loads(out_a)["reason"]["signature"] == rows[2]
+
     def test_usage_error_exit_1(self):
-        code, _, err = run_cli(["check", "--format", "yaml", "x"])
-        assert code == 1
+        # a bad choice, an unknown option and a missing path
+        for args in (["check", "--format", "yaml", "x"], ["check", "--bogus", "x"], ["check"]):
+            code, out, err = run_cli(args)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("usage error: ")
 
 
 class TestStream:
@@ -287,12 +343,14 @@ class TestStream:
             # a valid new token, then a bad one on the same line
             ("append 0 1,0,1 2,0,1,x\n", 1, "expected decimal integers tag,src,dst[,comm], got '2,0,1,x'"),
             ("append 0 1,0,1 1,0\n", 1, "expected tag,src,dst[,comm], got '1,0'"),
+            # a token read twice, then a bad one on the same line
+            ("append 0 1,0,1 1,0,1 1,0,x\n", 1, "expected decimal integers tag,src,dst[,comm], got '1,0,x'"),
             ("append 0 1,0,1\nappend 1 1,0,1 " + "1" * 5000 + ",0,1\n", 2, "tag has too many digits (5000)"),
             ("append 0\n", 1, "append needs at least one token"),
         ],
         ids=[
             "close-two-fields", "close-two-ranks", "end-field",
-            "self-message", "bad-after-new", "short-after-new", "long-after-known",
+            "self-message", "bad-after-new", "short-after-new", "bad-after-repeat", "long-after-known",
             "append-no-token",
         ],
     )
@@ -454,6 +512,10 @@ class TestStream:
         reason = json.loads(out)["reason"]
         assert reason == json.loads(batch_out)["reason"]
         assert reason["signature"] == "b"
+        # `check --validate-only` names the same violation
+        validate_code, validate_out, _ = run_cli(["check", str(path), "--validate-only", "--format", "json"])
+        assert validate_code == 3
+        assert json.loads(validate_out)["reason"] == reason
         # each chunk reaches Legality as an array('i') of at least 1,024 signatures
         assert [(type(chunk), chunk.typecode, len(chunk)) for chunk in chunks] == [(array, "i", 1200)] * 3
 

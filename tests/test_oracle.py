@@ -185,7 +185,7 @@ class TestCycleCheck:
             )
 
     def test_ring_witness_is_a_valid_cycle(self):
-        for processes in (3, 4, 7, 16):
+        for processes in (3, 4, 7, 16, 64):
             for messages, seed in ((1, 0), (3, 1), (8, 2)):
                 model = generate(GenSpec("ring", processes, messages, seed=seed))
                 result = cycle_check(model)
