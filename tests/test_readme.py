@@ -59,6 +59,8 @@ QUOTES = [
      "stdin:3: close takes one rank, got 'close 0 b c'"),
     ("stdin:5: end takes no arguments, got 'end now'", ["stream"], "append 0 a\nappend 1 a\nclose 0\nclose 1\nend now\n", 1,
      "stdin:5: end takes no arguments, got 'end now'"),
+    ("protocol error: stream ended with open sequences [0]", ["stream"], "append 0 a\nappend 1 a\nclose 1\n", 1,
+     "protocol error: stream ended with open sequences [0]"),
     ("stdin:1: tag has too many digits (5000)", ["stream"], "append 0 " + "1" * 5000 + ",0,1\n", 1,
      "stdin:1: tag has too many digits (5000)"),
     ("occurs in sequences [0, 2] but its envelope endpoints are [0, 1]", ["stream"], "append 0 5,0,1\nappend 2 5,0,1\n", 3,
